@@ -161,6 +161,19 @@ class Partition:
             out |= v
         return out
 
+    def others(self, j) -> frozenset:
+        """Union of every valley except valley j."""
+        return frozenset().union(*(v for k, v in enumerate(self.valleys, 1) if k != j))
+
+    def reference_states(self, chain: Chain, pi: ProbVector) -> tuple:
+        """The pi-maximal state of each valley, ties to the smallest label."""
+        refs = []
+        for v in self.valleys:
+            idx = chain.indices_of(v)
+            weights = pi.weights[idx]
+            refs.append(min(chain.states[i] for i in idx[weights == weights.max()]))
+        return tuple(refs)
+
     def label_map(self) -> dict:
         """Map state label -> valley index (1-based), delta states -> 0."""
         out = {s: 0 for s in self.delta}

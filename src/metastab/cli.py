@@ -238,11 +238,7 @@ def cmd_validate(args) -> int:
             raise InputError("--start must lie inside a valley")
         start = args.start
     else:
-        # default: pi-maximal state of valley 1
-        idx = chain.indices_of(partition.valley(1))
-        weights = pi.weights[idx]
-        start = sorted(chain.states[i] for i, w in zip(idx, weights)
-                       if w == weights.max())[0]
+        start = partition.reference_states(chain, pi)[0]
     fdd = fdd_compare(chain, partition, theta, model, grid, args.trials,
                       args.seed, start, jobs=args.jobs, tol=tol)
     t2 = estimate_T2(chain, partition, theta, max(grid), args.trials,
@@ -335,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, help="trajectory horizon (chain time)")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--surgery", default="none", choices=_SURGERIES)
     p.set_defaults(func=cmd_simulate)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import SolverFailure
 
@@ -11,34 +12,18 @@ from .errors import SolverFailure
 _MU_CHUNK = 128.0
 
 
-def reachable_from(adj_csr, start):
-    """Boolean mask of vertices reachable from ``start`` in a CSR adjacency."""
-    n = adj_csr.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    indptr, indices = adj_csr.indptr, adj_csr.indices
-    while stack:
-        u = stack.pop()
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
-
-
 def strong_connectivity_witness(adj_csr):
     """Return None if strongly connected, else a pair (a, b) with b unreachable from a.
 
     Checks reachability from vertex 0 in the graph and its transpose, which is
     equivalent to strong connectivity.
     """
-    fwd = reachable_from(adj_csr, 0)
-    if not fwd.all():
-        return 0, int(np.flatnonzero(~fwd)[0])
-    bwd = reachable_from(sp.csr_matrix(adj_csr.T), 0)
-    if not bwd.all():
-        return int(np.flatnonzero(~bwd)[0]), 0
+    for graph, reverse in ((adj_csr, False), (adj_csr.T, True)):
+        seen = np.zeros(adj_csr.shape[0], dtype=bool)
+        seen[breadth_first_order(graph, 0, return_predecessors=False)] = True
+        if not seen.all():
+            missed = int(np.flatnonzero(~seen)[0])
+            return (missed, 0) if reverse else (0, missed)
     return None
 
 
@@ -53,49 +38,6 @@ def solve_linear(a_sparse, b):
         return lu.solve(b)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise SolverFailure(f"linear solve failed: {exc}") from exc
-
-
-def _expm_single(L, lam, t, tol):
-    n = L.shape[0]
-    P = np.eye(n) + L / lam
-    mu = lam * t
-    term = np.exp(-mu)
-    powP = np.eye(n)
-    out = term * powP
-    mass = term
-    k = 0
-    while mass < 1.0 - tol:
-        k += 1
-        term *= mu / k
-        powP = powP @ P
-        out += term * powP
-        mass += term
-        if k > 100 * (mu + 10):
-            raise SolverFailure("uniformization did not converge")
-    return out
-
-
-def expm_uniformized(generator, t, tol=1e-12):
-    """Transition matrix exp(t L) of a finite generator via uniformization.
-
-    ``generator`` is a dense (n, n) array with zero row sums.  The Poisson
-    series is truncated once its mass reaches 1 - tol, so each row of the
-    result sums to one up to ``tol``.  Large lam*t is handled by squaring.
-    """
-    L = np.asarray(generator, dtype=float)
-    n = L.shape[0]
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    lam = float(np.max(-np.diag(L))) if n else 0.0
-    if t == 0 or lam == 0:
-        return np.eye(n)
-    squarings = 0
-    while lam * t / (2 ** squarings) > _MU_CHUNK:
-        squarings += 1
-    out = _expm_single(L, lam, t / (2 ** squarings), tol)
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def _apply_uniformized(vec, rates_csr, holding, lam, t, tol):

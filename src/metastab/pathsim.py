@@ -491,18 +491,6 @@ def _run_trials(worker, payloads, jobs):
         return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * jobs))))
 
 
-def _default_starts(chain, pi, partition):
-    """One start per valley: its pi-maximal state, ties to the smallest label."""
-    starts = []
-    for v in partition.valleys:
-        idx = chain.indices_of(v)
-        weights = pi.weights[idx]
-        best = weights.max()
-        starts.append(sorted(chain.states[i] for i, wgt in zip(idx, weights)
-                             if wgt == best)[0])
-    return starts
-
-
 def _t2_worker(payload):
     chain, start, real_horizon, theta, delta, seed_pair, escape_states, escape_cut = payload
     path = simulate(chain, start, real_horizon, seed_pair)
@@ -547,7 +535,7 @@ def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float
     partition.validate_for(chain, require_valleys=2)
     if starts is None:
         pi = pi or stationary(chain, tol)
-        starts = _default_starts(chain, pi, partition)
+        starts = partition.reference_states(chain, pi)
     if not partition.delta and escape_delta is None:
         per = tuple(ValleyEstimate(j + 1, s, 0.0, 0.0, None)
                     for j, s in enumerate(starts))
@@ -557,8 +545,7 @@ def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float
     for j, start in enumerate(starts, start=1):
         escape_states = None
         if escape_delta is not None:
-            home = label_map[start]
-            escape_states = {s for s, v in label_map.items() if v not in (0, home)}
+            escape_states = partition.others(label_map[start])
         payloads = [(chain, start, horizon * theta, theta, partition.delta,
                      sd, escape_states, None if escape_delta is None
                      else escape_delta * theta)
@@ -604,7 +591,7 @@ def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
         raise BadSpec("delta must be positive")
     if starts is None:
         pi = pi or stationary(chain, tol)
-        starts = _default_starts(chain, pi, partition)
+        starts = partition.reference_states(chain, pi)
     grid = tuple(np.linspace(delta, 2.0 * delta, grid_points))
     if not partition.delta:
         zero = tuple(0.0 for _ in grid)

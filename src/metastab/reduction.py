@@ -10,17 +10,22 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
+from . import numerics
 from .chain import Chain, Partition, ProbVector, spectral_gap, stationary
 from .config import DEFAULT, ToleranceConfig
 from .errors import (
     BadPartition,
     NotIrreducibleAfterReflection,
+    SolverFailure,
     ToleranceViolation,
 )
-from .numerics import expm_uniformized
-from .potential import capacity, hitting_probability
-from .transforms import COLLAPSED_LABEL, collapse_chain, reflected_chain, trace_chain
+from .potential import capacity
+# trace_chain and collapse_chain are not called here; the traced benchmark run
+# looks them up on this module to report their time
+from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
 
 
 def _valley_index_arrays(chain: Chain, partition: Partition):
@@ -28,12 +33,62 @@ def _valley_index_arrays(chain: Chain, partition: Partition):
     return [chain.indices_of(v) for v in partition.valleys]
 
 
-def _breve(partition: Partition, j: int):
-    out = set()
-    for k in range(1, partition.n + 1):
-        if k != j:
-            out |= partition.valley(k)
-    return out
+class _ValleyFlux(NamedTuple):
+    """pi-weighted flux of the trace process on the valley union F.
+
+    ``flux[j, k]`` is the sum over x in valley j+1 of pi(x) times the rate at
+    which the trace process jumps from x into valley k+1 (the diagonal counts
+    returns to the own valley).
+    """
+
+    flux: np.ndarray
+    masses: np.ndarray        # pi(valley j)
+    capacities: np.ndarray    # Cap(valley j, others) = sum over k != j of flux[j, k]
+
+    @property
+    def timescales(self) -> np.ndarray:
+        return self.masses / self.capacities
+
+
+def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition,
+                 tol: ToleranceConfig = DEFAULT) -> _ValleyFlux:
+    """One factorization of -L on Delta gives every valley-to-valley flux.
+
+    G[y, k] = P_y[enter F in valley k+1]: the indicator of the valley on F
+    and the harmonic measure H on Delta, from one solve with one right-hand
+    side per valley.  Then flux = G_F^T diag(pi_F) R_F G.  A harmonic measure
+    that is negative or does not sum to one is a solver failure; a valley
+    whose escape flux out and in differ means pi is not stationary on F.
+    """
+    partition.validate_for(chain, require_valleys=2)
+    labels = partition.label_map()
+    owner = np.array([labels[s] - 1 for s in chain.states])
+    f = np.flatnonzero(owner >= 0)
+    d = np.flatnonzero(owner < 0)
+    G = np.zeros((chain.n, partition.n))
+    G[f, owner[f]] = 1.0
+    if len(d):
+        R_d = chain.rates[d]
+        H = numerics.solve_linear(
+            sp.diags(chain.holding[d]) - R_d[:, d], R_d @ G)
+        row_dev = float(np.abs(H.sum(axis=1) - 1.0).max())
+        if H.min() < -tol.rel or row_dev > tol.rel:
+            raise SolverFailure(
+                f"harmonic measure on Delta (|Delta| = {len(d)}) is not a "
+                f"probability: min {H.min():.3e}, worst row-sum deviation {row_dev:.3e}")
+        G[d] = H
+    flux = G[f].T @ (pi.weights[f, np.newaxis] * (chain.rates[f] @ G))
+    escape = flux - np.diag(np.diag(flux))
+    outflow, inflow = escape.sum(axis=1), escape.sum(axis=0)
+    reldev = np.abs(outflow - inflow) / np.maximum(outflow, inflow)
+    worst = int(np.argmax(reldev))
+    if reldev[worst] > tol.capacity_rel:
+        raise ToleranceViolation(
+            f"valley {worst + 1}: escape flux out {outflow[worst]:.10e} and in "
+            f"{inflow[worst]:.10e} of the trace process differ by "
+            f"{reldev[worst]:.3e} relative; pi is not stationary on the valleys")
+    masses = np.array([pi.mass(chain.indices_of(v)) for v in partition.valleys])
+    return _ValleyFlux(flux, masses, outflow)
 
 
 @dataclass(frozen=True)
@@ -61,68 +116,31 @@ class ReducedModel:
 
 def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition, theta: float,
                  tol: ToleranceConfig = DEFAULT) -> ReducedModel:
-    """Coarse-grained jump rates via the trace chain on the valley union.
+    """Coarse-grained jump rates from the valley flux of the trace process.
 
-    r(k, j) is theta times the pi-averaged rate at which the trace process
-    jumps from valley k into valley j.  The identity
-    pi(valley j) * holding(j) = theta * Cap(valley j, other valleys) is
-    verified against an independent capacity solve and reported.
+    r(j, k) is theta times the pi-averaged rate at which the trace process on
+    the valley union jumps from valley j into valley k, so that
+    pi(valley j) * holding(j) = theta * Cap(valley j, other valleys).
     """
-    partition.validate_for(chain, require_valleys=2)
     if theta <= 0:
         raise BadPartition(f"theta must be positive, got {theta!r}")
-    valley_idx = _valley_index_arrays(chain, partition)
-    union = sorted(partition.union())
-    traced, pi_t = trace_chain(chain, pi, union, tol)
-    t_idx = [traced.indices_of(v) for v in partition.valleys]
-    n = partition.n
-    rates = np.zeros((n, n))
-    dense_t = traced.rates.toarray() if traced.n <= 4000 else None
-    for k in range(n):
-        wk = pi_t.weights[t_idx[k]]
-        mass = wk.sum()
-        for j in range(n):
-            if j == k:
-                continue
-            if dense_t is not None:
-                block = dense_t[np.ix_(t_idx[k], t_idx[j])].sum(axis=1)
-            else:
-                block = np.asarray(
-                    traced.rates[t_idx[k]][:, t_idx[j]].sum(axis=1)).ravel()
-            rates[k, j] = theta * float(wk @ block) / mass
-    holding = rates.sum(axis=1)
-    masses = np.array([pi.mass(ix) for ix in valley_idx])
-    caps = np.array([
-        capacity(chain, pi, sorted(partition.valley(j)),
-                 sorted(_breve(partition, j)), tol)
-        for j in range(1, n + 1)
-    ])
-    lhs = masses * holding
-    rhs = theta * caps
-    reldev = np.abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
-    worst = float(reldev.max())
-    if worst > tol.capacity_rel:
-        raise ToleranceViolation(
-            f"holding-rate/capacity identity fails: relative deviation {worst:.3e}"
-        )
+    vf = _valley_flux(chain, pi, partition, tol)
+    rates = theta * vf.flux / vf.masses[:, np.newaxis]
+    np.fill_diagonal(rates, 0.0)
     diagnostics = {
-        "identity_theta_capacity_reldev": reldev.tolist(),
-        "valley_masses": masses.tolist(),
-        "valley_capacities": caps.tolist(),
+        "valley_masses": vf.masses.tolist(),
+        "valley_capacities": vf.capacities.tolist(),
         "delta_mass": float(pi.mass(chain.indices_of(partition.delta)))
         if partition.delta else 0.0,
     }
-    return ReducedModel(n, rates, holding, float(theta), diagnostics)
+    return ReducedModel(partition.n, rates, rates.sum(axis=1), float(theta), diagnostics)
 
 
 def timescale(chain: Chain, pi: ProbVector, partition: Partition, j: int,
               tol: ToleranceConfig = DEFAULT) -> float:
     """pi(valley j) / Cap(valley j, union of the others)."""
-    partition.validate_for(chain, require_valleys=2)
-    mass = pi.mass(chain.indices_of(partition.valley(j)))
-    cap = capacity(chain, pi, sorted(partition.valley(j)),
-                   sorted(_breve(partition, j)), tol)
-    return mass / cap
+    partition.valley(j)  # rejects an out-of-range j
+    return float(_valley_flux(chain, pi, partition, tol).timescales[j - 1])
 
 
 class TimescaleProfile(NamedTuple):
@@ -132,8 +150,7 @@ class TimescaleProfile(NamedTuple):
 
 def timescales(chain: Chain, pi: ProbVector, partition: Partition,
                tol: ToleranceConfig = DEFAULT) -> TimescaleProfile:
-    vals = np.array([timescale(chain, pi, partition, j, tol)
-                     for j in range(1, partition.n + 1)])
+    vals = _valley_flux(chain, pi, partition, tol).timescales
     return TimescaleProfile(vals, float(vals.max() / vals.min()))
 
 
@@ -141,29 +158,14 @@ def jump_probabilities(chain: Chain, pi: ProbVector, partition: Partition, j: in
                        tol: ToleranceConfig = DEFAULT) -> dict:
     """p(j, k) = P[from the collapsed valley j, hit valley k first].
 
-    Computed on the chain with valley j collapsed to a point; the hitting
-    probabilities from that point sum to one over the other valleys.
+    That is the share of valley j's escape flux that lands in valley k,
+    flux(j, k) / Cap(valley j, union of the others).
     """
-    partition.validate_for(chain, require_valleys=2)
-    n = partition.n
-    if not 1 <= j <= n:
-        raise BadPartition(f"valley index {j} out of range 1..{n}")
-    if n == 2:
-        return {k: 1.0 for k in range(1, n + 1) if k != j}
-    collapsed, _ = collapse_chain(chain, pi, sorted(partition.valley(j)), tol)
-    d_idx = collapsed.index[COLLAPSED_LABEL]
-    probs = {}
-    for k in range(1, n + 1):
-        if k == j:
-            continue
-        others = sorted(set().union(*(partition.valley(l)
-                                      for l in range(1, n + 1) if l not in (j, k))))
-        h = hitting_probability(collapsed, sorted(partition.valley(k)), others)
-        probs[k] = float(h[d_idx])
-    total = sum(probs.values())
-    if abs(total - 1.0) > 1e-10:
-        raise ToleranceViolation(f"jump probabilities sum to {total!r}, not 1")
-    return probs
+    partition.valley(j)  # rejects an out-of-range j
+    vf = _valley_flux(chain, pi, partition, tol)
+    cap = vf.capacities[j - 1]
+    return {k: float(vf.flux[j - 1, k - 1] / cap)
+            for k in range(1, partition.n + 1) if k != j}
 
 
 def symmetrized_rate_via_capacities(chain: Chain, pi: ProbVector,
@@ -172,12 +174,10 @@ def symmetrized_rate_via_capacities(chain: Chain, pi: ProbVector,
                                     tol: ToleranceConfig = DEFAULT) -> float:
     """Reversible-case cross-check for pi(valley j) r(j, k) via three capacities."""
     cap_j = capacity(chain, pi, sorted(partition.valley(j)),
-                     sorted(_breve(partition, j)), tol)
+                     sorted(partition.others(j)), tol)
     cap_k = capacity(chain, pi, sorted(partition.valley(k)),
-                     sorted(_breve(partition, k)), tol)
-    rest = sorted(set().union(*(partition.valley(l)
-                                for l in range(1, partition.n + 1)
-                                if l not in (j, k))))
+                     sorted(partition.others(k)), tol)
+    rest = sorted(partition.others(j) - partition.valley(k))
     if rest:
         cap_jk = capacity(chain, pi,
                           sorted(partition.valley(j) | partition.valley(k)),
@@ -229,20 +229,13 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     relative to theta.  Reflections that disconnect a valley leave a None
     entry with a note.
     """
-    partition.validate_for(chain, require_valleys=2)
+    vf = _valley_flux(chain, pi, partition, tol)
     n = partition.n
     valley_idx = _valley_index_arrays(chain, partition)
     delta_mass = float(pi.mass(chain.indices_of(partition.delta))) \
         if partition.delta else 0.0
-    masses = np.array([pi.mass(ix) for ix in valley_idx])
-
-    refs = []
-    for ix in valley_idx:
-        weights = pi.weights[ix]
-        best = weights.max()
-        candidates = sorted(chain.states[i] for i, wgt in zip(ix, weights)
-                            if wgt == best)
-        refs.append(candidates[0])
+    masses, caps = vf.masses, vf.capacities
+    refs = partition.reference_states(chain, pi)
 
     cap_ratios = []
     for j in range(1, n + 1):
@@ -250,15 +243,13 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
         if len(ix) == 1:
             cap_ratios.append(0.0)
             continue
-        cap_valley = capacity(chain, pi, sorted(partition.valley(j)),
-                              sorted(_breve(partition, j)), tol)
         ref = refs[j - 1]
         worst = 0.0
         for i in ix:
             s = chain.states[i]
             if s == ref:
                 continue
-            worst = max(worst, cap_valley / capacity(chain, pi, [s], [ref], tol))
+            worst = max(worst, caps[j - 1] / capacity(chain, pi, [s], [ref], tol))
         cap_ratios.append(worst)
 
     measure_ratios = [delta_mass / m for m in masses]
@@ -286,7 +277,7 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
 
     return ConditionReport(
         theta=float(theta),
-        reference_states=tuple(refs),
+        reference_states=refs,
         capacity_ratio=tuple(cap_ratios),
         measure_ratio=tuple(float(x) for x in measure_ratios),
         pointwise_measure_ratio=pointwise,
@@ -304,6 +295,6 @@ def reduced_generator(model: ReducedModel) -> np.ndarray:
     return L
 
 
-def reduced_transition(model: ReducedModel, t: float, tol=1e-12) -> np.ndarray:
-    """exp(t L) for the reduced generator, by uniformization."""
-    return expm_uniformized(reduced_generator(model), t, tol)
+def reduced_transition(model: ReducedModel, t: float) -> np.ndarray:
+    """exp(t L) for the reduced generator."""
+    return scipy.linalg.expm(t * reduced_generator(model))

@@ -280,8 +280,7 @@ def resolvent_vs_enlarged_gap(chain: Chain, pi: ProbVector, gamma: float, k: int
     u = resolvent_solve(chain, pi, gamma, k, partition, tol)
     enlarged = enlarge_chain(chain, pi, gamma, tol)
     target = sorted(partition.valley(k))
-    others = sorted(set().union(*(partition.valley(j)
-                                  for j in range(1, partition.n + 1) if j != k)))
+    others = sorted(partition.others(k))
     A = [enlarged.star(s) for s in target]
     B = [enlarged.star(s) for s in others]
     h = hitting_probability(enlarged.combined, A, B)

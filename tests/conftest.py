@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from metastab import Partition, build_chain
+from metastab import Partition, build_chain, collapse_chain
+from metastab.potential import hitting_probability
+from metastab.transforms import COLLAPSED_LABEL
 
 
 @pytest.fixture
@@ -115,3 +117,14 @@ def random_partition(rng, chain, n_valleys, delta_fraction=0.3):
         valleys.append(frozenset(body[prev:c]))
         prev = c
     return Partition(tuple(valleys), frozenset(delta))
+
+
+def collapsed_jump_probability(chain, pi, partition, j, k):
+    """p(j, k) from the chain with valley j collapsed to a point: the chance
+    that it hits valley k before the other valleys."""
+    collapsed, _ = collapse_chain(chain, pi, sorted(partition.valley(j)))
+    rest = sorted(partition.others(j) - partition.valley(k))
+    if not rest:
+        return 1.0
+    h = hitting_probability(collapsed, sorted(partition.valley(k)), rest)
+    return float(h[collapsed.index[COLLAPSED_LABEL]])

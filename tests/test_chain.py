@@ -252,6 +252,19 @@ class TestProbVector:
             pi.weights[0] = 0.5
 
 
+class TestPartitionHelpers:
+    def test_others_is_union_of_other_valleys(self):
+        part = ms.Partition((frozenset({"1"}), frozenset({"2", "3"}), frozenset({"4"})),
+                            frozenset({"5"}))
+        assert part.others(2) == frozenset({"1", "4"})
+        assert part.others(1) == frozenset({"2", "3", "4"})
+
+    def test_reference_states_ties_to_smallest_label(self, bd4):
+        pi = ms.ProbVector(np.full(4, 0.25))  # every valley state ties
+        part = ms.Partition((frozenset({"2", "1"}), frozenset({"4", "3"})))
+        assert part.reference_states(bd4, pi) == ("1", "3")
+
+
 class TestStationaryFallback:
     def test_power_iteration_above_guard(self, bd4):
         from metastab.config import ToleranceConfig

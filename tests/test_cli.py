@@ -6,7 +6,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from metastab.chain import stationary
 from metastab.cli import main
+from metastab.potential import capacity
+from metastab.specio import load_chain_spec
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "metastab" / "schema"
@@ -53,8 +56,16 @@ class TestAnalyze:
         rates = report["reduced_model"]["rates"]
         assert rates[0][1] == pytest.approx(0.5, rel=1e-12)
         assert rates[1][0] == pytest.approx(0.5, rel=1e-12)
-        assert max(report["reduced_model"]["diagnostics"]
-                   ["identity_theta_capacity_reldev"]) <= 1e-9
+        # pi(E_j) lambda(j) = theta Cap(E_j, rest), with Cap solved on its own
+        chain, part = load_chain_spec(bd3_spec)
+        pi = stationary(chain)
+        masses = report["stationary"]["valley_masses"]
+        reduced = report["reduced_model"]
+        for j in range(1, part.n + 1):
+            lhs = masses[j - 1] * reduced["holding_rates"][j - 1]
+            rhs = reduced["theta"] * capacity(chain, pi, sorted(part.valley(j)),
+                                              sorted(part.others(j)))
+            assert abs(lhs - rhs) <= 1e-9 * max(lhs, rhs)
 
     def test_default_theta_is_min_timescale(self, bd3_spec, tmp_path):
         report, _ = run_report(["analyze", "--spec", bd3_spec], tmp_path)

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 import metastab as ms
-from metastab.errors import BadPartition
+from metastab.errors import BadPartition, ToleranceViolation
 from metastab.reduction import symmetrized_rate_via_capacities
 
-from conftest import birth_death, random_chain, random_partition
+from conftest import (
+    birth_death,
+    collapsed_jump_probability,
+    random_chain,
+    random_partition,
+)
 
 
 class TestCoarseRates:
@@ -59,11 +64,73 @@ class TestCoarseRates:
                 assert mass * model.holding_rates[j - 1] == \
                     pytest.approx(theta * cap, rel=1e-9)
 
+    def test_non_stationary_measure_raises(self, bd3, bd3_partition):
+        skewed = ms.ProbVector(np.array([0.5, 0.25, 0.25]))
+        with pytest.raises(ToleranceViolation):
+            ms.coarse_rates(bd3, skewed, bd3_partition, 1.0)
+
     def test_requires_two_valleys(self, bd3):
         pi = ms.stationary(bd3)
         part = ms.Partition((frozenset({"1", "2", "3"}),))
         with pytest.raises(BadPartition):
             ms.coarse_rates(bd3, pi, part, 1.0)
+
+
+def _random_case(seed, delta_fraction):
+    rng = np.random.default_rng(seed)
+    chain = random_chain(rng, int(rng.integers(6, 18)))
+    part = random_partition(rng, chain, int(rng.integers(2, 5)), delta_fraction)
+    return chain, part, float(rng.uniform(0.5, 8.0))
+
+
+def _spec_case(spec):
+    return spec.chain, spec.partition, spec.suggested_theta
+
+
+REFERENCE_CASES = {
+    "birth_death_5": lambda: (birth_death(5), ms.Partition(
+        (frozenset({"1"}), frozenset({"3"}), frozenset({"5"})),
+        frozenset({"2", "4"})), 2.0),
+    "glued_2_6_1": lambda: _spec_case(ms.glued_cubes(2, 6, 1)),
+    "zero_range_p05": lambda: _spec_case(ms.zero_range(3, 10, 3.0, 0.5)),
+    "zero_range_p07": lambda: _spec_case(ms.zero_range(3, 10, 3.0, 0.7)),
+    "double_well": lambda: _spec_case(ms.potential_rw(
+        [np.linspace(-2, 2, 21)], lambda x: (x * x - 1) ** 2, 8.0)),
+    **{f"random_{seed}_delta": (lambda seed=seed: _random_case(seed, 0.3))
+       for seed in (51, 52, 53)},
+    **{f"random_{seed}_no_delta": (lambda seed=seed: _random_case(seed, 0.0))
+       for seed in (54, 55, 56)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_reduction_matches_reference_routes(case):
+    """Time scales, capacities, rates and jump probabilities against routes
+    that share no code with the reduction: per-valley capacity solves, the
+    trace chain on the valley union, and the collapsed chain."""
+    chain, part, theta = REFERENCE_CASES[case]()
+    pi = ms.stationary(chain)
+    model = ms.coarse_rates(chain, pi, part, theta)
+    profile = ms.timescales(chain, pi, part)
+    traced, pi_t = ms.trace_chain(chain, pi, sorted(part.union()))
+    t_idx = [traced.indices_of(v) for v in part.valleys]
+    for j in range(1, part.n + 1):
+        valley = sorted(part.valley(j))
+        mass = pi.mass(chain.indices_of(valley))
+        cap = ms.capacity(chain, pi, valley, sorted(part.others(j)))
+        assert model.diagnostics["valley_capacities"][j - 1] == \
+            pytest.approx(cap, rel=1e-9)
+        assert profile.values[j - 1] == pytest.approx(mass / cap, rel=1e-9)
+        w = pi_t.weights[t_idx[j - 1]]
+        probs = ms.jump_probabilities(chain, pi, part, j)
+        for k in range(1, part.n + 1):
+            if k == j:
+                continue
+            block = traced.rates[t_idx[j - 1]][:, t_idx[k - 1]].toarray()
+            via_trace = theta * float(w @ block.sum(axis=1)) / w.sum()
+            assert model.rate(j, k) == pytest.approx(via_trace, rel=1e-9)
+            assert probs[k] == pytest.approx(
+                collapsed_jump_probability(chain, pi, part, j, k), rel=1e-9)
 
 
 class TestTimescale:
