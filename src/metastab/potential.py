@@ -61,21 +61,13 @@ class EdgeSet:
 
 
 def edge_set(chain: Chain, pi: ProbVector) -> EdgeSet:
-    cond = sp.coo_matrix(chain.rates.multiply(pi.weights[:, np.newaxis]))
-    dense = {}
-    for i, j, c in zip(cond.row, cond.col, cond.data):
-        key = (int(i), int(j)) if i < j else (int(j), int(i))
-        fwd, bwd = dense.get(key, (0.0, 0.0))
-        if i < j:
-            fwd += float(c)
-        else:
-            bwd += float(c)
-        dense[key] = (fwd, bwd)
-    keys = sorted(dense)
-    src = np.array([k[0] for k in keys], dtype=int)
-    dst = np.array([k[1] for k in keys], dtype=int)
-    c_fwd = np.array([dense[k][0] for k in keys])
-    c_bwd = np.array([dense[k][1] for k in keys])
+    cond = sp.csr_matrix(chain.rates.multiply(pi.weights[:, np.newaxis]))
+    pattern = sp.csr_matrix((np.ones(cond.nnz), cond.indices, cond.indptr), cond.shape)
+    upper = sp.triu(pattern + pattern.T, k=1).tocoo()
+    order = np.lexsort((upper.col, upper.row))
+    src, dst = upper.row[order].astype(int), upper.col[order].astype(int)
+    c_fwd = np.asarray(cond[src, dst]).ravel()
+    c_bwd = np.asarray(cond[dst, src]).ravel()
     return EdgeSet(src, dst, c_fwd, c_bwd, chain.n)
 
 
@@ -193,10 +185,8 @@ def _harmonic_extension(chain: Chain, boundary_idx, boundary_val):
     interior = np.setdiff1d(np.arange(n), boundary_idx)
     if len(interior) == 0:
         return h
-    L = chain.generator_matrix()
-    L_ii = L[interior][:, interior]
-    rhs = -(L[interior][:, boundary_idx] @ boundary_val)
-    h[interior] = numerics.solve_linear(L_ii, rhs)
+    rhs = chain.rates[interior][:, boundary_idx] @ boundary_val
+    h[interior] = numerics.solve_linear(chain.killed(interior), rhs)
     return h
 
 

@@ -11,7 +11,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import numerics
 from .chain import Chain, Partition, ProbVector, spectral_gap, stationary
@@ -68,9 +67,7 @@ def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition,
     G = np.zeros((chain.n, partition.n))
     G[f, owner[f]] = 1.0
     if len(d):
-        R_d = chain.rates[d]
-        H = numerics.solve_linear(
-            sp.diags(chain.holding[d]) - R_d[:, d], R_d @ G)
+        H = numerics.solve_linear(chain.killed(d), chain.rates[d] @ G)
         row_dev = float(np.abs(H.sum(axis=1) - 1.0).max())
         if H.min() < -tol.rel or row_dev > tol.rel:
             raise SolverFailure(

@@ -64,11 +64,8 @@ def trace_chain(chain: Chain, pi: ProbVector, F,
         raise BadSubset("trace set must contain at least 2 states")
     rest = np.setdiff1d(np.arange(chain.n), idx)
     R = chain.rates
-    L = chain.generator_matrix()
     # absorption probabilities H[d, b] = P_d[first entry into F happens at b]
-    A = (-L[rest][:, rest]).tocsc()
-    rhs = R[rest][:, idx].toarray()
-    H = numerics.solve_linear(A, rhs)
+    H = numerics.solve_linear(chain.killed(rest), R[rest][:, idx].toarray())
     np.clip(H, 0.0, None, out=H)
     trace_rates = R[idx][:, idx].toarray() + R[idx][:, rest] @ H
     np.fill_diagonal(trace_rates, 0.0)

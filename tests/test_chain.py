@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import metastab as ms
+from metastab import numerics
 from metastab.errors import (
     BadSpec,
     DuplicateEdge,
     NonPositiveRate,
     NotIrreducible,
     NotStationary,
+    SolverFailure,
     TooLarge,
 )
 
@@ -79,6 +81,39 @@ class TestStationary:
             pi = ms.stationary(chain)
             L = chain.generator_matrix()
             assert np.abs(pi.weights @ L).max() <= 1e-12 * chain.max_rate
+
+    @pytest.mark.parametrize("model, bound", [
+        ("glued_cubes:d=2,N=8,ell=2", 1e-9),
+        ("glued_cubes:d=3,N=12,ell=3", 1e-11),
+        ("zero_range:L=3,N=30,alpha=3,p=0.5", 1e-9),
+        ("zero_range:L=4,N=30,alpha=3,p=0.7", 1e-9),
+        ("zero_range:L=3,N=120,alpha=3,p=0.5", 1e-9),
+        ("potential_rw:N=2,points=41", 1e-9),
+        ("potential_rw:N=8,points=41", 1e-9),
+        ("potential_rw:N=8,points=81", 1e-9),
+    ])
+    def test_matches_closed_form_entrywise(self, model, bound):
+        spec = ms.build_from_string(model)
+        pi = ms.stationary(spec.chain).weights
+        exact = spec.pi_formula.weights
+        assert np.max(np.abs(pi - exact) / exact) <= bound
+
+    def test_nonpositive_entry_is_a_solver_failure(self, monkeypatch):
+        # steep birth-death chain: pi(i) is proportional to 100^-i
+        labels = [str(i) for i in range(10)]
+        chain = ms.build_chain(labels, [t for i in range(9) for t in (
+            (labels[i], labels[i + 1], 1.0), (labels[i + 1], labels[i], 100.0))])
+        assert ms.stationary(chain).weights.min() < 1e-14
+        solve = numerics.solve_linear
+
+        def negate_smallest(a, b):
+            x = solve(a, b)
+            x[np.argmin(x)] *= -1.0
+            return x
+
+        monkeypatch.setattr(numerics, "solve_linear", negate_smallest)
+        with pytest.raises(SolverFailure):
+            ms.stationary(chain)
 
 
 class TestGenerator:
@@ -263,6 +298,15 @@ class TestPartitionHelpers:
         pi = ms.ProbVector(np.full(4, 0.25))  # every valley state ties
         part = ms.Partition((frozenset({"2", "1"}), frozenset({"4", "3"})))
         assert part.reference_states(bd4, pi) == ("1", "3")
+        # pi is flat on each glued-cube valley; rounding noise must not pick
+        spec = ms.glued_cubes(2, 8, 2)
+        exact = spec.pi_formula.weights
+        noise = np.random.default_rng(0).uniform(-1.0, 1.0, size=exact.size)
+        noisy = exact * (1.0 + 1e-14 * noise)
+        noisy_pi = ms.ProbVector(noisy / noisy.sum())
+        assert spec.partition.reference_states(spec.chain, noisy_pi) == \
+            spec.partition.reference_states(spec.chain, spec.pi_formula) == \
+            ("0:3,3", "1:3,3", "2:3,3", "3:3,3")
 
 
 class TestStationaryFallback:

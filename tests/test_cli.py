@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from metastab import reduction
 from metastab.chain import stationary
 from metastab.cli import main
 from metastab.potential import capacity
@@ -83,6 +84,25 @@ class TestAnalyze:
             left = rates[j][(j - 1) % 4]
             right = rates[j][(j + 1) % 4]
             assert left == pytest.approx(right, rel=1e-9)
+
+    @pytest.mark.parametrize("extra, calls", [([], 3), (["--theta", "50"], 2)])
+    def test_one_flux_kernel_per_result(self, monkeypatch, tmp_path, extra, calls):
+        # timescales (for the default theta), coarse_rates and check_conditions
+        kernel = reduction._valley_flux
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "_valley_flux", counted)
+        report, _ = run_report(
+            ["analyze", "--model", "glued_cubes:d=2,N=8,ell=2"] + extra, tmp_path)
+        assert len(seen) == calls
+        red = report["reduced_model"]
+        for j, row in enumerate(red["jump_probabilities"]):
+            for k, p in enumerate(row):
+                assert p == (0.0 if j == k else red["rates"][j][k] / red["holding_rates"][j])
 
     def test_byte_identical_reruns(self, bd3_spec, tmp_path):
         _, first = run_report(["analyze", "--spec", bd3_spec], tmp_path, "a.json")
