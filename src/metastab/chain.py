@@ -301,9 +301,13 @@ def require_stationary(chain: Chain, pi: ProbVector, tol: ToleranceConfig = DEFA
 
 
 def apply_generator(chain: Chain, f) -> np.ndarray:
-    """(L f)(i) = sum_j R(i, j) [f(j) - f(i)], exact sparse evaluation."""
+    """(L f)(i) = sum_j R(i, j) [f(j) - f(i)], exact sparse evaluation.
+
+    A 2-D ``f`` holds one function per column and gets L applied column-wise.
+    """
     f = np.asarray(f, dtype=float)
-    return chain.rates @ f - chain.holding * f
+    holding = chain.holding if f.ndim == 1 else chain.holding[:, np.newaxis]
+    return chain.rates @ f - holding * f
 
 
 def adjoint(chain: Chain, pi: ProbVector, tol: ToleranceConfig = DEFAULT) -> Chain:
@@ -331,26 +335,36 @@ def is_reversible(chain: Chain, pi: ProbVector, rel=1e-12) -> bool:
     return float(np.abs(diff.data).max()) <= rel * scale
 
 
-def dirichlet_form(chain: Chain, pi: ProbVector, f, tol: ToleranceConfig = DEFAULT) -> float:
+def dirichlet_form(chain: Chain, pi: ProbVector, f, tol: ToleranceConfig = DEFAULT):
     """Energy D(f) = (1/2) sum pi(i) R(i, j) (f(j) - f(i))^2.
 
     The inner-product form <(-L) f, f>_pi is evaluated as well and the two
-    must agree within tolerance; the pair-sum value is returned.
+    must agree within tolerance; the pair-sum value is returned.  A 2-D
+    ``f`` holds one function per column and gets an array with one value
+    per column, each checked on its own; a failing column is named in the
+    error's ``column``.
     """
     f = np.asarray(f, dtype=float)
     coo = chain.rates.tocoo()
+    weights = pi.weights[coo.row] * coo.data
     diffs = f[coo.col] - f[coo.row]
-    pair_sum = 0.5 * float(np.sum(pi.weights[coo.row] * coo.data * diffs ** 2))
-    inner = -float(np.sum(pi.weights * f * apply_generator(chain, f)))
-    scale = max(abs(pair_sum), abs(inner), 1e-300)
-    span = float(np.abs(f).max()) + 1.0
-    if abs(pair_sum - inner) > max(1e-10 * scale, 64 * np.finfo(float).eps
-                                   * chain.max_rate * span * span * chain.n):
+    pi_w = pi.weights
+    if f.ndim == 2:
+        weights, pi_w = weights[:, np.newaxis], pi_w[:, np.newaxis]
+    pair_sum = np.atleast_1d(0.5 * np.sum(weights * diffs ** 2, axis=0))
+    inner = np.atleast_1d(-np.sum(pi_w * f * apply_generator(chain, f), axis=0))
+    scale = np.maximum(np.maximum(np.abs(pair_sum), np.abs(inner)), 1e-300)
+    span = np.atleast_1d(np.abs(f).max(axis=0)) + 1.0
+    bound = np.maximum(1e-10 * scale, 64 * np.finfo(float).eps
+                       * chain.max_rate * span * span * chain.n)
+    bad = np.flatnonzero(np.abs(pair_sum - inner) > bound)
+    if len(bad):
+        k = int(bad[0])
         raise NotStationary(
-            f"D(f) = {pair_sum!r} but <(-L)f, f>_pi = {inner!r}; "
-            "the supplied measure is not stationary for the chain"
-        )
-    return pair_sum
+            f"D(f) = {float(pair_sum[k])!r} but <(-L)f, f>_pi = {float(inner[k])!r}; "
+            "the supplied measure is not stationary for the chain",
+            None if f.ndim == 1 else k)
+    return float(pair_sum[0]) if f.ndim == 1 else pair_sum
 
 
 class SpectralGap(NamedTuple):

@@ -76,7 +76,15 @@ class NotZeroMean(InputError):
 
 
 class NotStationary(InputError):
-    """Supplied measure is not stationary for the chain."""
+    """Supplied measure is not stationary for the chain.
+
+    ``column`` is the failing column when a check ran on one function per
+    column, else None.
+    """
+
+    def __init__(self, message, column=None):
+        super().__init__(message)
+        self.column = column
 
 
 class NotIrreducibleAfterReflection(InputError):

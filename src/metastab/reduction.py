@@ -13,11 +13,20 @@ import numpy as np
 import scipy.linalg
 
 from . import numerics
-from .chain import Chain, Partition, ProbVector, spectral_gap, stationary
+from .chain import (
+    Chain,
+    Partition,
+    ProbVector,
+    apply_generator,
+    dirichlet_form,
+    spectral_gap,
+    stationary,
+)
 from .config import DEFAULT, ToleranceConfig
 from .errors import (
     BadPartition,
     NotIrreducibleAfterReflection,
+    NotStationary,
     SolverFailure,
     ToleranceViolation,
 )
@@ -215,14 +224,74 @@ class ConditionReport:
         }
 
 
+def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int,
+                      tol: ToleranceConfig, where: str) -> np.ndarray:
+    """Cap(x, ref) for every state x in ``idx`` other than ``ref``, from one solve.
+
+    G = K^{-1}, with K = ``chain.killed`` on S minus {ref}, is the Green
+    function of the chain killed at ref, and
+    G(x, x) = 1 / (lambda(x) P_x[hit ref before returning to x]), so
+    Cap(x, ref) = pi(x) / G(x, x), reversible or not.  One solve with one
+    unit column per x gives every G(x, x) and, as column x over G(x, x), the
+    equilibrium potential h_x = P[hit x before ref].  Each capacity is checked
+    as in ``equilibrium_potential``: an escape probability above 1 is a solver
+    failure, h_x must be harmonic off {x, ref}, D(h_x) must pass the two-form
+    check of ``dirichlet_form``, and pi(x) / G(x, x) and D(h_x) must agree
+    within ``tol.capacity_rel``.  A failed check raises ``SolverFailure`` or
+    ``ToleranceViolation`` naming ``where`` and the state.
+    """
+    xs = idx[idx != ref]
+    rest = np.flatnonzero(np.arange(chain.n) != ref)
+    cols = np.arange(len(xs))
+    rows = np.searchsorted(rest, xs)
+    unit = np.zeros((len(rest), len(xs)))
+    unit[rows, cols] = 1.0
+    X = numerics.solve_linear(chain.killed(rest), unit)
+    green = X[rows, cols]
+
+    def state(k):
+        return f"{where}, state {chain.states[xs[k]]!r}"
+
+    bad = np.flatnonzero(~np.isfinite(green) | (chain.holding[xs] * green < 1.0 - tol.rel))
+    if len(bad):
+        k = int(bad[0])
+        raise SolverFailure(
+            f"{state(k)}: Green function G(x, x) = {float(green[k])!r} gives escape "
+            f"probability 1 / (lambda(x) G(x, x)) = "
+            f"{float(1.0 / (chain.holding[xs[k]] * green[k]))!r}, not in (0, 1]")
+    h = np.zeros((chain.n, len(xs)))
+    h[rest] = X / green
+    lh = apply_generator(chain, h)
+    lh[xs, cols] = 0.0
+    lh[ref] = 0.0
+    residual = np.abs(lh).max(axis=0)
+    k = int(np.argmax(residual))
+    if residual[k] > 1e-10 * max(chain.max_rate, 1.0):
+        raise SolverFailure(f"{state(k)}: harmonicity residual {residual[k]:.3e} too large")
+    try:
+        dirichlet = dirichlet_form(chain, pi, h, tol)
+    except NotStationary as exc:
+        raise ToleranceViolation(f"{state(exc.column)}: {exc}") from exc
+    caps = pi.weights[xs] / green
+    reldev = np.abs(caps - dirichlet) / np.maximum(np.maximum(caps, dirichlet), 1e-300)
+    k = int(np.argmax(reldev))
+    if reldev[k] > tol.capacity_rel:
+        raise ToleranceViolation(
+            f"{state(k)}: capacity routes disagree: escape-rate {float(caps[k])!r} "
+            f"vs Dirichlet {float(dirichlet[k])!r}")
+    return caps
+
+
 def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
                      theta: float, tol: ToleranceConfig = DEFAULT) -> ConditionReport:
     """Compute the metastability condition ratios for one chain and partition.
 
     Per valley: the worst ratio of the valley's escape capacity to the
     capacity between a state and the valley's pi-maximal reference state
-    (zero for singleton valleys, where the max is empty); the measure ratio
-    pi(delta)/pi(valley); and relaxation times of the reflected chains
+    (zero for singleton valleys, where the max is empty), with every
+    Cap(x, ref) = pi(x) / G(x, x) read off the Green function G of the chain
+    killed at ref, one solve per valley (see ``_point_capacities``); the
+    measure ratio pi(delta)/pi(valley); and relaxation times of the reflected chains
     relative to theta.  Reflections that disconnect a valley leave a None
     entry with a note.
     """
@@ -241,13 +310,9 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
             cap_ratios.append(0.0)
             continue
         ref = refs[j - 1]
-        worst = 0.0
-        for i in ix:
-            s = chain.states[i]
-            if s == ref:
-                continue
-            worst = max(worst, caps[j - 1] / capacity(chain, pi, [s], [ref], tol))
-        cap_ratios.append(worst)
+        point = _point_capacities(chain, pi, ix, chain.index[ref], tol,
+                                  f"check_conditions: valley {j}, reference state {ref!r}")
+        cap_ratios.append(float(caps[j - 1] / point.min()))
 
     measure_ratios = [delta_mass / m for m in masses]
     union_idx = np.concatenate(valley_idx)

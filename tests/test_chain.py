@@ -136,6 +136,14 @@ class TestGenerator:
             full = chain.generator_matrix(dense=True).sum(axis=1)
             assert np.abs(full).max() <= 1e-15 * max(chain.max_rate, 1.0)
 
+    def test_columns_match_single_calls(self):
+        chain = ms.build_from_string("zero_range:L=3,N=10,alpha=3,p=0.7").chain
+        F = np.random.default_rng(3).standard_normal((chain.n, chain.n))
+        by_column = np.column_stack([ms.apply_generator(chain, F[:, k])
+                                     for k in range(chain.n)])
+        assert np.abs(ms.apply_generator(chain, F) - by_column).max() <= \
+            1e-13 * np.abs(by_column).max()
+
 
 class TestAdjoint:
     def test_two_state_self_adjoint(self, b2):
@@ -233,6 +241,26 @@ class TestDirichletForm:
         assert val == pytest.approx(1 / 3, rel=1e-13)
         assert val == pytest.approx(inner, rel=1e-12)
 
+    def test_columns_match_single_calls(self):
+        chain = ms.build_from_string("zero_range:L=3,N=10,alpha=3,p=0.7").chain
+        pi = ms.stationary(chain)
+        F = np.random.default_rng(4).standard_normal((chain.n, chain.n))
+        values = ms.dirichlet_form(chain, pi, F)
+        assert values.shape == (chain.n,)
+        for k in range(chain.n):
+            assert values[k] == pytest.approx(ms.dirichlet_form(chain, pi, F[:, k]),
+                                              rel=1e-12)
+
+    def test_failing_column_is_named(self, c3):
+        skewed = ms.ProbVector(np.array([0.5, 0.25, 0.25]))
+        F = np.column_stack([np.ones(3), [1.0, 0.0, 0.0]])
+        with pytest.raises(NotStationary) as err:
+            ms.dirichlet_form(c3, skewed, F)
+        assert err.value.column == 1
+        with pytest.raises(NotStationary) as err:
+            ms.dirichlet_form(c3, skewed, F[:, 1])
+        assert err.value.column is None
+
     def test_invariant_under_adjoint_and_symmetrization(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -310,7 +338,7 @@ class TestPartitionHelpers:
 
 
 class TestStationaryFallback:
-    def test_power_iteration_above_guard(self, bd4):
+    def test_spectral_guard_does_not_switch_stationary_solve(self, bd4):
         from metastab.config import ToleranceConfig
         tol = ToleranceConfig(spectral_guard=2)
         pi = ms.stationary(bd4, tol)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import metastab as ms
-from metastab.errors import BadPartition, ToleranceViolation
+from metastab import numerics, potential, reduction
+from metastab.config import DEFAULT
+from metastab.errors import BadPartition, SolverFailure, ToleranceViolation
 from metastab.reduction import symmetrized_rate_via_capacities
 
 from conftest import (
@@ -100,18 +103,42 @@ REFERENCE_CASES = {
        for seed in (51, 52, 53)},
     **{f"random_{seed}_no_delta": (lambda seed=seed: _random_case(seed, 0.0))
        for seed in (54, 55, 56)},
+    # above the 600-state cutoff of numerics.solve_linear: the splu route
+    "zero_range_n861": lambda: _spec_case(ms.zero_range(3, 40, 3.0, 0.7)),
 }
+
+
+def _reference_capacity_ratio(chain, pi, valley, ref, cap):
+    """max over x of Cap(valley, rest) / Cap(x, ref), one capacity per state.
+
+    Above 600 states only a handful of states are solved, always including
+    the state that sets the ratio."""
+    states = [s for s in sorted(valley) if s != ref]
+    if not states:
+        return 0.0
+    if chain.n > 600:
+        ix = chain.indices_of(valley)
+        point = reduction._point_capacities(chain, pi, ix, chain.index[ref],
+                                            DEFAULT, "test")
+        xs = [chain.states[i] for i in ix if chain.states[i] != ref]
+        for x in (xs[0], xs[len(xs) // 2], xs[-1]):
+            assert point[xs.index(x)] == pytest.approx(
+                ms.capacity(chain, pi, [x], [ref]), rel=1e-9)
+        states = [xs[int(np.argmin(point))]]
+    return max(cap / ms.capacity(chain, pi, [x], [ref]) for x in states)
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_reduction_matches_reference_routes(case):
-    """Time scales, capacities, rates and jump probabilities against routes
-    that share no code with the reduction: per-valley capacity solves, the
-    trace chain on the valley union, and the collapsed chain."""
+    """Time scales, capacities, rates, jump probabilities and capacity ratios
+    against routes that share no code with the reduction: per-valley and
+    per-state capacity solves, the trace chain on the valley union, and the
+    collapsed chain."""
     chain, part, theta = REFERENCE_CASES[case]()
     pi = ms.stationary(chain)
     model = ms.coarse_rates(chain, pi, part, theta)
     profile = ms.timescales(chain, pi, part)
+    report = ms.check_conditions(chain, pi, part, theta)
     traced, pi_t = ms.trace_chain(chain, pi, sorted(part.union()))
     t_idx = [traced.indices_of(v) for v in part.valleys]
     for j in range(1, part.n + 1):
@@ -121,6 +148,8 @@ def test_reduction_matches_reference_routes(case):
         assert model.diagnostics["valley_capacities"][j - 1] == \
             pytest.approx(cap, rel=1e-9)
         assert profile.values[j - 1] == pytest.approx(mass / cap, rel=1e-9)
+        assert report.capacity_ratio[j - 1] == pytest.approx(_reference_capacity_ratio(
+            chain, pi, valley, report.reference_states[j - 1], cap), rel=1e-9)
         w = pi_t.weights[t_idx[j - 1]]
         probs = ms.jump_probabilities(chain, pi, part, j)
         for k in range(1, part.n + 1):
@@ -131,6 +160,101 @@ def test_reduction_matches_reference_routes(case):
             assert model.rate(j, k) == pytest.approx(via_trace, rel=1e-9)
             assert probs[k] == pytest.approx(
                 collapsed_jump_probability(chain, pi, part, j, k), rel=1e-9)
+
+
+def _unit_column_solves(monkeypatch, chain, tamper=None):
+    """Record the column count of every solve on S minus one state with a
+    matrix right-hand side: the Green-function solves of check_conditions.
+    ``tamper(b, x)`` may alter the first such solution in place."""
+    solve = numerics.solve_linear
+    seen = []
+
+    def recorded(a, b):
+        x = solve(a, b)
+        b = np.asarray(b)
+        if b.ndim == 2 and b.shape[0] == chain.n - 1:
+            assert (b.sum(axis=0) == 1.0).all() and np.isin(b, (0.0, 1.0)).all()
+            if tamper is not None and not seen:
+                tamper(b, x)
+            seen.append(b.shape[1])
+        return x
+
+    monkeypatch.setattr(numerics, "solve_linear", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["birth_death_5", "glued_2_6_1", "zero_range_p07",
+                                  "random_51_delta", "zero_range_n861"])
+def test_one_point_capacity_solve_per_valley(case, monkeypatch):
+    chain, part, theta = REFERENCE_CASES[case]()
+    pi = ms.stationary(chain)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_conditions called potential.capacity")
+
+    monkeypatch.setattr(potential, "capacity", forbidden)
+    monkeypatch.setattr(reduction, "capacity", forbidden)
+    solves = _unit_column_solves(monkeypatch, chain)
+    factor = spla.splu
+    factorizations = []
+
+    def counted(*args, **kwargs):
+        factorizations.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    ms.check_conditions(chain, pi, part, theta)
+    assert sorted(solves) == sorted(len(v) - 1 for v in part.valleys if len(v) > 1)
+    if case == "zero_range_n861":
+        # one for the valley flux on Delta, one per valley for its point capacities
+        assert len(factorizations) == 1 + part.n
+
+
+@pytest.mark.parametrize("entry, factor, error, phrase", [
+    ("diagonal", 2.0, SolverFailure, "harmonicity residual"),
+    ("diagonal", 1e-3, SolverFailure, "escape probability"),
+    ("column", 2.0, ToleranceViolation, "capacity routes disagree"),
+])
+def test_point_capacity_errors_name_their_source(entry, factor, error, phrase,
+                                                 monkeypatch):
+    chain, part, theta = REFERENCE_CASES["zero_range_p07"]()
+    pi = ms.stationary(chain)
+    ref = part.reference_states(chain, pi)[0]
+    ix = chain.indices_of(part.valley(1))
+    first = chain.states[ix[ix != chain.index[ref]][0]]
+
+    def tamper(b, x):
+        row = int(np.argmax(b[:, 0]))
+        x[row if entry == "diagonal" else slice(None), 0] *= factor
+
+    _unit_column_solves(monkeypatch, chain, tamper)
+    with pytest.raises(error) as err:
+        ms.check_conditions(chain, pi, part, theta)
+    message = str(err.value)
+    assert phrase in message
+    assert message.startswith(
+        f"check_conditions: valley 1, reference state {ref!r}, state {first!r}: ")
+
+
+def test_point_capacity_two_form_check_names_its_source():
+    """pi off by 1e-6 at one state inside valley 1 leaves the valley fluxes
+    balanced but breaks D(h) = <(-L) h, h>_pi for the potentials near it."""
+    spec = ms.glued_cubes(2, 6, 1)
+    chain, part = spec.chain, spec.partition
+    exact = ms.stationary(chain)
+    ix = chain.indices_of(part.valley(1))
+    ref = part.reference_states(chain, exact)[0]
+    inner = [i for i in ix if chain.states[i] != ref
+             and set(chain.rates[i].indices) <= set(ix)
+             and set(chain.rates[:, [i]].tocoo().row) <= set(ix)]
+    weights = exact.weights.copy()
+    weights[inner[0]] *= 1.0 - 1e-6
+    pi = ms.ProbVector(weights / weights.sum())
+    with pytest.raises(ToleranceViolation) as err:
+        ms.check_conditions(chain, pi, part, spec.suggested_theta)
+    message = str(err.value)
+    assert message.startswith(f"check_conditions: valley 1, reference state {ref!r}, state ")
+    assert "not stationary" in message
 
 
 class TestTimescale:
