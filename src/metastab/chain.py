@@ -228,18 +228,11 @@ def build_chain(states: Sequence, rate_triples, tol: ToleranceConfig = DEFAULT) 
     return _chain_from_csr(states, csr)
 
 
-def _chain_from_csr(states, csr, prune_tol=0.0) -> Chain:
+def _chain_from_csr(states, csr) -> Chain:
     """Internal constructor for derived chains; revalidates the invariants."""
     csr = sp.csr_matrix(csr)
     csr.setdiag(0.0)
     csr.eliminate_zeros()
-    if prune_tol > 0.0 and csr.nnz:
-        keep = csr.data > prune_tol
-        if not keep.all():
-            coo = csr.tocoo()
-            csr = sp.csr_matrix(
-                (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=csr.shape
-            )
     if csr.nnz and csr.data.min() <= 0:
         coo = csr.tocoo()
         k = int(np.argmin(coo.data))

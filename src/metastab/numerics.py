@@ -1,4 +1,8 @@
-"""Shared numerical kernels: connectivity, linear solves, uniformization."""
+"""Shared numerical kernels: connectivity, linear solves, uniformization.
+
+Every linear system in the package goes through ``solve_linear``: one sparse
+LU factorization (``splu``), whatever the size.
+"""
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,15 +32,15 @@ def strong_connectivity_witness(adj_csr):
 
 
 def solve_linear(a_sparse, b):
-    """Solve a (sparse) square system, densely below a size cutoff."""
-    n = a_sparse.shape[0]
+    """Solve a sparse square system by one sparse LU factorization.
+
+    ``b`` may hold one right-hand side per column; all share the factors.  A
+    singular matrix raises ``SolverFailure``.
+    """
     b = np.asarray(b, dtype=float)
     try:
-        if n <= 600:
-            return np.linalg.solve(a_sparse.toarray(), b)
-        lu = spla.splu(sp.csc_matrix(a_sparse))
-        return lu.solve(b)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        return spla.splu(sp.csc_matrix(a_sparse)).solve(b)
+    except RuntimeError as exc:
         raise SolverFailure(f"linear solve failed: {exc}") from exc
 
 

@@ -51,10 +51,6 @@ class Path:
                 raise BadSpec(f"consecutive states equal at time {t}")
             prev_t, prev_s = t, s
 
-    @property
-    def jump_times(self):
-        return [t for t, _ in self.events]
-
     def states_visited(self):
         seen = {self.initial}
         seen.update(s for _, s in self.events)

@@ -90,10 +90,6 @@ class Flow:
         np.add.at(div, self.edges.dst, -self.values)
         return div
 
-    def set_divergence(self, indices) -> float:
-        div = self.divergence()
-        return float(div[np.asarray(indices, dtype=int)].sum())
-
     def __add__(self, other):
         return Flow(self.edges, self.values + other.values)
 
@@ -177,39 +173,56 @@ def _check_sets(chain: Chain, A, B):
     return ia, ib
 
 
-def _harmonic_extension(chain: Chain, boundary_idx, boundary_val):
-    """Solve (L h)(i) = 0 off the boundary with the given boundary values."""
-    n = chain.n
-    h = np.zeros(n)
-    h[boundary_idx] = boundary_val
-    interior = np.setdiff1d(np.arange(n), boundary_idx)
-    if len(interior) == 0:
-        return h
-    rhs = chain.rates[interior][:, boundary_idx] @ boundary_val
-    h[interior] = numerics.solve_linear(chain.killed(interior), rhs)
-    return h
+def _harmonic_measure(chain: Chain, owner, tol: ToleranceConfig) -> np.ndarray:
+    """G[y, k] = P_y[enter the boundary in class k], the harmonic measure.
+
+    ``owner[i]`` is the boundary class of state i, or -1 for a state off the
+    boundary.  G is the class indicator on the boundary and, off it, one
+    solve of the chain killed on reaching the boundary, with one right-hand
+    side per class.  Nothing is clipped: an entry below -``tol.rel`` or a row
+    that misses 1 by more than ``tol.rel`` is a ``SolverFailure``.
+    """
+    owner = np.asarray(owner)
+    on = np.flatnonzero(owner >= 0)
+    off = np.flatnonzero(owner < 0)
+    G = np.zeros((chain.n, int(owner.max()) + 1))
+    G[on, owner[on]] = 1.0
+    if len(off):
+        H = numerics.solve_linear(chain.killed(off), chain.rates[off] @ G)
+        row_dev = float(np.abs(H.sum(axis=1) - 1.0).max())
+        if H.min() < -tol.rel or row_dev > tol.rel:
+            raise SolverFailure(
+                f"harmonic measure off the boundary ({len(off)} states) is not a "
+                f"probability: min {H.min():.3e}, worst row-sum deviation {row_dev:.3e}")
+        G[off] = H
+    return G
+
+
+def _two_set_measure(chain: Chain, ia, ib, tol: ToleranceConfig) -> np.ndarray:
+    """Columns P[hit A before B] and P[hit B before A]."""
+    owner = np.full(chain.n, -1)
+    owner[ia], owner[ib] = 0, 1
+    return _harmonic_measure(chain, owner, tol)
 
 
 def hitting_probability(chain: Chain, A, B) -> np.ndarray:
     """h(i) = P_i[hit A before B]; h = 1 on A, 0 on B, harmonic elsewhere."""
     ia, ib = _check_sets(chain, A, B)
-    bnd = np.concatenate([ia, ib])
-    val = np.concatenate([np.ones(len(ia)), np.zeros(len(ib))])
-    return _harmonic_extension(chain, bnd, val)
+    return _two_set_measure(chain, ia, ib, DEFAULT)[:, 0]
 
 
 def equilibrium_potential(chain: Chain, pi: ProbVector, A, B,
                           tol: ToleranceConfig = DEFAULT) -> PotentialSolution:
     """Solve the two-set boundary value problem and compute the capacity twice.
 
-    The capacity is evaluated from its escape-rate definition (using an
-    independent absorption solve for P[hit B before A]) and as the Dirichlet
-    form of h; the two routes must agree within ``tol.capacity_rel``.
+    One harmonic-measure solve gives h = P[hit A before B] and
+    g = P[hit B before A].  The capacity is evaluated from its escape-rate
+    definition through g and as the Dirichlet form of h; the two routes must
+    agree within ``tol.capacity_rel``.
     """
     ia, ib = _check_sets(chain, A, B)
-    h = hitting_probability(chain, A, B)
-    # independent absorption solve: g(i) = P_i[hit B before A]
-    g = hitting_probability(chain, B, A)
+    G = _two_set_measure(chain, ia, ib, tol)
+    h, g = G[:, 0], G[:, 1]
     cap_def = float(np.sum(pi.weights[ia] * (chain.rates[ia] @ g)))
     dir_val = dirichlet_form(chain, pi, h, tol)
     scale = max(abs(cap_def), abs(dir_val), 1e-300)
@@ -389,11 +402,11 @@ def dirichlet_II(chain: Chain, pi: ProbVector, A, B, f,
     L = chain.generator_matrix()
     K = -sp.diags(pi.weights) @ L             # pi (-L)
     Ksym = 0.5 * (K + K.T)
-    Q = (M.T @ Ksym @ M).toarray()
+    Q = sp.csr_matrix(M.T @ Ksym @ M)
     b = np.asarray(M.T @ (L.T @ (pi.weights * f))).ravel()
     # Q is PSD with kernel spanned by the constant class; pin one coordinate
     c = np.zeros(m)
-    c[:-1] = np.linalg.solve(Q[:-1, :-1], b[:-1])
+    c[:-1] = numerics.solve_linear(Q[:-1, :-1], b[:-1])
     return float(b @ c)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     SolverFailure,
     ToleranceViolation,
 )
-from .potential import capacity
+from .potential import _harmonic_measure, capacity
 # trace_chain and collapse_chain are not called here; the traced benchmark run
 # looks them up on this module to report their time
 from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
@@ -62,27 +62,16 @@ def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition,
                  tol: ToleranceConfig = DEFAULT) -> _ValleyFlux:
     """One factorization of -L on Delta gives every valley-to-valley flux.
 
-    G[y, k] = P_y[enter F in valley k+1]: the indicator of the valley on F
-    and the harmonic measure H on Delta, from one solve with one right-hand
-    side per valley.  Then flux = G_F^T diag(pi_F) R_F G.  A harmonic measure
-    that is negative or does not sum to one is a solver failure; a valley
-    whose escape flux out and in differ means pi is not stationary on F.
+    G[y, k] = P_y[enter F in valley k+1] is the harmonic measure of the
+    valleys (``potential._harmonic_measure``), one solve with one right-hand
+    side per valley.  Then flux = G_F^T diag(pi_F) R_F G.  A valley whose
+    escape flux out and in differ means pi is not stationary on F.
     """
     partition.validate_for(chain, require_valleys=2)
     labels = partition.label_map()
     owner = np.array([labels[s] - 1 for s in chain.states])
     f = np.flatnonzero(owner >= 0)
-    d = np.flatnonzero(owner < 0)
-    G = np.zeros((chain.n, partition.n))
-    G[f, owner[f]] = 1.0
-    if len(d):
-        H = numerics.solve_linear(chain.killed(d), chain.rates[d] @ G)
-        row_dev = float(np.abs(H.sum(axis=1) - 1.0).max())
-        if H.min() < -tol.rel or row_dev > tol.rel:
-            raise SolverFailure(
-                f"harmonic measure on Delta (|Delta| = {len(d)}) is not a "
-                f"probability: min {H.min():.3e}, worst row-sum deviation {row_dev:.3e}")
-        G[d] = H
+    G = _harmonic_measure(chain, owner, tol)
     flux = G[f].T @ (pi.weights[f, np.newaxis] * (chain.rates[f] @ G))
     escape = flux - np.diag(np.diag(flux))
     outflow, inflow = escape.sum(axis=1), escape.sum(axis=0)

@@ -32,7 +32,7 @@ from .errors import (
     SolverFailure,
     ToleranceViolation,
 )
-from .potential import hitting_probability
+from .potential import _harmonic_measure, hitting_probability
 
 COLLAPSED_LABEL = "@collapsed"
 STAR_SUFFIX = "*"
@@ -53,22 +53,25 @@ def trace_chain(chain: Chain, pi: ProbVector, F,
                 tol: ToleranceConfig = DEFAULT):
     """Chain watched only on F, with its stationary law pi conditioned to F.
 
-    Rates are R_F(a, b) = R(a, b) + sum_d R(a, d) P_d[absorbed at b], with the
-    absorption probabilities from one linear solve on the complement block.
-    The conditioned measure is verified stationary for the result.
+    Rates are R_F(a, b) = sum_y R(a, y) P_y[enter F at b], with the harmonic
+    measure of F from one linear solve on the complement block.  A trace
+    rate below -``tol.rel`` times the max rate is a ``SolverFailure``;
+    negative rounding dust above that bound is a zero rate.  The conditioned
+    measure is verified stationary for the result.
     """
     idx = _subset_indices(chain, F, "trace set")
     if len(idx) == chain.n:
         return chain, ProbVector(pi.weights.copy())
     if len(idx) < 2:
         raise BadSubset("trace set must contain at least 2 states")
-    rest = np.setdiff1d(np.arange(chain.n), idx)
-    R = chain.rates
-    # absorption probabilities H[d, b] = P_d[first entry into F happens at b]
-    H = numerics.solve_linear(chain.killed(rest), R[rest][:, idx].toarray())
-    np.clip(H, 0.0, None, out=H)
-    trace_rates = R[idx][:, idx].toarray() + R[idx][:, rest] @ H
+    owner = np.full(chain.n, -1)
+    owner[idx] = np.arange(len(idx))
+    trace_rates = chain.rates[idx] @ _harmonic_measure(chain, owner, tol)
     np.fill_diagonal(trace_rates, 0.0)
+    worst = float(trace_rates.min())
+    if worst < -tol.rel * max(chain.max_rate, 1.0):
+        raise SolverFailure(f"trace chain has a negative rate {worst:.3e}")
+    trace_rates[trace_rates < 0.0] = 0.0
     states = tuple(chain.states[i] for i in idx)
     traced = _chain_from_csr(states, sp.csr_matrix(trace_rates))
     w = pi.weights[idx]
@@ -197,9 +200,6 @@ class EnlargedChain:
     def star(self, label) -> str:
         return f"{label}{STAR_SUFFIX}"
 
-    def star_indices(self, labels) -> np.ndarray:
-        return self.combined.indices_of([self.star(s) for s in labels])
-
 
 def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float,
                   tol: ToleranceConfig = DEFAULT) -> EnlargedChain:
@@ -228,17 +228,13 @@ def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float,
 
 
 def _valley_indices(chain: Chain, partition: Partition):
-    """Dense indices per valley; every chain state must lie in some valley."""
-    label_map = partition.label_map()
-    out = [[] for _ in range(partition.n)]
-    for i, s in enumerate(chain.states):
-        k = label_map.get(s, 0)
-        if k == 0:
-            raise BadPartition(
-                f"state {s!r} is not covered by the valleys of the partition"
-            )
-        out[k - 1].append(i)
-    return [np.array(v, dtype=int) for v in out]
+    """Dense indices per valley; the valleys must cover the chain's states."""
+    partition.validate_for(chain)
+    if partition.delta:
+        raise BadPartition(
+            f"the valleys must cover the chain's states; delta holds "
+            f"{sorted(partition.delta)[:4]}")
+    return [chain.indices_of(v) for v in partition.valleys]
 
 
 def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,

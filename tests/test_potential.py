@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import metastab as ms
-from metastab.errors import NotAdmissible, NotReversible, NotZeroMean
+from metastab import numerics
+from metastab.errors import NotAdmissible, NotReversible, NotZeroMean, SolverFailure
 from metastab.potential import (
     EdgeSet,
     Flow,
@@ -13,6 +14,7 @@ from metastab.potential import (
     flow_phi,
     flow_phi_star,
     flow_psi,
+    hitting_probability,
     zero_flow,
 )
 
@@ -106,6 +108,13 @@ class TestEquilibriumPotential:
         with pytest.raises(BadSets):
             ms.equilibrium_potential(bd4, pi, ["9"], ["4"])
 
+    def test_rows_off_one_are_a_solver_failure(self, bd4, monkeypatch):
+        solve = numerics.solve_linear
+        monkeypatch.setattr(numerics, "solve_linear",
+                            lambda a, b: (1.0 + 1e-6) * solve(a, b))
+        with pytest.raises(SolverFailure, match="row-sum deviation"):
+            hitting_probability(bd4, ["1"], ["4"])
+
     def test_serialization(self, b2):
         pi = ms.stationary(b2)
         d = ms.equilibrium_potential(b2, pi, ["1"], ["2"]).to_dict(b2)
@@ -128,6 +137,20 @@ class TestCapacity:
         assert large == pytest.approx(series_conductance(bd4, pi, ["1", "2", "3"]),
                                       rel=1e-12)
         assert small <= large
+
+    def test_one_solve(self, bd4, monkeypatch):
+        """h = P[hit A before B] and g = P[hit B before A] share one solve."""
+        pi = ms.stationary(bd4)
+        solve = numerics.solve_linear
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(numerics, "solve_linear", counted)
+        assert ms.capacity(bd4, pi, ["1"], ["4"]) == pytest.approx(1 / 12, rel=1e-12)
+        assert len(calls) == 1
 
     def test_glued_squares_adjoint_identity(self):
         spec = ms.glued_cubes(2, 4, 1)

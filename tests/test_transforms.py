@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 import metastab as ms
+from metastab import numerics
 from metastab.errors import (
+    BadPartition,
     BadSubset,
     NonPositiveGamma,
     NotIrreducibleAfterReflection,
     NotStationary,
+    SolverFailure,
 )
 from metastab.transforms import COLLAPSED_LABEL, lift_from_collapsed
 
 from conftest import (
+    birth_death,
     random_chain,
     random_disjoint_sets,
     random_partition,
@@ -74,6 +78,23 @@ class TestTraceChain:
         rate = jumps_13 / time_at_1
         stderr = np.sqrt(jumps_13) / time_at_1
         assert abs(rate - traced.rate("1", "3")) <= 3 * stderr
+
+    def test_negative_absorption_is_a_solver_failure(self, monkeypatch):
+        """On the line 1-...-5 traced on {1, 2, 4, 5}, P_3[enter at 1] is
+        exactly 0.  A solver that returns -1e-3 there raises; clipping the
+        entry to 0 would hide the fault and return the exact trace chain."""
+        chain = birth_death(5)
+        pi = ms.stationary(chain)
+        solve = numerics.solve_linear
+
+        def tampered(a, b):
+            x = solve(a, b)
+            x[tuple(np.argwhere(x == 0.0)[0])] = -1e-3
+            return x
+
+        monkeypatch.setattr(numerics, "solve_linear", tampered)
+        with pytest.raises(SolverFailure, match="not a probability"):
+            ms.trace_chain(chain, pi, ["1", "2", "4", "5"])
 
     def test_bad_subset(self, bd3):
         pi = ms.stationary(bd3)
@@ -214,6 +235,11 @@ class TestResolvent:
         part = ms.Partition((frozenset({"1"}), frozenset({"2"})))
         u = ms.resolvent_solve(b2, pi, 1e-8, 1, part)
         assert np.allclose(u, [1.0, 0.0], atol=1e-6)
+
+    def test_rejects_nonempty_delta(self, bd3, bd3_partition):
+        pi = ms.stationary(bd3)
+        with pytest.raises(BadPartition, match="delta holds"):
+            ms.resolvent_solve(bd3, pi, 1.0, 1, bd3_partition)
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(36)
