@@ -60,7 +60,6 @@ from .reduction import (
     jump_probabilities,
     reduced_generator,
     reduced_transition,
-    timescale,
     timescales,
 )
 from .pathsim import (

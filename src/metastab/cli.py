@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -33,10 +34,10 @@ from .pathsim import (
     simulate,
     trace_path,
 )
-from .reduction import check_conditions, coarse_rates, timescales
-# jump_probabilities is not called here; the traced benchmark run looks it up
-# on this module to report its time
-from .reduction import jump_probabilities  # noqa: F401
+from .reduction import check_conditions, coarse_rates
+# timescales and jump_probabilities are not called here; the traced benchmark
+# run looks them up on this module to report their time
+from .reduction import jump_probabilities, timescales  # noqa: F401
 from .specio import load_chain_spec, load_partition
 from .transforms import cycle_decompose
 
@@ -80,14 +81,6 @@ def _require_partition(partition):
     return partition
 
 
-def _resolve_theta(args, chain, pi, partition, tol):
-    if args.theta is not None:
-        if args.theta <= 0:
-            raise InputError("--theta must be positive")
-        return float(args.theta)
-    return float(timescales(chain, pi, partition, tol).values.min())
-
-
 def _report_skeleton(command, args, seed=None) -> dict:
     meta = {
         "tool": "metastab",
@@ -108,18 +101,14 @@ def _emit(report: dict, out):
         sys.stdout.write(text)
 
 
-def _stationary_section(chain, pi, partition):
-    section = {
+def _stationary_section(chain, pi, model):
+    return {
         "residual": stationarity_residual(chain, pi),
         "min": float(pi.weights.min()),
         "max": float(pi.weights.max()),
+        "valley_masses": model.diagnostics["valley_masses"],
+        "delta_mass": model.diagnostics["delta_mass"],
     }
-    if partition is not None:
-        section["valley_masses"] = [
-            float(pi.mass(chain.indices_of(v))) for v in partition.valleys]
-        section["delta_mass"] = float(pi.mass(chain.indices_of(partition.delta))) \
-            if partition.delta else 0.0
-    return section
 
 
 def cmd_analyze(args) -> int:
@@ -128,22 +117,19 @@ def cmd_analyze(args) -> int:
     partition = _require_partition(partition)
     partition.validate_for(chain, require_valleys=2)
     pi = stationary(chain, tol)
-    theta = _resolve_theta(args, chain, pi, partition, tol)
-    model = coarse_rates(chain, pi, partition, theta, tol)
-    # time scales and p(j, k) = r(j, k) / lambda(j) come from the same model
-    caps = model.diagnostics["valley_capacities"]
-    scales = np.array(model.diagnostics["valley_masses"]) / np.array(caps)
-    conditions = check_conditions(chain, pi, partition, theta, tol)
+    model = coarse_rates(chain, pi, partition, args.theta, tol)
+    scales = model.timescales
+    conditions = check_conditions(chain, pi, partition, model, tol)
     report = _report_skeleton("analyze", args)
-    report["stationary"] = _stationary_section(chain, pi, partition)
+    report["stationary"] = _stationary_section(chain, pi, model)
     report["capacities"] = {
-        "valley_escape": caps,
+        "valley_escape": model.diagnostics["valley_capacities"],
         "timescales": scales.tolist(),
         "timescale_spread": float(scales.max() / scales.min()),
         "suggested_theta": model_spec.suggested_theta if model_spec else None,
     }
     reduced = model.to_dict()
-    reduced["jump_probabilities"] = (model.rates / model.holding_rates[:, None]).tolist()
+    reduced["jump_probabilities"] = model.jump_probabilities.tolist()
     report["reduced_model"] = reduced
     report["conditions"] = conditions.to_dict()
     _emit(report, args.out)
@@ -222,13 +208,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     tol = default_tolerances()
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
+    if not (math.isfinite(args.delta) and args.delta > 0):
+        raise InputError(f"--delta must be finite and positive, got {args.delta!r}")
+    grid = [float(x) for x in args.grid.split(",")] if args.grid else [0.5, 1.0, 2.0]
+    if not all(map(math.isfinite, grid)):
+        raise InputError(f"--grid entries must be finite, got {args.grid!r}")
     chain, partition, _ = _load_input(args, tol)
     partition = _require_partition(partition)
     partition.validate_for(chain, require_valleys=2)
     pi = stationary(chain, tol)
-    theta = _resolve_theta(args, chain, pi, partition, tol)
-    grid = [float(x) for x in args.grid.split(",")] if args.grid else [0.5, 1.0, 2.0]
-    model = coarse_rates(chain, pi, partition, theta, tol)
+    model = coarse_rates(chain, pi, partition, args.theta, tol)
+    theta = model.theta
     label_map = partition.label_map()
     if args.start:
         if args.start not in chain.index:

@@ -25,6 +25,7 @@ from .chain import (
 from .config import DEFAULT, ToleranceConfig
 from .errors import (
     BadPartition,
+    BadSpec,
     NotIrreducibleAfterReflection,
     NotStationary,
     SolverFailure,
@@ -36,36 +37,16 @@ from .potential import _harmonic_measure, capacity
 from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
 
 
-def _valley_index_arrays(chain: Chain, partition: Partition):
-    partition.validate_for(chain)
-    return [chain.indices_of(v) for v in partition.valleys]
-
-
-class _ValleyFlux(NamedTuple):
-    """pi-weighted flux of the trace process on the valley union F.
-
-    ``flux[j, k]`` is the sum over x in valley j+1 of pi(x) times the rate at
-    which the trace process jumps from x into valley k+1 (the diagonal counts
-    returns to the own valley).
-    """
-
-    flux: np.ndarray
-    masses: np.ndarray        # pi(valley j)
-    capacities: np.ndarray    # Cap(valley j, others) = sum over k != j of flux[j, k]
-
-    @property
-    def timescales(self) -> np.ndarray:
-        return self.masses / self.capacities
-
-
 def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition,
-                 tol: ToleranceConfig = DEFAULT) -> _ValleyFlux:
+                 tol: ToleranceConfig = DEFAULT):
     """One factorization of -L on Delta gives every valley-to-valley flux.
 
     G[y, k] = P_y[enter F in valley k+1] is the harmonic measure of the
     valleys (``potential._harmonic_measure``), one solve with one right-hand
-    side per valley.  Then flux = G_F^T diag(pi_F) R_F G.  A valley whose
-    escape flux out and in differ means pi is not stationary on F.
+    side per valley.  Returns flux = G_F^T diag(pi_F) R_F G, the pi-weighted
+    rates of the trace process on F between valleys, and its off-diagonal
+    row sums Cap(valley j, others).  A valley whose escape flux out and in
+    differ means pi is not stationary on F.
     """
     partition.validate_for(chain, require_valleys=2)
     labels = partition.label_map()
@@ -82,13 +63,16 @@ def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition,
             f"valley {worst + 1}: escape flux out {outflow[worst]:.10e} and in "
             f"{inflow[worst]:.10e} of the trace process differ by "
             f"{reldev[worst]:.3e} relative; pi is not stationary on the valleys")
-    masses = np.array([pi.mass(chain.indices_of(v)) for v in partition.valleys])
-    return _ValleyFlux(flux, masses, outflow)
+    return flux, outflow
 
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Coarse-grained S-valued chain: rates r(j, k), holding rates, theta."""
+    """Coarse-grained S-valued chain: rates r(j, k), holding rates, theta.
+
+    ``diagnostics`` holds pi(valley j), Cap(valley j, others) and pi(Delta);
+    the properties below read the other reduced quantities off them.
+    """
 
     valley_count: int
     rates: np.ndarray            # (n, n), zero diagonal, units 1/rescaled-time
@@ -98,6 +82,28 @@ class ReducedModel:
 
     def rate(self, j: int, k: int) -> float:
         return float(self.rates[j - 1, k - 1])
+
+    @property
+    def masses(self) -> np.ndarray:
+        return np.array(self.diagnostics["valley_masses"])
+
+    @property
+    def capacities(self) -> np.ndarray:
+        return np.array(self.diagnostics["valley_capacities"])
+
+    @property
+    def delta_mass(self) -> float:
+        return self.diagnostics["delta_mass"]
+
+    @property
+    def timescales(self) -> np.ndarray:
+        """theta_j = pi(valley j) / Cap(valley j, others)."""
+        return self.masses / self.capacities
+
+    @property
+    def jump_probabilities(self) -> np.ndarray:
+        """p(j, k) = r(j, k) / lambda(j), zero on the diagonal."""
+        return self.rates / self.holding_rates[:, np.newaxis]
 
     def to_dict(self) -> dict:
         return {
@@ -109,33 +115,31 @@ class ReducedModel:
         }
 
 
-def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition, theta: float,
-                 tol: ToleranceConfig = DEFAULT) -> ReducedModel:
-    """Coarse-grained jump rates from the valley flux of the trace process.
+def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
+                 theta: float | None = None, tol: ToleranceConfig = DEFAULT) -> ReducedModel:
+    """The reduced model, from one run of the valley-flux kernel.
 
-    r(j, k) is theta times the pi-averaged rate at which the trace process on
-    the valley union jumps from valley j into valley k, so that
+    Cap_j is valley j's escape flux and theta_j = pi(valley j) / Cap_j;
+    ``theta`` defaults to the smallest theta_j.  r(j, k) is theta times the
+    pi-averaged rate at which the trace process on the valley union jumps
+    from valley j into valley k, so that
     pi(valley j) * holding(j) = theta * Cap(valley j, other valleys).
     """
-    if theta <= 0:
-        raise BadPartition(f"theta must be positive, got {theta!r}")
-    vf = _valley_flux(chain, pi, partition, tol)
-    rates = theta * vf.flux / vf.masses[:, np.newaxis]
+    if theta is not None and not (np.isfinite(theta) and theta > 0):
+        raise BadSpec(f"theta must be finite and positive, got {theta!r}")
+    flux, caps = _valley_flux(chain, pi, partition, tol)
+    masses = np.array([pi.mass(chain.indices_of(v)) for v in partition.valleys])
+    if theta is None:
+        theta = (masses / caps).min()
+    rates = theta * flux / masses[:, np.newaxis]
     np.fill_diagonal(rates, 0.0)
     diagnostics = {
-        "valley_masses": vf.masses.tolist(),
-        "valley_capacities": vf.capacities.tolist(),
+        "valley_masses": masses.tolist(),
+        "valley_capacities": caps.tolist(),
         "delta_mass": float(pi.mass(chain.indices_of(partition.delta)))
         if partition.delta else 0.0,
     }
     return ReducedModel(partition.n, rates, rates.sum(axis=1), float(theta), diagnostics)
-
-
-def timescale(chain: Chain, pi: ProbVector, partition: Partition, j: int,
-              tol: ToleranceConfig = DEFAULT) -> float:
-    """pi(valley j) / Cap(valley j, union of the others)."""
-    partition.valley(j)  # rejects an out-of-range j
-    return float(_valley_flux(chain, pi, partition, tol).timescales[j - 1])
 
 
 class TimescaleProfile(NamedTuple):
@@ -145,7 +149,8 @@ class TimescaleProfile(NamedTuple):
 
 def timescales(chain: Chain, pi: ProbVector, partition: Partition,
                tol: ToleranceConfig = DEFAULT) -> TimescaleProfile:
-    vals = _valley_flux(chain, pi, partition, tol).timescales
+    """pi(valley j) / Cap(valley j, union of the others), read off ``coarse_rates``."""
+    vals = coarse_rates(chain, pi, partition, tol=tol).timescales
     return TimescaleProfile(vals, float(vals.max() / vals.min()))
 
 
@@ -154,13 +159,11 @@ def jump_probabilities(chain: Chain, pi: ProbVector, partition: Partition, j: in
     """p(j, k) = P[from the collapsed valley j, hit valley k first].
 
     That is the share of valley j's escape flux that lands in valley k,
-    flux(j, k) / Cap(valley j, union of the others).
+    r(j, k) / lambda(j), read off ``coarse_rates``.
     """
     partition.valley(j)  # rejects an out-of-range j
-    vf = _valley_flux(chain, pi, partition, tol)
-    cap = vf.capacities[j - 1]
-    return {k: float(vf.flux[j - 1, k - 1] / cap)
-            for k in range(1, partition.n + 1) if k != j}
+    row = coarse_rates(chain, pi, partition, tol=tol).jump_probabilities[j - 1]
+    return {k: float(row[k - 1]) for k in range(1, partition.n + 1) if k != j}
 
 
 def symmetrized_rate_via_capacities(chain: Chain, pi: ProbVector,
@@ -272,7 +275,8 @@ def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int,
 
 
 def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
-                     theta: float, tol: ToleranceConfig = DEFAULT) -> ConditionReport:
+                     model: ReducedModel,
+                     tol: ToleranceConfig = DEFAULT) -> ConditionReport:
     """Compute the metastability condition ratios for one chain and partition.
 
     Per valley: the worst ratio of the valley's escape capacity to the
@@ -280,16 +284,20 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     (zero for singleton valleys, where the max is empty), with every
     Cap(x, ref) = pi(x) / G(x, x) read off the Green function G of the chain
     killed at ref, one solve per valley (see ``_point_capacities``); the
-    measure ratio pi(delta)/pi(valley); and relaxation times of the reflected chains
-    relative to theta.  Reflections that disconnect a valley leave a None
-    entry with a note.
+    measure ratio pi(delta)/pi(valley); and relaxation times of the reflected
+    chains relative to theta.  Theta, the valley masses and capacities and
+    pi(delta) are read off ``model``, the ``coarse_rates`` result for the same
+    chain, pi and partition.  Reflections that disconnect a valley leave a
+    None entry with a note.
     """
-    vf = _valley_flux(chain, pi, partition, tol)
+    partition.validate_for(chain, require_valleys=2)
+    if model.valley_count != partition.n:
+        raise BadPartition(f"the reduced model has {model.valley_count} valleys, "
+                           f"the partition {partition.n}")
     n = partition.n
-    valley_idx = _valley_index_arrays(chain, partition)
-    delta_mass = float(pi.mass(chain.indices_of(partition.delta))) \
-        if partition.delta else 0.0
-    masses, caps = vf.masses, vf.capacities
+    valley_idx = [chain.indices_of(v) for v in partition.valleys]
+    theta, masses, caps, delta_mass = (
+        model.theta, model.masses, model.capacities, model.delta_mass)
     refs = partition.reference_states(chain, pi)
 
     cap_ratios = []
@@ -327,7 +335,7 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
         composite.append(imbalance * gap.relaxation_time / theta)
 
     return ConditionReport(
-        theta=float(theta),
+        theta=theta,
         reference_states=refs,
         capacity_ratio=tuple(cap_ratios),
         measure_ratio=tuple(float(x) for x in measure_ratios),

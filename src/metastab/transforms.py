@@ -131,16 +131,12 @@ def collapse_chain(chain: Chain, pi: ProbVector, A,
     R = chain.rates
     w = pi.weights
     pa = float(w[idx].sum())
-    top_left = R[keep][:, keep].toarray()
-    into = np.asarray(R[keep][:, idx].sum(axis=1)).ravel()
+    into = R[keep][:, idx].sum(axis=1)
     outof = (w[idx] @ R[idx][:, keep]) / pa
-    n_keep = len(keep)
-    rates = np.zeros((n_keep + 1, n_keep + 1))
-    rates[:n_keep, :n_keep] = top_left
-    rates[:n_keep, n_keep] = into
-    rates[n_keep, :n_keep] = outof
+    rates = sp.bmat([[R[keep][:, keep], sp.csr_matrix(into)],
+                     [sp.csr_matrix(outof), None]], format="csr")
     states = tuple(chain.states[i] for i in keep) + (COLLAPSED_LABEL,)
-    collapsed = _chain_from_csr(states, sp.csr_matrix(rates))
+    collapsed = _chain_from_csr(states, rates)
     pic = ProbVector(np.concatenate([w[keep], [pa]]))
     residual = stationarity_residual(collapsed, pic)
     if residual > 1e-10 * max(collapsed.max_rate, 1.0):

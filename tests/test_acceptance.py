@@ -352,9 +352,9 @@ def test_criterion_09_zero_range_trends():
         pi = ms.stationary(spec.chain)
         mass = pi.mass(spec.chain.indices_of(spec.partition.valley(1)))
         masses.append(abs(mass - 1.0 / 3.0))
-        theta = ms.timescale(spec.chain, pi, spec.partition, 1)
-        thetas.append(theta)
-        rep = ms.check_conditions(spec.chain, pi, spec.partition, theta)
+        model = ms.coarse_rates(spec.chain, pi, spec.partition)
+        thetas.append(model.timescales[0])
+        rep = ms.check_conditions(spec.chain, pi, spec.partition, model)
         ratios62.append(max(rep.capacity_ratio))
         measure_ratios.append(max(rep.measure_ratio))
     decreasing = lambda xs: xs[0] > xs[1] > xs[2]

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+import scipy.sparse.linalg as spla
 
-from metastab import reduction
+from metastab import pathsim, reduction
 from metastab.chain import stationary
 from metastab.cli import main
+from metastab.models import build_from_string
 from metastab.potential import capacity
 from metastab.specio import load_chain_spec
 
@@ -40,6 +42,19 @@ def c3_spec(tmp_path):
     p = tmp_path / "c3.json"
     p.write_text(json.dumps(C3))
     return str(p)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record every call of ``owner.name`` in the returned list."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def run_report(args, tmp_path, name="report.json"):
@@ -85,24 +100,34 @@ class TestAnalyze:
             right = rates[j][(j + 1) % 4]
             assert left == pytest.approx(right, rel=1e-9)
 
-    @pytest.mark.parametrize("extra, calls", [([], 3), (["--theta", "50"], 2)])
-    def test_one_flux_kernel_per_result(self, monkeypatch, tmp_path, extra, calls):
-        # timescales (for the default theta), coarse_rates and check_conditions
-        kernel = reduction._valley_flux
-        seen = []
+    @pytest.mark.parametrize("extra", [[], ["--theta", "50"]])
+    def test_one_flux_kernel_per_result(self, monkeypatch, tmp_path, extra):
+        # coarse_rates runs the kernel; the default theta, the time scales,
+        # the jump probabilities and check_conditions read its result
+        model = "glued_cubes:d=2,N=8,ell=2"
+        delta = len(build_from_string(model).partition.delta)
+        calls = _count_calls(monkeypatch, reduction, "_valley_flux")
+        factor = spla.splu
+        sizes = []
 
-        def counted(*args, **kwargs):
-            seen.append(1)
-            return kernel(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(reduction, "_valley_flux", counted)
-        report, _ = run_report(
-            ["analyze", "--model", "glued_cubes:d=2,N=8,ell=2"] + extra, tmp_path)
-        assert len(seen) == calls
+        monkeypatch.setattr(spla, "splu", counted)
+        report, _ = run_report(["analyze", "--model", model] + extra, tmp_path)
+        assert len(calls) == 1
+        assert sizes.count(delta) == 1
         red = report["reduced_model"]
         for j, row in enumerate(red["jump_probabilities"]):
             for k, p in enumerate(row):
                 assert p == (0.0 if j == k else red["rates"][j][k] / red["holding_rates"][j])
+
+    @pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
+    def test_bad_theta_exits_2(self, bd3_spec, capsys, theta):
+        assert main(["analyze", "--spec", bd3_spec, f"--theta={theta}"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "BadSpec" and "theta" in err["message"]
 
     def test_byte_identical_reruns(self, bd3_spec, tmp_path):
         _, first = run_report(["analyze", "--spec", bd3_spec], tmp_path, "a.json")
@@ -175,6 +200,27 @@ class TestValidate:
         r1, b1 = run_report(args + ["--jobs", "1"], tmp_path, "j1.json")
         r2, b2 = run_report(args + ["--jobs", "2"], tmp_path, "j2.json")
         assert b1 == b2
+
+    def test_one_flux_kernel(self, bd3_spec, monkeypatch, tmp_path):
+        calls = _count_calls(monkeypatch, reduction, "_valley_flux")
+        run_report(["validate", "--spec", bd3_spec, "--grid", "0.5", "--trials", "20",
+                    "--seed", "5"], tmp_path)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--theta", "inf"), ("--trials", "0"), ("--trials", "-3"),
+        ("--delta", "inf"), ("--delta", "nan"), ("--grid", "0.5,nan"),
+        ("--grid", "1,inf"),
+    ])
+    def test_bad_flag_exits_2_before_simulating(self, bd3_spec, monkeypatch, capsys,
+                                                flag, value):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validate simulated with a bad flag")
+
+        monkeypatch.setattr(pathsim, "simulate", forbidden)
+        assert main(["validate", "--spec", bd3_spec, f"{flag}={value}"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert flag.lstrip("-") in err["message"]
 
     def test_unknown_flag_exits_2(self, bd3_spec):
         with pytest.raises(SystemExit) as err:

@@ -130,7 +130,7 @@ class TestPotentialRW:
             spec = ms.potential_rw([np.linspace(-2, 2, 21)],
                                    lambda x: (x * x - 1) ** 2, N)
             pi = ms.stationary(spec.chain)
-            scales.append(ms.timescale(spec.chain, pi, spec.partition, 1))
+            scales.append(ms.coarse_rates(spec.chain, pi, spec.partition).timescales[0])
         assert scales[0] < scales[1] < scales[2]
 
     def test_two_dimensional_grid(self):

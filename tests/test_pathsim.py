@@ -289,7 +289,7 @@ class TestEstimateT2:
         for N in (8, 12):
             spec = ms.zero_range(3, N, 3.0, 0.5)
             pi = ms.stationary(spec.chain)
-            theta = ms.timescale(spec.chain, pi, spec.partition, 1)
+            theta = ms.coarse_rates(spec.chain, pi, spec.partition).timescales[0]
             est = ms.estimate_T2(spec.chain, spec.partition, theta, 0.3,
                                  trials=40, seed=23, pi=pi)
             means.append(est.worst_mean)

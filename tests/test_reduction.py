@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 import metastab as ms
 from metastab import numerics, potential, reduction
 from metastab.config import DEFAULT
-from metastab.errors import BadPartition, SolverFailure, ToleranceViolation
+from metastab.errors import BadPartition, BadSpec, SolverFailure, ToleranceViolation
 from metastab.reduction import symmetrized_rate_via_capacities
 
 from conftest import (
@@ -71,6 +71,19 @@ class TestCoarseRates:
         skewed = ms.ProbVector(np.array([0.5, 0.25, 0.25]))
         with pytest.raises(ToleranceViolation):
             ms.coarse_rates(bd3, skewed, bd3_partition, 1.0)
+
+    def test_default_theta_is_smallest_timescale(self):
+        spec = ms.zero_range(3, 10, 3.0, 0.7)
+        pi = ms.stationary(spec.chain)
+        model = ms.coarse_rates(spec.chain, pi, spec.partition)
+        assert model.theta == model.timescales.min()
+        assert (model.rates == ms.coarse_rates(spec.chain, pi, spec.partition,
+                                               model.theta).rates).all()
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_theta_not_finite_positive(self, bd3, bd3_partition, theta):
+        with pytest.raises(BadSpec, match="theta must be finite and positive"):
+            ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, theta)
 
     def test_requires_two_valleys(self, bd3):
         pi = ms.stationary(bd3)
@@ -138,7 +151,7 @@ def test_reduction_matches_reference_routes(case):
     pi = ms.stationary(chain)
     model = ms.coarse_rates(chain, pi, part, theta)
     profile = ms.timescales(chain, pi, part)
-    report = ms.check_conditions(chain, pi, part, theta)
+    report = ms.check_conditions(chain, pi, part, model)
     traced, pi_t = ms.trace_chain(chain, pi, sorted(part.union()))
     t_idx = [traced.indices_of(v) for v in part.valleys]
     for j in range(1, part.n + 1):
@@ -188,6 +201,7 @@ def _unit_column_solves(monkeypatch, chain, tamper=None):
 def test_one_point_capacity_solve_per_valley(case, monkeypatch):
     chain, part, theta = REFERENCE_CASES[case]()
     pi = ms.stationary(chain)
+    model = ms.coarse_rates(chain, pi, part, theta)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("check_conditions called potential.capacity")
@@ -203,12 +217,39 @@ def test_one_point_capacity_solve_per_valley(case, monkeypatch):
         return factor(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
-    ms.check_conditions(chain, pi, part, theta)
+    ms.check_conditions(chain, pi, part, model)
     assert sorted(solves) == sorted(len(v) - 1 for v in part.valleys if len(v) > 1)
     if case == "zero_range_n861":
-        # one for the valley flux on Delta, one per valley for its point
-        # capacities and one per reflected valley for its stationary law
-        assert len(factorizations) == 1 + 2 * part.n
+        # one per valley for its point capacities and one per reflected
+        # valley for its stationary law; the valley flux is read off the model
+        assert len(factorizations) == 2 * part.n
+
+
+@pytest.mark.parametrize("case", ["birth_death_5", "glued_2_6_1", "random_51_delta"])
+def test_check_conditions_runs_no_flux_kernel(case, monkeypatch):
+    chain, part, theta = REFERENCE_CASES[case]()
+    pi = ms.stationary(chain)
+    model = ms.coarse_rates(chain, pi, part, theta)
+    expected = ms.check_conditions(chain, pi, part, model).to_dict()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_conditions ran the valley-flux kernel")
+
+    monkeypatch.setattr(reduction, "_valley_flux", forbidden)
+    report = ms.check_conditions(chain, pi, part, model)
+    assert report.to_dict() == expected
+    assert report.theta == theta
+    assert report.measure_ratio == tuple(model.delta_mass / m for m in model.masses)
+
+
+def test_check_conditions_rejects_a_model_of_another_partition(bd3, bd3_partition):
+    chain = birth_death(5)
+    pi = ms.stationary(chain)
+    part = ms.Partition((frozenset({"1"}), frozenset({"3"}), frozenset({"5"})),
+                        frozenset({"2", "4"}))
+    other = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition)
+    with pytest.raises(BadPartition, match="2 valleys"):
+        ms.check_conditions(chain, pi, part, other)
 
 
 @pytest.mark.parametrize("entry, factor, error, phrase", [
@@ -220,6 +261,7 @@ def test_point_capacity_errors_name_their_source(entry, factor, error, phrase,
                                                  monkeypatch):
     chain, part, theta = REFERENCE_CASES["zero_range_p07"]()
     pi = ms.stationary(chain)
+    model = ms.coarse_rates(chain, pi, part, theta)
     ref = part.reference_states(chain, pi)[0]
     ix = chain.indices_of(part.valley(1))
     first = chain.states[ix[ix != chain.index[ref]][0]]
@@ -230,7 +272,7 @@ def test_point_capacity_errors_name_their_source(entry, factor, error, phrase,
 
     _unit_column_solves(monkeypatch, chain, tamper)
     with pytest.raises(error) as err:
-        ms.check_conditions(chain, pi, part, theta)
+        ms.check_conditions(chain, pi, part, model)
     message = str(err.value)
     assert phrase in message
     assert message.startswith(
@@ -251,8 +293,9 @@ def test_point_capacity_two_form_check_names_its_source():
     weights = exact.weights.copy()
     weights[inner[0]] *= 1.0 - 1e-6
     pi = ms.ProbVector(weights / weights.sum())
+    model = ms.coarse_rates(chain, pi, part, spec.suggested_theta)
     with pytest.raises(ToleranceViolation) as err:
-        ms.check_conditions(chain, pi, part, spec.suggested_theta)
+        ms.check_conditions(chain, pi, part, model)
     message = str(err.value)
     assert message.startswith(f"check_conditions: valley 1, reference state {ref!r}, state ")
     assert "not stationary" in message
@@ -261,7 +304,7 @@ def test_point_capacity_two_form_check_names_its_source():
 class TestTimescale:
     def test_birth_death(self, bd3, bd3_partition):
         pi = ms.stationary(bd3)
-        assert ms.timescale(bd3, pi, bd3_partition, 1) == \
+        assert ms.coarse_rates(bd3, pi, bd3_partition).timescales[0] == \
             pytest.approx(2.0, rel=1e-12)
 
     def test_symmetric_partition_equal_scales(self):
@@ -275,7 +318,7 @@ class TestTimescale:
         for N in (8, 12):
             spec = ms.zero_range(3, N, 3.0, 0.5)
             pi = ms.stationary(spec.chain)
-            thetas.append(ms.timescale(spec.chain, pi, spec.partition, 1))
+            thetas.append(ms.coarse_rates(spec.chain, pi, spec.partition).timescales[0])
         assert thetas[1] > thetas[0]
 
 
@@ -341,7 +384,8 @@ class TestJumpProbabilities:
 class TestCheckConditions:
     def test_birth_death_singleton_conventions(self, bd3, bd3_partition):
         pi = ms.stationary(bd3)
-        report = ms.check_conditions(bd3, pi, bd3_partition, 1.0)
+        model = ms.coarse_rates(bd3, pi, bd3_partition, 1.0)
+        report = ms.check_conditions(bd3, pi, bd3_partition, model)
         assert report.capacity_ratio == (0.0, 0.0)
         assert report.pointwise_measure_ratio == pytest.approx(1.0, rel=1e-12)
         assert report.relaxation_ratio == (0.0, 0.0)
@@ -352,14 +396,15 @@ class TestCheckConditions:
         for N in (8, 12):
             spec = ms.zero_range(3, N, 3.0, 0.5)
             pi = ms.stationary(spec.chain)
-            theta = ms.timescale(spec.chain, pi, spec.partition, 1)
-            by_n[N] = ms.check_conditions(spec.chain, pi, spec.partition, theta)
+            model = ms.coarse_rates(spec.chain, pi, spec.partition)
+            by_n[N] = ms.check_conditions(spec.chain, pi, spec.partition, model)
         assert max(by_n[12].capacity_ratio) < max(by_n[8].capacity_ratio)
         assert max(by_n[12].measure_ratio) < max(by_n[8].measure_ratio)
 
     def test_serialization_finite(self, bd3, bd3_partition):
         pi = ms.stationary(bd3)
-        report = ms.check_conditions(bd3, pi, bd3_partition, 1.0).to_dict()
+        model = ms.coarse_rates(bd3, pi, bd3_partition, 1.0)
+        report = ms.check_conditions(bd3, pi, bd3_partition, model).to_dict()
         for key in ("capacity_ratio", "measure_ratio", "relaxation_ratio"):
             for x in report[key]:
                 assert x is None or (x >= 0 and np.isfinite(x))
