@@ -154,8 +154,10 @@ def cmd_simulate(args) -> int:
         raise InputError("--start is required for simulate")
     if args.start not in chain.index:
         raise InputError(f"unknown start state {args.start!r}")
-    if args.horizon is None or args.horizon <= 0:
-        raise InputError("--horizon must be a positive number")
+    if args.horizon is None or not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise InputError(f"--horizon must be finite and positive, got {args.horizon!r}")
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
     if args.surgery != "none":
         partition = _require_partition(partition)
     out_dir = FsPath(args.out or ".")
@@ -230,8 +232,8 @@ def cmd_validate(args) -> int:
         start = args.start
     else:
         start = partition.reference_states(chain, pi)[0]
-    fdd = fdd_compare(chain, partition, theta, model, grid, args.trials,
-                      args.seed, start, jobs=args.jobs, tol=tol)
+    fdd = fdd_compare(chain, partition, model, grid, args.trials, args.seed,
+                      start, jobs=args.jobs, tol=tol)
     t2 = estimate_T2(chain, partition, theta, max(grid), args.trials,
                      args.seed, jobs=args.jobs, pi=pi, tol=tol)
     est91 = estimate_91(chain, partition, theta, args.delta, args.trials,

@@ -12,6 +12,7 @@ which makes all estimators reproducible and independent of worker count.
 """
 
 import bisect
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -97,44 +98,61 @@ def _build_path(initial, events, horizon):
 # simulation
 
 
-class _JumpTables:
-    """Per-state alias-free sampling tables for a dense chain."""
+def _trajectory(tables, start, horizon, rng):
+    """Jump times and post-jump states of one path from ``start`` on [0, horizon].
 
-    def __init__(self, chain: Chain):
-        self.chain = chain
-        self.mean_holding = (1.0 / chain.holding).tolist()
-        indptr, indices, data = (
-            chain.rates.indptr, chain.rates.indices, chain.rates.data)
-        self.targets = []
-        self.cumprob = []
-        for i in range(chain.n):
-            sl = slice(indptr[i], indptr[i + 1])
-            self.targets.append(indices[sl].tolist())
-            w = data[sl]
-            self.cumprob.append((np.cumsum(w) / w.sum()).tolist())
-
-    def sample_path(self, start_idx, horizon, rng):
-        t = 0.0
-        state = start_idx
-        events = []
-        mean_holding = self.mean_holding
-        targets = self.targets
-        cumprob = self.cumprob
-        exponential = rng.exponential
-        uniform = rng.random
-        bl = bisect.bisect_left
-        while True:
-            t += exponential(mean_holding[state])
-            if t > horizon:
-                break
-            state = targets[state][bl(cumprob[state], uniform())]
-            events.append((t, state))
-        return events
+    ``tables[state]`` holds the mean holding time, the targets and their
+    cumulative jump probabilities, into which one uniform is bisected.
+    """
+    times, states = [], []
+    t, state = 0.0, start
+    exponential, uniform, bl = rng.exponential, rng.random, bisect.bisect_left
+    while True:
+        mean_holding, targets, cumprob = tables[state]
+        t += exponential(mean_holding)
+        if t > horizon:
+            return times, states
+        state = targets[bl(cumprob, uniform())]
+        times.append(t)
+        states.append(state)
 
 
-def _as_start_index(chain, start, rng):
-    if isinstance(start, ProbVector):
-        return int(rng.choice(chain.n, p=start.weights))
+def _chain_tables(chain: Chain):
+    """Sampling tables of a Chain by dense index, built once and cached on it."""
+    tables = chain.__dict__.get("_jump_tables")
+    if tables is None:
+        rates = chain.rates
+        tables = []
+        for i, mean_holding in enumerate((1.0 / chain.holding).tolist()):
+            sl = slice(rates.indptr[i], rates.indptr[i + 1])
+            w = rates.data[sl]
+            tables.append((mean_holding, rates.indices[sl].tolist(),
+                           (np.cumsum(w) / w.sum()).tolist()))
+        chain.__dict__["_jump_tables"] = tables
+    return tables
+
+
+class _ImplicitTables(dict):
+    """Sampling tables of an implicit model by label, built on first visit."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, state):
+        targets, rates = self.model.jump_targets(state)
+        cum = np.cumsum(rates)
+        entry = self[state] = (1.0 / self.model.holding_rate(state), targets,
+                               (cum / cum[-1]).tolist())
+        return entry
+
+
+def _check_horizon(horizon):
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise BadSpec(f"horizon must be finite and positive, got {horizon!r}")
+
+
+def _start_index(chain, start):
     if start in chain.index:
         return chain.index[start]
     raise BadSpec(f"unknown start state {start!r}")
@@ -147,33 +165,17 @@ def simulate(chain, start, horizon, seed, tol: ToleranceConfig = DEFAULT) -> Pat
     ``holding_rate(state)`` and ``jump_targets(state)``.  ``seed`` may be an
     int or a sequence of ints; given the same seed the path is identical.
     """
-    if not horizon > 0:
-        raise BadSpec("horizon must be positive")
+    _check_horizon(horizon)
     rng = np.random.default_rng(seed)
-    if isinstance(chain, Chain):
-        start_idx = _as_start_index(chain, start, rng)
-        events = _JumpTables(chain).sample_path(start_idx, horizon, rng)
-        labels = chain.states
-        return Path(labels[start_idx],
-                    tuple((t, labels[s]) for t, s in events), horizon)
-    return _simulate_implicit(chain, start, horizon, rng)
-
-
-def _simulate_implicit(model, start, horizon, rng):
-    t = 0.0
-    state = start
-    events = []
-    while True:
-        lam = model.holding_rate(state)
-        t += rng.exponential(1.0 / lam)
-        if t > horizon:
-            break
-        targets, rates = model.jump_targets(state)
-        cum = np.cumsum(rates)
-        state = targets[int(np.searchsorted(cum / cum[-1], rng.random(),
-                                            side="right"))]
-        events.append((t, state))
-    return Path(start, tuple(events), horizon)
+    if not isinstance(chain, Chain):
+        times, states = _trajectory(_ImplicitTables(chain), start, horizon, rng)
+        return Path(start, tuple(zip(times, states)), horizon)
+    start_idx = (int(rng.choice(chain.n, p=start.weights))
+                 if isinstance(start, ProbVector) else _start_index(chain, start))
+    times, states = _trajectory(_chain_tables(chain), start_idx, horizon, rng)
+    labels = chain.states
+    return Path(labels[start_idx],
+                tuple(zip(times, [labels[s] for s in states])), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +287,7 @@ def last_passage_path(coarse: Path) -> Path:
             last = s
     # delta sojourns inherit the preceding valley, so a jump back to the same
     # valley disappears; the jump time into a new valley is the entry time
-    out = _build_path(coarse.initial, events, coarse.horizon)
-    return out
+    return _build_path(coarse.initial, events, coarse.horizon)
 
 
 def project(path: Path, partition: Partition, mode: str) -> Path:
@@ -476,29 +477,39 @@ def skorohod_distance(p1: Path, p2: Path, m_max: int = 8) -> float:
 # Monte-Carlo validators
 
 
-def _trial_seeds(seed, trials):
-    return [(seed, k) for k in range(trials)]
+def _record_trial(payload):
+    """One trial: states at ``times``, time in ``occupied``, first time in ``escape``.
+
+    States are dense indices by ``state_at``'s rule and the occupation sums
+    maximal runs left to right as ``occupation_time`` does, so both equal
+    their Path counterparts bit for bit.  A path that never escapes gives inf.
+    """
+    tables, start, horizon, times, occupied, escape, seed_pair = payload
+    jump_times, states = _trajectory(tables, start, horizon,
+                                     np.random.default_rng(seed_pair))
+    visited = np.array([start] + states)
+    bounds = np.array([0.0] + jump_times + [horizon])
+    at_times = visited[np.searchsorted(bounds[1:-1], times, side="right")]
+    edges = np.diff(occupied[visited].astype(np.int8), prepend=0, append=0)
+    runs = bounds[edges == -1] - bounds[edges == 1]
+    occupation = float(np.cumsum(runs)[-1]) if runs.size else 0.0
+    hits = np.flatnonzero(escape[visited])
+    return at_times, occupation, float(bounds[hits[0]]) if hits.size else math.inf
 
 
-def _run_trials(worker, payloads, jobs):
+def _run_trials(chain, start, horizon, seed, trials, jobs, times=(),
+                occupied=(), escape=()):
+    """Record trials k < ``trials`` from ``start``, trial k on the stream (seed, k)."""
+    _check_horizon(horizon)
+    flags = [np.array([s in labels for s in chain.states]) for labels in (occupied, escape)]
+    shared = (_chain_tables(chain), _start_index(chain, start), horizon,
+              np.asarray(times, dtype=float), *flags)
+    payloads = [shared + ((seed, k),) for k in range(trials)]
     if jobs <= 1:
-        return [worker(p) for p in payloads]
+        return [_record_trial(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * jobs))))
-
-
-def _t2_worker(payload):
-    chain, start, real_horizon, theta, delta, seed_pair, escape_states, escape_cut = payload
-    path = simulate(chain, start, real_horizon, seed_pair)
-    occ = occupation_time(path, delta) / theta
-    escaped = None
-    if escape_states is not None:
-        escaped = 0.0
-        for a, _, s in path.sojourns():
-            if s in escape_states:
-                escaped = 1.0 if a <= escape_cut else 0.0
-                break
-    return occ, escaped
+        return list(pool.map(_record_trial, payloads,
+                             chunksize=max(1, trials // (4 * jobs))))
 
 
 class ValleyEstimate(NamedTuple):
@@ -539,29 +550,19 @@ def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float
     label_map = partition.label_map()
     results = []
     for j, start in enumerate(starts, start=1):
-        escape_states = None
-        if escape_delta is not None:
-            escape_states = partition.others(label_map[start])
-        payloads = [(chain, start, horizon * theta, theta, partition.delta,
-                     sd, escape_states, None if escape_delta is None
-                     else escape_delta * theta)
-                    for sd in _trial_seeds(seed + 1000 * j, trials)]
-        rows = _run_trials(_t2_worker, payloads, jobs)
-        occ = np.array([r[0] for r in rows])
+        escape = () if escape_delta is None else partition.others(label_map[start])
+        rows = _run_trials(chain, start, horizon * theta, seed + 1000 * j, trials,
+                           jobs, occupied=partition.delta, escape=escape)
+        occ = np.array([r[1] / theta for r in rows])
         mean = float(occ.mean())
         stderr = float(occ.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         esc = None
         if escape_delta is not None:
-            esc = float(np.mean([r[1] for r in rows]))
+            cut = escape_delta * theta
+            esc = float(np.mean([1.0 if r[2] <= cut else 0.0 for r in rows]))
         results.append(ValleyEstimate(j, start, mean, stderr, esc))
     worst = max(r.mean for r in results)
     return T2Estimate(tuple(results), worst, horizon, trials)
-
-
-def _grid_worker(payload):
-    chain, start, times, seed_pair, delta = payload
-    path = simulate(chain, start, times[-1], seed_pair)
-    return [1.0 if path.state_at(t) in delta else 0.0 for t in times]
 
 
 class Estimate91(NamedTuple):
@@ -594,24 +595,19 @@ def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
         return Estimate91(grid, {s: zero for s in starts},
                           {s: zero for s in starts}, 0.0, trials)
     real_times = tuple(s * theta for s in grid)
+    in_delta = np.array([float(s in partition.delta) for s in chain.states])
     probabilities, stderr = {}, {}
     sup = 0.0
     for j, start in enumerate(starts, start=1):
-        payloads = [(chain, start, real_times, sd, partition.delta)
-                    for sd in _trial_seeds(seed + 1000 * j, trials)]
-        rows = np.array(_run_trials(_grid_worker, payloads, jobs))
+        recs = _run_trials(chain, start, real_times[-1], seed + 1000 * j, trials,
+                           jobs, times=real_times)
+        rows = in_delta[np.array([r[0] for r in recs])]
         p = rows.mean(axis=0)
         se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / trials)
         probabilities[start] = tuple(float(x) for x in p)
         stderr[start] = tuple(float(x) for x in se)
         sup = max(sup, float(p.max()))
     return Estimate91(grid, probabilities, stderr, sup, trials)
-
-
-def _fdd_worker(payload):
-    chain, start, horizon, times, seed_pair, label_map = payload
-    path = simulate(chain, start, horizon, seed_pair)
-    return [label_map[path.state_at(t)] for t in times]
 
 
 class FddRow(NamedTuple):
@@ -630,15 +626,16 @@ class FddReport(NamedTuple):
     trials: int
 
 
-def fdd_compare(chain: Chain, partition: Partition, theta: float,
-                reduced: ReducedModel, time_grid, trials: int, seed: int,
-                start, jobs: int = 1, tol: ToleranceConfig = DEFAULT) -> FddReport:
+def fdd_compare(chain: Chain, partition: Partition, reduced: ReducedModel,
+                time_grid, trials: int, seed: int, start, jobs: int = 1,
+                tol: ToleranceConfig = DEFAULT) -> FddReport:
     """Empirical coarse marginals at rescaled times vs the reduced model.
 
     For each grid time t, the law of the projected state at chain time
-    t * theta is estimated over ``trials`` trajectories and compared with the
-    corresponding transition row of the reduced model; the total-variation
-    distance charges the full mass sitting in the separating set.
+    t * reduced.theta is estimated over ``trials`` trajectories and compared
+    with the corresponding transition row of the reduced model; the
+    total-variation distance charges the full mass sitting in the
+    separating set.
     """
     partition.validate_for(chain, require_valleys=2)
     label_map = partition.label_map()
@@ -649,12 +646,12 @@ def fdd_compare(chain: Chain, partition: Partition, theta: float,
     if not times or times[0] < 0:
         raise BadSpec("time grid must be nonempty and nonnegative")
     n = partition.n
-    real_times = tuple(t * theta for t in times)
+    real_times = tuple(t * reduced.theta for t in times)
     horizon = max(real_times[-1], 1e-9)
-    # state_at handles t == 0 and t beyond the last jump, so one pass suffices
-    payloads = [(chain, start, horizon, real_times, sd, label_map)
-                for sd in _trial_seeds(seed, trials)]
-    rows = np.array(_run_trials(_fdd_worker, payloads, jobs))
+    # t == 0 and t beyond the last jump read the start and the last state
+    recs = _run_trials(chain, start, horizon, seed, trials, jobs, times=real_times)
+    owner = np.array([label_map[s] for s in chain.states])
+    rows = owner[np.array([r[0] for r in recs])]
     out = []
     for col, t in enumerate(times):
         counts = np.bincount(rows[:, col], minlength=n + 1)

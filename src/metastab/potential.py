@@ -417,8 +417,8 @@ def dirichlet_II(chain: Chain, pi: ProbVector, A, B, f,
 def poisson_solve(chain: Chain, pi: ProbVector, g, theta: float,
                   tol: ToleranceConfig = DEFAULT) -> np.ndarray:
     """Solve theta L f = g with E_pi[f] = 0; g must have zero pi-mean."""
-    if theta <= 0:
-        raise BadSpec("theta must be positive")
+    if not (np.isfinite(theta) and theta > 0):
+        raise BadSpec(f"theta must be finite and positive, got {theta!r}")
     g = np.asarray(g, dtype=float)
     mean = float(np.sum(pi.weights * g))
     if abs(mean) > 1e-10 * max(1.0, float(np.abs(g).max())):

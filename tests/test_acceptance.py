@@ -376,7 +376,7 @@ def test_criterion_10_simulation_validator():
     trials = 10_000
     model = ms.coarse_rates(bd3, pi, part, theta)
     grid = [0.5, 1.0, 2.0]
-    rep = ms.fdd_compare(bd3, part, theta, model, grid, trials, 1010, "1")
+    rep = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1")
     # oracle: uniformized semigroup of the full chain, projected; sanity-check
     # it against scipy's expm first
     ok = True
@@ -401,8 +401,8 @@ def test_criterion_10_simulation_validator():
         exact = float(scipy.integrate.simpson(vals, x=s_grid))
         ok &= abs(row.mean - exact) <= 3 * row.stderr
     # bit-for-bit reruns and jobs-independence
-    rep2 = ms.fdd_compare(bd3, part, theta, model, grid, trials, 1010, "1")
-    rep3 = ms.fdd_compare(bd3, part, theta, model, grid, trials, 1010, "1",
+    rep2 = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1")
+    rep3 = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1",
                           jobs=2)
     ok &= rep == rep2 == rep3
     est2 = ms.estimate_T2(bd3, part, theta, 1.0, trials, 1011, pi=pi)

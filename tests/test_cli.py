@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 import scipy.sparse.linalg as spla
 
-from metastab import pathsim, reduction
+from metastab import cli, pathsim, reduction
 from metastab.chain import stationary
 from metastab.cli import main
 from metastab.models import build_from_string
@@ -181,6 +181,23 @@ class TestSimulate:
                      "--horizon", "10", "--out", str(tmp_path / "y")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--horizon", "inf"), ("--horizon", "nan"), ("--trials", "0"),
+    ])
+    def test_bad_flag_exits_2_before_simulating(self, bd3_spec, monkeypatch, capsys,
+                                                tmp_path, flag, value):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate ran with a bad flag")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        args = {"--horizon": "10", "--trials": "1", flag: value}
+        code = main(["simulate", "--spec", bd3_spec, "--start", "1",
+                     "--out", str(tmp_path / "z")]
+                    + [f"{k}={v}" for k, v in args.items()])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert flag in err["message"]
+
 
 class TestValidate:
     def test_bd3_validation_report(self, bd3_spec, tmp_path):
@@ -193,6 +210,27 @@ class TestValidate:
         for r in rows:
             assert 0.0 <= r["tv"] <= 1.0
         assert report["validation"]["delta_occupation"]["worst_mean"] > 0
+        # exact floats of the (seed, trial) streams: any drift in the draws fails
+        assert [r["tv"] for r in rows] == [0.36, 0.355]
+        assert report["validation"]["delta_occupation"]["worst_mean"] == \
+            0.2975497530999905
+        assert report["validation"]["short_time_delta_probability"]["sup"] == 0.365
+
+    def test_jump_tables_built_once(self, bd3_spec, monkeypatch, tmp_path):
+        # 20 trials: 20 for the marginals, 2 x 20 for the occupation and
+        # 2 x 20 for the short-time probability, all on one table
+        sampler = pathsim._trajectory
+        tables = []
+
+        def recorded(table, *args):
+            tables.append(table)
+            return sampler(table, *args)
+
+        monkeypatch.setattr(pathsim, "_trajectory", recorded)
+        run_report(["validate", "--spec", bd3_spec, "--grid", "0.5", "--trials", "20",
+                    "--seed", "5"], tmp_path)
+        assert len(tables) == 100
+        assert all(t is tables[0] for t in tables)
 
     def test_jobs_do_not_change_results(self, bd3_spec, tmp_path):
         args = ["validate", "--spec", bd3_spec, "--theta", "2", "--grid", "0.5",
@@ -217,10 +255,16 @@ class TestValidate:
         def forbidden(*args, **kwargs):
             raise AssertionError("validate simulated with a bad flag")
 
-        monkeypatch.setattr(pathsim, "simulate", forbidden)
+        monkeypatch.setattr(pathsim, "_trajectory", forbidden)
         assert main(["validate", "--spec", bd3_spec, f"{flag}={value}"]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert flag.lstrip("-") in err["message"]
+
+    def test_zero_grid_exits_2(self, bd3_spec, capsys):
+        # the occupation estimate would run on the horizon max(grid) * theta = 0
+        assert main(["validate", "--spec", bd3_spec, "--grid", "0", "--trials", "5"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "BadSpec" and "horizon" in err["message"]
 
     def test_unknown_flag_exits_2(self, bd3_spec):
         with pytest.raises(SystemExit) as err:

@@ -1,13 +1,16 @@
 """Simulation, path surgeries, Skorohod distance, Monte-Carlo validators."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import metastab as ms
+from metastab import pathsim
 from metastab.errors import BadSpec, StartsInDelta, TouchesDelta
 
-from conftest import random_chain
+from conftest import random_chain, random_partition
 
 
 def expm_law(chain, start, t):
@@ -326,7 +329,7 @@ class TestFddCompare:
     def test_time_zero_is_point_mass(self, bd3, bd3_partition):
         pi = ms.stationary(bd3)
         model = ms.coarse_rates(bd3, pi, bd3_partition, 2.0)
-        rep = ms.fdd_compare(bd3, bd3_partition, 2.0, model, [0.0], 50, 1, "1")
+        rep = ms.fdd_compare(bd3, bd3_partition, model, [0.0], 50, 1, "1")
         row = rep.rows[0]
         assert row.empirical == (1.0, 0.0)
         assert row.delta_mass == 0.0
@@ -336,7 +339,7 @@ class TestFddCompare:
         theta, trials = 2.0, 4000
         pi = ms.stationary(bd3)
         model = ms.coarse_rates(bd3, pi, bd3_partition, theta)
-        rep = ms.fdd_compare(bd3, bd3_partition, theta, model, [0.5, 1.0],
+        rep = ms.fdd_compare(bd3, bd3_partition, model, [0.5, 1.0],
                              trials, 41, "1")
         for row in rep.rows:
             law = expm_law(bd3, "1", row.t * theta)
@@ -349,11 +352,66 @@ class TestFddCompare:
     def test_reproducible_and_jobs_independent(self, bd3, bd3_partition):
         pi = ms.stationary(bd3)
         model = ms.coarse_rates(bd3, pi, bd3_partition, 2.0)
-        a = ms.fdd_compare(bd3, bd3_partition, 2.0, model, [0.5], 200, 7, "1")
-        b = ms.fdd_compare(bd3, bd3_partition, 2.0, model, [0.5], 200, 7, "1")
-        c = ms.fdd_compare(bd3, bd3_partition, 2.0, model, [0.5], 200, 7, "1",
+        a = ms.fdd_compare(bd3, bd3_partition, model, [0.5], 200, 7, "1")
+        b = ms.fdd_compare(bd3, bd3_partition, model, [0.5], 200, 7, "1")
+        c = ms.fdd_compare(bd3, bd3_partition, model, [0.5], 200, 7, "1",
                            jobs=2)
         assert a == b == c
+
+
+class TestTrialRecorder:
+    """The validators' recorder against the public Path surgeries."""
+
+    def test_matches_path_surgeries(self):
+        rng = np.random.default_rng(71)
+        for case in range(12):
+            chain = random_chain(rng, int(rng.integers(5, 12)))
+            part = random_partition(rng, chain, int(rng.integers(2, 4)))
+            label_map = part.label_map()
+            starts = [s for s in chain.states if label_map[s] != 0]
+            start = starts[int(rng.integers(len(starts)))]
+            escape = part.others(label_map[start])
+            horizon = float(rng.uniform(5.0, 40.0))
+            paths = [ms.simulate(chain, start, horizon, seed=(case, k)) for k in range(5)]
+            # jump times themselves probe the right-continuous convention
+            times = sorted({0.0, horizon, *rng.uniform(0.0, horizon, 6),
+                            *(t for p in paths for t, _ in p.events[:2])})
+            rows = pathsim._run_trials(chain, start, horizon, case, 5, 1, times=times,
+                                       occupied=part.delta, escape=escape)
+            for path, (at_times, occupation, first_escape) in zip(paths, rows):
+                assert [chain.states[i] for i in at_times] == \
+                    [path.state_at(t) for t in times]
+                assert occupation == ms.occupation_time(path, part.delta)
+                assert first_escape == next(
+                    (a for a, _, s in path.sojourns() if s in escape), math.inf)
+
+
+class TestHorizonChecks:
+    """Bad horizons raise before any trajectory is sampled."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled a trajectory with a bad horizon")
+
+        monkeypatch.setattr(pathsim, "_trajectory", forbidden)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_simulate(self, b2, horizon):
+        with pytest.raises(BadSpec, match="horizon"):
+            ms.simulate(b2, "1", horizon, seed=0)
+        with pytest.raises(BadSpec, match="horizon"):
+            ms.simulate(ms.zero_range(3, 8, 3.0, 0.5).implicit, "0|0|8", horizon, seed=0)
+
+    @pytest.mark.parametrize("horizon", [0.0, math.inf])
+    def test_estimate_T2(self, bd3, bd3_partition, horizon):
+        with pytest.raises(BadSpec, match="horizon"):
+            ms.estimate_T2(bd3, bd3_partition, 2.0, horizon, trials=10, seed=0)
+
+    def test_unknown_start(self, bd3, bd3_partition):
+        with pytest.raises(BadSpec, match="unknown start"):
+            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=10, seed=0,
+                           starts=["zz"])
 
 
 class TestPathValidation:
@@ -388,7 +446,7 @@ class TestDirectionChecks:
             theta = N * N * np.log(N)
             model = ms.coarse_rates(spec.chain, pi, spec.partition, theta)
             start = sorted(spec.partition.valley(1))[0]
-            rep = ms.fdd_compare(spec.chain, spec.partition, theta, model,
+            rep = ms.fdd_compare(spec.chain, spec.partition, model,
                                  [0.5], 300, 92, start)
             tvs[N] = rep.rows[0].tv
         assert tvs[16] < tvs[8]

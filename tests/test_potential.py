@@ -5,7 +5,13 @@ import pytest
 
 import metastab as ms
 from metastab import numerics
-from metastab.errors import NotAdmissible, NotReversible, NotZeroMean, SolverFailure
+from metastab.errors import (
+    BadSpec,
+    NotAdmissible,
+    NotReversible,
+    NotZeroMean,
+    SolverFailure,
+)
 from metastab.potential import (
     EdgeSet,
     Flow,
@@ -415,6 +421,12 @@ class TestPoisson:
         pi = ms.stationary(b2)
         with pytest.raises(NotZeroMean):
             ms.poisson_solve(b2, pi, np.array([1.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_theta_not_finite_positive(self, b2, theta):
+        pi = ms.stationary(b2)
+        with pytest.raises(BadSpec, match="theta"):
+            ms.poisson_solve(b2, pi, np.array([2.0, -3.0]), theta)
 
     def test_generator_roundtrip(self):
         rng = np.random.default_rng(26)
