@@ -1,0 +1,65 @@
+"""Golden reports: fresh CLI output must match the committed files byte for byte.
+
+A change that moves floats on purpose regenerates the files with
+``python tests/test_golden.py`` and lists the drift in CHANGES.md.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from metastab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SPECS = {
+    "bd3": {
+        "states": ["1", "2", "3"],
+        "rates": [["1", "2", 1.0], ["2", "1", 1.0], ["2", "3", 1.0], ["3", "2", 1.0]],
+        "partition": {"valleys": [["1"], ["3"]], "delta": ["2"]},
+    },
+    "c3": {
+        "states": ["1", "2", "3"],
+        "rates": [["1", "2", 1.0], ["2", "3", 1.0], ["3", "1", 1.0]],
+    },
+}
+
+# report file -> (spec name or None, CLI arguments before --spec/--out)
+CASES = {
+    "bd3_analyze.json": ("bd3", ["analyze"]),
+    "bd3_analyze_theta1.json": ("bd3", ["analyze", "--theta", "1"]),
+    "glued_d2_N8_analyze.json": (None, ["analyze", "--model", "glued_cubes:d=2,N=8,ell=2"]),
+    "c3_cycles.json": ("c3", ["cycles"]),
+    "bd3_validate.json": ("bd3", ["validate", "--theta", "2", "--grid", "0.5,1",
+                                  "--trials", "400", "--seed", "5", "--delta", "0.5"]),
+}
+
+
+def render(name, workdir):
+    """Run the CLI for one case in ``workdir`` and return the report bytes."""
+    spec, args = CASES[name]
+    args = list(args)
+    if spec is not None:
+        spec_path = Path(workdir) / f"{spec}.json"
+        spec_path.write_text(json.dumps(SPECS[spec]))
+        args += ["--spec", str(spec_path)]
+    out = Path(workdir) / name
+    assert main(args + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    assert render(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / case).write_bytes(render(case, tmp))
+            print(f"wrote {GOLDEN / case}", file=sys.stderr)
