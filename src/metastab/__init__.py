@@ -63,7 +63,6 @@ from .reduction import (
     timescales,
 )
 from .pathsim import (
-    CoarsePath,
     Path,
     estimate_91,
     estimate_T2,

@@ -16,8 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.linalg
 
-from . import numerics
-from .config import DEFAULT, ToleranceConfig
+from . import config, numerics
 from .errors import (
     BadPartition,
     BadSpec,
@@ -107,7 +106,7 @@ class ProbVector:
             worst = float(w.min())
             raise BadSpec(f"probability vector has negative entry {worst}")
         s = float(w.sum())
-        if abs(s - 1.0) > DEFAULT.prob_sum:
+        if abs(s - 1.0) > config.DEFAULT.prob_sum:
             raise BadSpec(f"probability vector sums to {s}, not 1")
         w.flags.writeable = False
 
@@ -165,14 +164,14 @@ class Partition:
     def reference_states(self, chain: Chain, pi: ProbVector) -> tuple:
         """The pi-maximal state of each valley, ties to the smallest label.
 
-        States within ``DEFAULT.rel`` (relative) of the valley maximum tie, so
-        rounding noise in pi cannot pick the state.
+        States within ``rel`` (relative) of the valley maximum tie, so rounding
+        noise in pi cannot pick the state.
         """
         refs = []
         for v in self.valleys:
             idx = chain.indices_of(v)
             weights = pi.weights[idx]
-            top = idx[weights >= (1.0 - DEFAULT.rel) * weights.max()]
+            top = idx[weights >= (1.0 - config.DEFAULT.rel) * weights.max()]
             refs.append(min(chain.states[i] for i in top))
         return tuple(refs)
 
@@ -197,7 +196,7 @@ class Partition:
             raise BadPartition(f"need at least {require_valleys} valleys, got {self.n}")
 
 
-def build_chain(states: Sequence, rate_triples, tol: ToleranceConfig = DEFAULT) -> Chain:
+def build_chain(states: Sequence, rate_triples) -> Chain:
     """Validate and build a chain from labels and (src, dst, rate) triples."""
     states = tuple(states)
     if len(states) < 2:
@@ -246,7 +245,7 @@ def _chain_from_csr(states, csr) -> Chain:
     return Chain(tuple(states), csr)
 
 
-def stationary(chain: Chain, tol: ToleranceConfig = DEFAULT) -> ProbVector:
+def stationary(chain: Chain) -> ProbVector:
     """Unique stationary probability, from the chain killed at its stickiest state.
 
     Let r be the state with the smallest holding rate.  For y != r,
@@ -256,7 +255,7 @@ def stationary(chain: Chain, tol: ToleranceConfig = DEFAULT) -> ProbVector:
     chain killed at r.  Then pi(r) = 1 and pi is normalized.  Grounding at
     the stickiest state keeps the unknowns of moderate size in deep wells.
     An irreducible chain has pi > 0, so an entry <= 0 is a solver failure,
-    as is a residual |pi^T L| above ``tol.stationary_residual`` times the
+    as is a residual |pi^T L| above ``stationary_residual`` times the
     max rate.
     """
     r = int(np.argmin(chain.holding))
@@ -272,11 +271,10 @@ def stationary(chain: Chain, tol: ToleranceConfig = DEFAULT) -> ProbVector:
             f"{w[bad[0]]!r}; an irreducible chain has pi > 0")
     pi = ProbVector(w / w.sum())
     residual = stationarity_residual(chain, pi)
-    if residual > tol.stationary_residual * chain.max_rate:
+    bound = config.DEFAULT.stationary_residual * chain.max_rate
+    if residual > bound:
         raise SolverFailure(
-            f"stationary residual {residual:.3e} exceeds tolerance "
-            f"{tol.stationary_residual * chain.max_rate:.3e}"
-        )
+            f"stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
     return pi
 
 
@@ -284,9 +282,9 @@ def stationarity_residual(chain: Chain, pi: ProbVector) -> float:
     return float(np.abs(pi.weights @ chain.generator_matrix()).max())
 
 
-def require_stationary(chain: Chain, pi: ProbVector, tol: ToleranceConfig = DEFAULT):
+def require_stationary(chain: Chain, pi: ProbVector):
     residual = stationarity_residual(chain, pi)
-    bound = tol.input_stationary * max(chain.max_rate, 1e-300)
+    bound = config.DEFAULT.input_stationary * max(chain.max_rate, 1e-300)
     if residual > bound:
         raise NotStationary(
             f"measure is not stationary: residual {residual:.3e} > {bound:.3e}"
@@ -303,17 +301,17 @@ def apply_generator(chain: Chain, f) -> np.ndarray:
     return chain.rates @ f - holding * f
 
 
-def adjoint(chain: Chain, pi: ProbVector, tol: ToleranceConfig = DEFAULT) -> Chain:
+def adjoint(chain: Chain, pi: ProbVector) -> Chain:
     """Time-reversed chain: R*(i, j) = pi(j) R(j, i) / pi(i)."""
-    require_stationary(chain, pi, tol)
+    require_stationary(chain, pi)
     w = pi.weights
     rev = chain.rates.T.multiply(w[np.newaxis, :]).multiply(1.0 / w[:, np.newaxis])
     return _chain_from_csr(chain.states, sp.csr_matrix(rev))
 
 
-def symmetric_part(chain: Chain, pi: ProbVector, tol: ToleranceConfig = DEFAULT) -> Chain:
+def symmetric_part(chain: Chain, pi: ProbVector) -> Chain:
     """Chain with rates (R + R*) / 2; satisfies detailed balance w.r.t. pi."""
-    adj = adjoint(chain, pi, tol)
+    adj = adjoint(chain, pi)
     sym = (chain.rates + adj.rates) * 0.5
     return _chain_from_csr(chain.states, sp.csr_matrix(sym))
 
@@ -328,7 +326,7 @@ def is_reversible(chain: Chain, pi: ProbVector, rel=1e-12) -> bool:
     return float(np.abs(diff.data).max()) <= rel * scale
 
 
-def dirichlet_form(chain: Chain, pi: ProbVector, f, tol: ToleranceConfig = DEFAULT):
+def dirichlet_form(chain: Chain, pi: ProbVector, f):
     """Energy D(f) = (1/2) sum pi(i) R(i, j) (f(j) - f(i))^2.
 
     The inner-product form <(-L) f, f>_pi is evaluated as well and the two
@@ -348,7 +346,7 @@ def dirichlet_form(chain: Chain, pi: ProbVector, f, tol: ToleranceConfig = DEFAU
     inner = np.atleast_1d(-np.sum(pi_w * f * apply_generator(chain, f), axis=0))
     scale = np.maximum(np.maximum(np.abs(pair_sum), np.abs(inner)), 1e-300)
     span = np.atleast_1d(np.abs(f).max(axis=0)) + 1.0
-    bound = np.maximum(1e-10 * scale, 64 * np.finfo(float).eps
+    bound = np.maximum(config.DEFAULT.rel * scale, 64 * np.finfo(float).eps
                        * chain.max_rate * span * span * chain.n)
     bad = np.flatnonzero(np.abs(pair_sum - inner) > bound)
     if len(bad):
@@ -365,18 +363,18 @@ class SpectralGap(NamedTuple):
     relaxation_time: float
 
 
-def spectral_gap(chain: Chain, pi: ProbVector, tol: ToleranceConfig = DEFAULT) -> SpectralGap:
+def spectral_gap(chain: Chain, pi: ProbVector) -> SpectralGap:
     """Smallest positive eigenvalue of -L^s in L2(pi), and its inverse.
 
     The symmetric part is conjugated with diag(sqrt(pi)) into an ordinary
-    symmetric matrix and solved densely, guarded by ``tol.spectral_guard``.
+    symmetric matrix and solved densely, guarded by ``spectral_guard``.
     """
-    if chain.n > tol.spectral_guard:
+    guard = config.DEFAULT.spectral_guard
+    if chain.n > guard:
         raise TooLarge(
             f"spectral gap needs a dense eigensolve; {chain.n} states exceed "
-            f"the guard {tol.spectral_guard}"
-        )
-    require_stationary(chain, pi, tol)
+            f"the guard {guard}")
+    require_stationary(chain, pi)
     w = pi.weights
     sqrt_w = np.sqrt(w)
     L = chain.generator_matrix(dense=True)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .chain import stationarity_residual, stationary
-from .config import default_tolerances
 from .errors import InputError, MetastabError, NumericalError, TooLarge
 from .models import build_from_string
 from .pathsim import (
@@ -58,13 +57,13 @@ def _fingerprint(args) -> str:
     return h.hexdigest()
 
 
-def _load_input(args, tol):
+def _load_input(args):
     """Resolve --model/--spec/--partition into (chain, partition, model_spec)."""
     if bool(args.model) == bool(args.spec):
         raise InputError("exactly one of --model or --spec is required")
     model_spec = None
     if args.model:
-        model_spec = build_from_string(args.model, tol)
+        model_spec = build_from_string(args.model)
         chain, partition = model_spec.chain, model_spec.partition
     else:
         chain, partition = load_chain_spec(args.spec)
@@ -112,14 +111,13 @@ def _stationary_section(chain, pi, model):
 
 
 def cmd_analyze(args) -> int:
-    tol = default_tolerances()
-    chain, partition, model_spec = _load_input(args, tol)
+    chain, partition, model_spec = _load_input(args)
     partition = _require_partition(partition)
     partition.validate_for(chain, require_valleys=2)
-    pi = stationary(chain, tol)
-    model = coarse_rates(chain, pi, partition, args.theta, tol)
+    pi = stationary(chain)
+    model = coarse_rates(chain, pi, partition, args.theta)
     scales = model.timescales
-    conditions = check_conditions(chain, pi, partition, model, tol)
+    conditions = check_conditions(chain, pi, partition, model)
     report = _report_skeleton("analyze", args)
     report["stationary"] = _stationary_section(chain, pi, model)
     report["capacities"] = {
@@ -146,8 +144,7 @@ def _write_trajectory(path, fs_path):
 
 
 def cmd_simulate(args) -> int:
-    tol = default_tolerances()
-    chain, partition, _ = _load_input(args, tol)
+    chain, partition, _ = _load_input(args)
     if args.surgery not in _SURGERIES:
         raise InputError(f"--surgery must be one of {_SURGERIES}")
     if args.start is None:
@@ -167,7 +164,7 @@ def cmd_simulate(args) -> int:
     files = []
     total_time = 0.0
     for trial in range(args.trials):
-        raw = simulate(chain, args.start, args.horizon, (args.seed, trial), tol)
+        raw = simulate(chain, args.start, args.horizon, (args.seed, trial))
         if args.surgery == "none":
             out_path = raw
         elif args.surgery == "trace":
@@ -209,7 +206,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    tol = default_tolerances()
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
     if not (math.isfinite(args.delta) and args.delta > 0):
@@ -217,11 +213,11 @@ def cmd_validate(args) -> int:
     grid = [float(x) for x in args.grid.split(",")] if args.grid else [0.5, 1.0, 2.0]
     if not all(map(math.isfinite, grid)):
         raise InputError(f"--grid entries must be finite, got {args.grid!r}")
-    chain, partition, _ = _load_input(args, tol)
+    chain, partition, _ = _load_input(args)
     partition = _require_partition(partition)
     partition.validate_for(chain, require_valleys=2)
-    pi = stationary(chain, tol)
-    model = coarse_rates(chain, pi, partition, args.theta, tol)
+    pi = stationary(chain)
+    model = coarse_rates(chain, pi, partition, args.theta)
     theta = model.theta
     label_map = partition.label_map()
     if args.start:
@@ -233,11 +229,11 @@ def cmd_validate(args) -> int:
     else:
         start = partition.reference_states(chain, pi)[0]
     fdd = fdd_compare(chain, partition, model, grid, args.trials, args.seed,
-                      start, jobs=args.jobs, tol=tol)
+                      start, jobs=args.jobs)
     t2 = estimate_T2(chain, partition, theta, max(grid), args.trials,
-                     args.seed, jobs=args.jobs, pi=pi, tol=tol)
+                     args.seed, jobs=args.jobs, pi=pi)
     est91 = estimate_91(chain, partition, theta, args.delta, args.trials,
-                        args.seed, jobs=args.jobs, pi=pi, tol=tol)
+                        args.seed, jobs=args.jobs, pi=pi)
     report = _report_skeleton("validate", args, seed=args.seed)
     report["validation"] = {
         "theta": theta,
@@ -279,10 +275,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    tol = default_tolerances()
-    chain, _, _ = _load_input(args, tol)
-    pi = stationary(chain, tol)
-    dec = cycle_decompose(chain, pi, tol)
+    chain, _, _ = _load_input(args)
+    pi = stationary(chain)
+    dec = cycle_decompose(chain, pi)
     recon = dec.reconstructed_rates(chain)
     residual = float(np.abs((recon - chain.rates).toarray()).max())
     report = _report_skeleton("cycles", args)

@@ -2,8 +2,11 @@
 
 Every quantity in this package is a finite linear-algebra output, so a single
 relative scale covers most checks.  The few identities with tighter or looser
-contracts get their own knobs.  The environment variable ``METASTAB_TOL``
-overrides the base relative tolerance.
+contracts get their own knobs.  ``DEFAULT`` is the one tolerance object: each
+check reads its bound from ``config.DEFAULT`` when it runs, and no function
+takes a tolerance of its own.  The environment variable ``METASTAB_TOL`` is
+read once, at import, and rescales the base relative tolerance; replacing
+``config.DEFAULT`` changes every bound at once.
 """
 
 import os

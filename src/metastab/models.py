@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .chain import Chain, Partition, ProbVector, build_chain
-from .config import DEFAULT, ToleranceConfig
 from .errors import BadParams, BadSpec, TooLarge
 
 
@@ -33,7 +33,7 @@ class ModelSpec:
 # four glued cubes
 
 
-def _cube_state(k, coords, N, d):
+def _cube_state(k, coords, N):
     """Canonical label; the two gluing corners are shared between cubes."""
     if all(c == N for c in coords):
         return f"c{k}{(k + 1) % 4}"
@@ -42,7 +42,7 @@ def _cube_state(k, coords, N, d):
     return f"{k}:" + ",".join(str(c) for c in coords)
 
 
-def glued_cubes(d: int, N: int, ell: int, tol: ToleranceConfig = DEFAULT) -> ModelSpec:
+def glued_cubes(d: int, N: int, ell: int) -> ModelSpec:
     """Four d-cubes of side N glued corner-to-corner in a ring.
 
     Cube k meets cube k+1 (mod 4) in exactly one point: the all-N corner of
@@ -54,32 +54,31 @@ def glued_cubes(d: int, N: int, ell: int, tol: ToleranceConfig = DEFAULT) -> Mod
     """
     if d < 2 or N < 3 or not 1 <= ell < N / 2:
         raise BadParams(f"need d >= 2, N >= 3, 1 <= ell < N/2; got d={d}, N={N}, ell={ell}")
-    if 4 * (N ** d - 1) > tol.state_guard:
+    if 4 * (N ** d - 1) > config.DEFAULT.state_guard:
         raise TooLarge(f"glued cubes would have {4 * (N ** d - 1)} states")
     adjacency = {}
     for k in range(4):
         for coords in itertools.product(range(1, N + 1), repeat=d):
-            s = _cube_state(k, coords, N, d)
+            s = _cube_state(k, coords, N)
             nbrs = adjacency.setdefault(s, set())
             for axis in range(d):
                 for step in (-1, 1):
                     c = coords[axis] + step
                     if 1 <= c <= N:
-                        nbrs.add(_cube_state(
-                            k, coords[:axis] + (c,) + coords[axis + 1:], N, d))
+                        nbrs.add(_cube_state(k, coords[:axis] + (c,) + coords[axis + 1:], N))
     states = sorted(adjacency)
     triples = []
     for s in states:
         deg = len(adjacency[s])
         for t in sorted(adjacency[s]):
             triples.append((s, t, 1.0 / deg))
-    chain = build_chain(states, triples, tol)
+    chain = build_chain(states, triples)
     degrees = np.array([len(adjacency[s]) for s in chain.states], dtype=float)
     pi_formula = ProbVector(degrees / degrees.sum())
     valleys = []
     for k in range(4):
         core = frozenset(
-            _cube_state(k, coords, N, d)
+            _cube_state(k, coords, N)
             for coords in itertools.product(range(ell + 1, N - ell + 1), repeat=d))
         valleys.append(core)
     union = set().union(*valleys)
@@ -105,7 +104,7 @@ def glued_cubes_rotation(spec: ModelSpec) -> dict:
     out = {}
     for k in range(4):
         for coords in itertools.product(range(1, N + 1), repeat=d):
-            out[_cube_state(k, coords, N, d)] = _cube_state((k + 1) % 4, coords, N, d)
+            out[_cube_state(k, coords, N)] = _cube_state((k + 1) % 4, coords, N)
     return out
 
 
@@ -161,8 +160,7 @@ class ZeroRangeImplicit:
         return targets, np.array(rates)
 
 
-def zero_range(L: int, N: int, alpha: float, p: float, ell: int = None,
-               tol: ToleranceConfig = DEFAULT) -> ModelSpec:
+def zero_range(L: int, N: int, alpha: float, p: float, ell: int = None) -> ModelSpec:
     """Nearest-neighbor zero-range process on the L-torus with N particles.
 
     A particle leaves a site holding n of them at rate g(n) (g(1) = 1,
@@ -180,7 +178,7 @@ def zero_range(L: int, N: int, alpha: float, p: float, ell: int = None,
     if not 1 <= ell < N / 2:
         raise BadParams(f"need 1 <= ell < N/2, got ell={ell}")
     count = math.comb(N + L - 1, L - 1)
-    if count > tol.state_guard:
+    if count > config.DEFAULT.state_guard:
         raise TooLarge(f"zero range would have {count} states")
     configs = []
     for cuts in itertools.combinations(range(N + L - 1), L - 1):
@@ -202,7 +200,7 @@ def zero_range(L: int, N: int, alpha: float, p: float, ell: int = None,
             combined[t] = combined.get(t, 0.0) + float(r)
         for t in sorted(combined):
             triples.append((s, t, combined[t]))
-    chain = build_chain(states, triples, tol)
+    chain = build_chain(states, triples)
     log_w = np.array([-alpha * sum(math.log(c) for c in _zr_parse(s) if c > 1)
                       for s in chain.states])
     w = np.exp(log_w - log_w.max())
@@ -231,8 +229,7 @@ def _grid_label(coords):
     return "(" + ",".join(f"{c:.8g}" for c in coords) + ")"
 
 
-def potential_rw(axes, potential, N: float, eps: float = None,
-                 tol: ToleranceConfig = DEFAULT) -> ModelSpec:
+def potential_rw(axes, potential, N: float, eps: float = None) -> ModelSpec:
     """Lattice walk with rates exp(-(N/2) [F(y) - F(x)]) between neighbors.
 
     ``axes`` is one or two 1-D coordinate arrays; ``potential`` maps a point
@@ -278,7 +275,7 @@ def potential_rw(axes, potential, N: float, eps: float = None,
             rate = math.exp(-0.5 * N * (fvals[nb] - fvals[idx]))
             triples.append((labels[idx], labels[nb], rate))
     states = [labels[idx] for idx in sorted(points)]
-    chain = build_chain(states, triples, tol)
+    chain = build_chain(states, triples)
     logw = np.array([-N * fvals[idx] for idx in sorted(points)])
     w = np.exp(logw - logw.max())
     pi_formula = ProbVector(w / w.sum())
@@ -364,7 +361,7 @@ _NAMED_POTENTIALS = {
 }
 
 
-def build_from_string(text: str, tol: ToleranceConfig = DEFAULT) -> ModelSpec:
+def build_from_string(text: str) -> ModelSpec:
     """Parse model strings like ``glued_cubes:d=2,N=8,ell=2``."""
     if ":" not in text:
         raise BadSpec(f"model string {text!r} needs the form family:key=value,...")
@@ -390,11 +387,11 @@ def build_from_string(text: str, tol: ToleranceConfig = DEFAULT) -> ModelSpec:
         return default
 
     if family == "glued_cubes":
-        spec = glued_cubes(grab("d", int), grab("N", int), grab("ell", int), tol)
+        spec = glued_cubes(grab("d", int), grab("N", int), grab("ell", int))
     elif family == "zero_range":
         ell = int(kv.pop("ell")) if "ell" in kv else None
         spec = zero_range(grab("L", int), grab("N", int), grab("alpha", float),
-                          grab("p", float), ell, tol)
+                          grab("p", float), ell)
     elif family == "potential_rw":
         name = grab("potential", str, "double_well")
         if name not in _NAMED_POTENTIALS:
@@ -405,7 +402,7 @@ def build_from_string(text: str, tol: ToleranceConfig = DEFAULT) -> ModelSpec:
         n_scale = grab("N", float)
         eps = float(kv.pop("eps")) if "eps" in kv else None
         spec = potential_rw([np.linspace(lo, hi, points)],
-                            _NAMED_POTENTIALS[name], n_scale, eps, tol)
+                            _NAMED_POTENTIALS[name], n_scale, eps)
     else:
         raise BadSpec(f"unknown model family {family!r}")
     if kv:

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import Chain, Partition, ProbVector, stationary
-from .config import DEFAULT, ToleranceConfig
 from .errors import (
     BadPartition,
     BadSpec,
@@ -79,9 +78,6 @@ class Path:
         yield t, self.horizon, s
 
 
-CoarsePath = Path
-
-
 def _build_path(initial, events, horizon):
     """Assemble a Path, merging consecutive equal states and zero-length dust."""
     cleaned = []
@@ -117,6 +113,12 @@ def _trajectory(tables, start, horizon, rng):
         states.append(state)
 
 
+def _table_row(mean_holding, targets, rates):
+    """One state's sampling table; its cumulative probabilities end at exactly 1."""
+    cum = np.cumsum(rates)
+    return mean_holding, targets, (cum / cum[-1]).tolist()
+
+
 def _chain_tables(chain: Chain):
     """Sampling tables of a Chain by dense index, built once and cached on it."""
     tables = chain.__dict__.get("_jump_tables")
@@ -125,9 +127,8 @@ def _chain_tables(chain: Chain):
         tables = []
         for i, mean_holding in enumerate((1.0 / chain.holding).tolist()):
             sl = slice(rates.indptr[i], rates.indptr[i + 1])
-            w = rates.data[sl]
-            tables.append((mean_holding, rates.indices[sl].tolist(),
-                           (np.cumsum(w) / w.sum()).tolist()))
+            tables.append(_table_row(mean_holding, rates.indices[sl].tolist(),
+                                     rates.data[sl]))
         chain.__dict__["_jump_tables"] = tables
     return tables
 
@@ -140,10 +141,8 @@ class _ImplicitTables(dict):
         self.model = model
 
     def __missing__(self, state):
-        targets, rates = self.model.jump_targets(state)
-        cum = np.cumsum(rates)
-        entry = self[state] = (1.0 / self.model.holding_rate(state), targets,
-                               (cum / cum[-1]).tolist())
+        entry = self[state] = _table_row(1.0 / self.model.holding_rate(state),
+                                         *self.model.jump_targets(state))
         return entry
 
 
@@ -158,7 +157,7 @@ def _start_index(chain, start):
     raise BadSpec(f"unknown start state {start!r}")
 
 
-def simulate(chain, start, horizon, seed, tol: ToleranceConfig = DEFAULT) -> Path:
+def simulate(chain, start, horizon, seed) -> Path:
     """Sample one trajectory: exponential holding, jumps by normalized rates.
 
     ``chain`` is either a Chain or an implicit model exposing
@@ -529,28 +528,34 @@ class T2Estimate(NamedTuple):
 
 def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float,
                 trials: int, seed: int, starts=None, escape_delta=None,
-                jobs: int = 1, pi: ProbVector = None,
-                tol: ToleranceConfig = DEFAULT) -> T2Estimate:
+                jobs: int = 1, pi: ProbVector = None) -> T2Estimate:
     """Mean time spent in the separating set on [0, horizon], rescaled time.
 
     Each trajectory runs for horizon * theta units of chain time; the mean of
     occupation(delta)/theta is reported per starting valley with its standard
     error, plus the worst mean.  With ``escape_delta`` set, the empirical
     probability of leaving the starting valley by that (rescaled) time is
-    recorded as well.
+    recorded as well.  Each start must lie in a valley, which its estimate
+    reports; the k-th start (from 1) draws its trials from seed + 1000 k.
     """
     partition.validate_for(chain, require_valleys=2)
     if starts is None:
-        pi = pi or stationary(chain, tol)
+        pi = pi or stationary(chain)
         starts = partition.reference_states(chain, pi)
-    if not partition.delta and escape_delta is None:
-        per = tuple(ValleyEstimate(j + 1, s, 0.0, 0.0, None)
-                    for j, s in enumerate(starts))
-        return T2Estimate(per, 0.0, horizon, trials)
     label_map = partition.label_map()
+    valleys = []
+    for start in starts:
+        if start not in label_map:
+            raise BadSpec(f"unknown start state {start!r}")
+        if label_map[start] == 0:
+            raise BadPartition(f"start state {start!r} must lie in a valley")
+        valleys.append(label_map[start])
+    if not partition.delta and escape_delta is None:
+        per = tuple(ValleyEstimate(v, s, 0.0, 0.0, None) for v, s in zip(valleys, starts))
+        return T2Estimate(per, 0.0, horizon, trials)
     results = []
-    for j, start in enumerate(starts, start=1):
-        escape = () if escape_delta is None else partition.others(label_map[start])
+    for j, (valley, start) in enumerate(zip(valleys, starts), start=1):
+        escape = () if escape_delta is None else partition.others(valley)
         rows = _run_trials(chain, start, horizon * theta, seed + 1000 * j, trials,
                            jobs, occupied=partition.delta, escape=escape)
         occ = np.array([r[1] / theta for r in rows])
@@ -560,7 +565,7 @@ def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float
         if escape_delta is not None:
             cut = escape_delta * theta
             esc = float(np.mean([1.0 if r[2] <= cut else 0.0 for r in rows]))
-        results.append(ValleyEstimate(j, start, mean, stderr, esc))
+        results.append(ValleyEstimate(valley, start, mean, stderr, esc))
     worst = max(r.mean for r in results)
     return T2Estimate(tuple(results), worst, horizon, trials)
 
@@ -575,8 +580,7 @@ class Estimate91(NamedTuple):
 
 def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
                 trials: int, seed: int, starts=None, grid_points: int = 16,
-                jobs: int = 1, pi: ProbVector = None,
-                tol: ToleranceConfig = DEFAULT) -> Estimate91:
+                jobs: int = 1, pi: ProbVector = None) -> Estimate91:
     """Monte-Carlo sup over s in [delta, 2 delta] of P[state at s*theta in Delta].
 
     The sup over the continuum is approximated on a uniform grid of
@@ -587,7 +591,7 @@ def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
     if delta <= 0:
         raise BadSpec("delta must be positive")
     if starts is None:
-        pi = pi or stationary(chain, tol)
+        pi = pi or stationary(chain)
         starts = partition.reference_states(chain, pi)
     grid = tuple(np.linspace(delta, 2.0 * delta, grid_points))
     if not partition.delta:
@@ -627,8 +631,7 @@ class FddReport(NamedTuple):
 
 
 def fdd_compare(chain: Chain, partition: Partition, reduced: ReducedModel,
-                time_grid, trials: int, seed: int, start, jobs: int = 1,
-                tol: ToleranceConfig = DEFAULT) -> FddReport:
+                time_grid, trials: int, seed: int, start, jobs: int = 1) -> FddReport:
     """Empirical coarse marginals at rescaled times vs the reduced model.
 
     For each grid time t, the law of the projected state at chain time

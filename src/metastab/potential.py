@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import numerics
+from . import config, numerics
 from .chain import (
     Chain,
     ProbVector,
@@ -25,7 +25,6 @@ from .chain import (
     require_stationary,
     symmetric_part,
 )
-from .config import DEFAULT, ToleranceConfig
 from .errors import (
     BadSets,
     BadSpec,
@@ -173,14 +172,14 @@ def _check_sets(chain: Chain, A, B):
     return ia, ib
 
 
-def _harmonic_measure(chain: Chain, owner, tol: ToleranceConfig) -> np.ndarray:
+def _harmonic_measure(chain: Chain, owner) -> np.ndarray:
     """G[y, k] = P_y[enter the boundary in class k], the harmonic measure.
 
     ``owner[i]`` is the boundary class of state i, or -1 for a state off the
     boundary.  G is the class indicator on the boundary and, off it, one
     solve of the chain killed on reaching the boundary, with one right-hand
-    side per class.  Nothing is clipped: an entry below -``tol.rel`` or a row
-    that misses 1 by more than ``tol.rel`` is a ``SolverFailure``.
+    side per class.  Nothing is clipped: an entry below -``rel`` or a row that
+    misses 1 by more than ``rel`` is a ``SolverFailure``.
     """
     owner = np.asarray(owner)
     on = np.flatnonzero(owner >= 0)
@@ -190,7 +189,8 @@ def _harmonic_measure(chain: Chain, owner, tol: ToleranceConfig) -> np.ndarray:
     if len(off):
         H = numerics.solve_linear(chain.killed(off), chain.rates[off] @ G)
         row_dev = float(np.abs(H.sum(axis=1) - 1.0).max())
-        if H.min() < -tol.rel or row_dev > tol.rel:
+        rel = config.DEFAULT.rel
+        if H.min() < -rel or row_dev > rel:
             raise SolverFailure(
                 f"harmonic measure off the boundary ({len(off)} states) is not a "
                 f"probability: min {H.min():.3e}, worst row-sum deviation {row_dev:.3e}")
@@ -198,63 +198,59 @@ def _harmonic_measure(chain: Chain, owner, tol: ToleranceConfig) -> np.ndarray:
     return G
 
 
-def _two_set_measure(chain: Chain, ia, ib, tol: ToleranceConfig) -> np.ndarray:
+def _two_set_measure(chain: Chain, ia, ib) -> np.ndarray:
     """Columns P[hit A before B] and P[hit B before A]."""
     owner = np.full(chain.n, -1)
     owner[ia], owner[ib] = 0, 1
-    return _harmonic_measure(chain, owner, tol)
+    return _harmonic_measure(chain, owner)
 
 
 def hitting_probability(chain: Chain, A, B) -> np.ndarray:
     """h(i) = P_i[hit A before B]; h = 1 on A, 0 on B, harmonic elsewhere."""
     ia, ib = _check_sets(chain, A, B)
-    return _two_set_measure(chain, ia, ib, DEFAULT)[:, 0]
+    return _two_set_measure(chain, ia, ib)[:, 0]
 
 
-def equilibrium_potential(chain: Chain, pi: ProbVector, A, B,
-                          tol: ToleranceConfig = DEFAULT) -> PotentialSolution:
+def equilibrium_potential(chain: Chain, pi: ProbVector, A, B) -> PotentialSolution:
     """Solve the two-set boundary value problem and compute the capacity twice.
 
     One harmonic-measure solve gives h = P[hit A before B] and
     g = P[hit B before A].  The capacity is evaluated from its escape-rate
     definition through g and as the Dirichlet form of h; the two routes must
-    agree within ``tol.capacity_rel``.
+    agree within ``capacity_rel``.
     """
     ia, ib = _check_sets(chain, A, B)
-    G = _two_set_measure(chain, ia, ib, tol)
+    G = _two_set_measure(chain, ia, ib)
     h, g = G[:, 0], G[:, 1]
     cap_def = float(np.sum(pi.weights[ia] * (chain.rates[ia] @ g)))
-    dir_val = dirichlet_form(chain, pi, h, tol)
+    dir_val = dirichlet_form(chain, pi, h)
     scale = max(abs(cap_def), abs(dir_val), 1e-300)
-    if abs(cap_def - dir_val) > tol.capacity_rel * scale:
+    if abs(cap_def - dir_val) > config.DEFAULT.capacity_rel * scale:
         raise ToleranceViolation(
             f"capacity routes disagree: escape-rate {cap_def!r} vs Dirichlet {dir_val!r}"
         )
     interior = np.setdiff1d(np.arange(chain.n), np.concatenate([ia, ib]))
     if len(interior):
         residual = float(np.abs(apply_generator(chain, h)[interior]).max())
-        if residual > 1e-10 * max(chain.max_rate, 1.0):
+        if residual > config.DEFAULT.rel * max(chain.max_rate, 1.0):
             raise SolverFailure(f"harmonicity residual {residual:.3e} too large")
     return PotentialSolution(h, frozenset(A), frozenset(B), cap_def, dir_val)
 
 
-def capacity(chain: Chain, pi: ProbVector, A, B,
-             tol: ToleranceConfig = DEFAULT) -> float:
-    return equilibrium_potential(chain, pi, A, B, tol).capacity
+def capacity(chain: Chain, pi: ProbVector, A, B) -> float:
+    return equilibrium_potential(chain, pi, A, B).capacity
 
 
-def capacity_via_adjoint(chain: Chain, pi: ProbVector, A, B,
-                         tol: ToleranceConfig = DEFAULT) -> float:
+def capacity_via_adjoint(chain: Chain, pi: ProbVector, A, B) -> float:
     """Cap*(B, A) on the time-reversed chain; equals Cap(A, B)."""
-    return capacity(adjoint(chain, pi, tol), pi, B, A, tol)
+    return capacity(adjoint(chain, pi), pi, B, A)
 
 
-def symmetric_capacity(chain: Chain, pi: ProbVector, A, B,
-                       tol: ToleranceConfig = DEFAULT) -> float:
+def symmetric_capacity(chain: Chain, pi: ProbVector, A, B) -> float:
     """Capacity of the symmetrized chain; never exceeds Cap(A, B)."""
-    cap_s = capacity(symmetric_part(chain, pi, tol), pi, A, B, tol)
-    cap = capacity(chain, pi, A, B, tol)
-    if cap_s > cap + 1e-10 * max(cap, 1.0):
+    cap_s = capacity(symmetric_part(chain, pi), pi, A, B)
+    cap = capacity(chain, pi, A, B)
+    if cap_s > cap + config.DEFAULT.rel * max(cap, 1.0):
         raise ToleranceViolation(
             f"symmetric capacity {cap_s!r} exceeds capacity {cap!r}"
         )
@@ -288,8 +284,7 @@ def _require_flow_class(chain, flow, ia, ib, div_a, div_b, scale_hint=None):
         raise NotAdmissible(f"flow divergence on the sink set must be {div_b}")
 
 
-def dirichlet_upper_bound(chain: Chain, pi: ProbVector, A, B, f, phi: Flow,
-                          tol: ToleranceConfig = DEFAULT) -> float:
+def dirichlet_upper_bound(chain: Chain, pi: ProbVector, A, B, f, phi: Flow) -> float:
     """||Phi_f - phi||^2 over admissible (f, phi); an upper bound for Cap(A, B).
 
     f must be 1 on A and 0 on B; phi must be divergence-free off A u B with
@@ -302,8 +297,7 @@ def dirichlet_upper_bound(chain: Chain, pi: ProbVector, A, B, f, phi: Flow,
     return flow_norm2(flow_phi(phi.edges, f) - phi)
 
 
-def thomson_lower_bound(chain: Chain, pi: ProbVector, A, B, psi: Flow, g,
-                        tol: ToleranceConfig = DEFAULT) -> float:
+def thomson_lower_bound(chain: Chain, pi: ProbVector, A, B, psi: Flow, g) -> float:
     """1 / ||Phi_g - psi||^2 over admissible (psi, g); a lower bound for Cap.
 
     psi must be a unit flow from A to B; g must vanish on A u B.
@@ -317,22 +311,20 @@ def thomson_lower_bound(chain: Chain, pi: ProbVector, A, B, psi: Flow, g,
     return 1.0 / denom
 
 
-def dirichlet_optimal_pair(chain: Chain, pi: ProbVector, A, B,
-                           tol: ToleranceConfig = DEFAULT):
+def dirichlet_optimal_pair(chain: Chain, pi: ProbVector, A, B):
     """The optimizers f = (h + h*) / 2 and phi = (Phi_{h*} - Phi*_h) / 2."""
     h = hitting_probability(chain, A, B)
-    h_star = hitting_probability(adjoint(chain, pi, tol), A, B)
+    h_star = hitting_probability(adjoint(chain, pi), A, B)
     edges = edge_set(chain, pi)
     f = 0.5 * (h + h_star)
     phi = 0.5 * (flow_phi(edges, h_star) - flow_phi_star(edges, h))
     return f, phi
 
 
-def thomson_optimal_pair(chain: Chain, pi: ProbVector, A, B,
-                         tol: ToleranceConfig = DEFAULT):
+def thomson_optimal_pair(chain: Chain, pi: ProbVector, A, B):
     """The optimizers psi = (Phi_{h*} + Phi*_h) / (2 Cap), g = (h* - h) / (2 Cap)."""
-    sol = equilibrium_potential(chain, pi, A, B, tol)
-    h_star = hitting_probability(adjoint(chain, pi, tol), A, B)
+    sol = equilibrium_potential(chain, pi, A, B)
+    h_star = hitting_probability(adjoint(chain, pi), A, B)
     edges = edge_set(chain, pi)
     cap = sol.capacity
     psi = (0.5 / cap) * (flow_phi(edges, h_star) + flow_phi_star(edges, sol.h))
@@ -340,8 +332,7 @@ def thomson_optimal_pair(chain: Chain, pi: ProbVector, A, B,
     return psi, g
 
 
-def thomson_function_bound(chain: Chain, pi: ProbVector, A, B, f, eps=None,
-                           tol: ToleranceConfig = DEFAULT) -> float:
+def thomson_function_bound(chain: Chain, pi: ProbVector, A, B, f, eps=None) -> float:
     """Function-form Thomson lower bound for reversible chains.
 
     When f is harmonic off A u B the strict value
@@ -355,7 +346,7 @@ def thomson_function_bound(chain: Chain, pi: ProbVector, A, B, f, eps=None,
     ia, ib = _check_sets(chain, A, B)
     f = np.asarray(f, dtype=float)
     lf = apply_generator(chain, f)
-    den = dirichlet_form(chain, pi, f, tol)
+    den = dirichlet_form(chain, pi, f)
     if den <= 0:
         raise NotAdmissible("test function must be nonconstant")
     interior = np.setdiff1d(np.arange(chain.n), np.concatenate([ia, ib]))
@@ -375,8 +366,7 @@ def thomson_function_bound(chain: Chain, pi: ProbVector, A, B, f, eps=None,
     return ((1.0 - eps) * num_a ** 2 - slack ** 2 / eps) / den
 
 
-def dirichlet_II(chain: Chain, pi: ProbVector, A, B, f,
-                 tol: ToleranceConfig = DEFAULT) -> float:
+def dirichlet_II(chain: Chain, pi: ProbVector, A, B, f) -> float:
     """Function-only Dirichlet principle: evaluate the inner supremum exactly.
 
     For f equal to 1 on A and 0 on B, computes
@@ -414,8 +404,7 @@ def dirichlet_II(chain: Chain, pi: ProbVector, A, B, f,
 # Poisson equation and sector condition
 
 
-def poisson_solve(chain: Chain, pi: ProbVector, g, theta: float,
-                  tol: ToleranceConfig = DEFAULT) -> np.ndarray:
+def poisson_solve(chain: Chain, pi: ProbVector, g, theta: float) -> np.ndarray:
     """Solve theta L f = g with E_pi[f] = 0; g must have zero pi-mean."""
     if not (np.isfinite(theta) and theta > 0):
         raise BadSpec(f"theta must be finite and positive, got {theta!r}")
@@ -433,7 +422,7 @@ def poisson_solve(chain: Chain, pi: ProbVector, g, theta: float,
     f = sol[:n]
     f = f - float(np.sum(pi.weights * f))
     residual = float(np.abs(theta * apply_generator(chain, f) - g).max())
-    if residual > 1e-10 * max(1.0, float(np.abs(g).max())):
+    if residual > config.DEFAULT.rel * max(1.0, float(np.abs(g).max())):
         raise SolverFailure(f"Poisson residual {residual:.3e} too large")
     return f
 
@@ -444,15 +433,14 @@ class SectorRatio(NamedTuple):
     samples: int
 
 
-def sector_ratio(chain: Chain, pi: ProbVector, sample_count: int, seed: int = 0,
-                 tol: ToleranceConfig = DEFAULT) -> SectorRatio:
+def sector_ratio(chain: Chain, pi: ProbVector, sample_count: int, seed: int = 0) -> SectorRatio:
     """Randomized lower estimate of the sector constant.
 
     Samples pairs (f, g) and maximizes <L f, g>_pi^2 / (D(f) D(g)).  This is
     a lower bound on the true sector constant (a generalized eigenproblem,
     not attempted); the chain-size bound 2 n is reported for context.
     """
-    require_stationary(chain, pi, tol)
+    require_stationary(chain, pi)
     rng = np.random.default_rng(seed)
     best = 0.0
     w = pi.weights
@@ -461,8 +449,8 @@ def sector_ratio(chain: Chain, pi: ProbVector, sample_count: int, seed: int = 0,
         g = rng.standard_normal(chain.n)
         f -= float(np.sum(w * f))
         g -= float(np.sum(w * g))
-        df = dirichlet_form(chain, pi, f, tol)
-        dg = dirichlet_form(chain, pi, g, tol)
+        df = dirichlet_form(chain, pi, f)
+        dg = dirichlet_form(chain, pi, g)
         if df <= 0 or dg <= 0:
             continue
         num = float(np.sum(w * apply_generator(chain, f) * g)) ** 2

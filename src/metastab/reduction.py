@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from . import numerics
+from . import config, numerics
 from .chain import (
     Chain,
     Partition,
@@ -22,7 +22,6 @@ from .chain import (
     spectral_gap,
     stationary,
 )
-from .config import DEFAULT, ToleranceConfig
 from .errors import (
     BadPartition,
     BadSpec,
@@ -37,8 +36,7 @@ from .potential import _harmonic_measure, capacity
 from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
 
 
-def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition,
-                 tol: ToleranceConfig = DEFAULT):
+def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition):
     """One factorization of -L on Delta gives every valley-to-valley flux.
 
     G[y, k] = P_y[enter F in valley k+1] is the harmonic measure of the
@@ -52,13 +50,13 @@ def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition,
     labels = partition.label_map()
     owner = np.array([labels[s] - 1 for s in chain.states])
     f = np.flatnonzero(owner >= 0)
-    G = _harmonic_measure(chain, owner, tol)
+    G = _harmonic_measure(chain, owner)
     flux = G[f].T @ (pi.weights[f, np.newaxis] * (chain.rates[f] @ G))
     escape = flux - np.diag(np.diag(flux))
     outflow, inflow = escape.sum(axis=1), escape.sum(axis=0)
     reldev = np.abs(outflow - inflow) / np.maximum(outflow, inflow)
     worst = int(np.argmax(reldev))
-    if reldev[worst] > tol.capacity_rel:
+    if reldev[worst] > config.DEFAULT.capacity_rel:
         raise ToleranceViolation(
             f"valley {worst + 1}: escape flux out {outflow[worst]:.10e} and in "
             f"{inflow[worst]:.10e} of the trace process differ by "
@@ -116,7 +114,7 @@ class ReducedModel:
 
 
 def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
-                 theta: float | None = None, tol: ToleranceConfig = DEFAULT) -> ReducedModel:
+                 theta: float | None = None) -> ReducedModel:
     """The reduced model, from one run of the valley-flux kernel.
 
     Cap_j is valley j's escape flux and theta_j = pi(valley j) / Cap_j;
@@ -127,7 +125,7 @@ def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
     """
     if theta is not None and not (np.isfinite(theta) and theta > 0):
         raise BadSpec(f"theta must be finite and positive, got {theta!r}")
-    flux, caps = _valley_flux(chain, pi, partition, tol)
+    flux, caps = _valley_flux(chain, pi, partition)
     masses = np.array([pi.mass(chain.indices_of(v)) for v in partition.valleys])
     if theta is None:
         theta = (masses / caps).min()
@@ -147,39 +145,32 @@ class TimescaleProfile(NamedTuple):
     spread: float        # max/min ratio; well above 1 flags multiple scales
 
 
-def timescales(chain: Chain, pi: ProbVector, partition: Partition,
-               tol: ToleranceConfig = DEFAULT) -> TimescaleProfile:
+def timescales(chain: Chain, pi: ProbVector, partition: Partition) -> TimescaleProfile:
     """pi(valley j) / Cap(valley j, union of the others), read off ``coarse_rates``."""
-    vals = coarse_rates(chain, pi, partition, tol=tol).timescales
+    vals = coarse_rates(chain, pi, partition).timescales
     return TimescaleProfile(vals, float(vals.max() / vals.min()))
 
 
-def jump_probabilities(chain: Chain, pi: ProbVector, partition: Partition, j: int,
-                       tol: ToleranceConfig = DEFAULT) -> dict:
+def jump_probabilities(chain: Chain, pi: ProbVector, partition: Partition, j: int) -> dict:
     """p(j, k) = P[from the collapsed valley j, hit valley k first].
 
     That is the share of valley j's escape flux that lands in valley k,
     r(j, k) / lambda(j), read off ``coarse_rates``.
     """
     partition.valley(j)  # rejects an out-of-range j
-    row = coarse_rates(chain, pi, partition, tol=tol).jump_probabilities[j - 1]
+    row = coarse_rates(chain, pi, partition).jump_probabilities[j - 1]
     return {k: float(row[k - 1]) for k in range(1, partition.n + 1) if k != j}
 
 
 def symmetrized_rate_via_capacities(chain: Chain, pi: ProbVector,
                                     partition: Partition, theta: float,
-                                    j: int, k: int,
-                                    tol: ToleranceConfig = DEFAULT) -> float:
+                                    j: int, k: int) -> float:
     """Reversible-case cross-check for pi(valley j) r(j, k) via three capacities."""
-    cap_j = capacity(chain, pi, sorted(partition.valley(j)),
-                     sorted(partition.others(j)), tol)
-    cap_k = capacity(chain, pi, sorted(partition.valley(k)),
-                     sorted(partition.others(k)), tol)
+    cap_j = capacity(chain, pi, sorted(partition.valley(j)), sorted(partition.others(j)))
+    cap_k = capacity(chain, pi, sorted(partition.valley(k)), sorted(partition.others(k)))
     rest = sorted(partition.others(j) - partition.valley(k))
     if rest:
-        cap_jk = capacity(chain, pi,
-                          sorted(partition.valley(j) | partition.valley(k)),
-                          rest, tol)
+        cap_jk = capacity(chain, pi, sorted(partition.valley(j) | partition.valley(k)), rest)
     else:
         cap_jk = 0.0
     mass = pi.mass(chain.indices_of(partition.valley(j)))
@@ -216,8 +207,7 @@ class ConditionReport:
         }
 
 
-def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int,
-                      tol: ToleranceConfig, where: str) -> np.ndarray:
+def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int, where: str) -> np.ndarray:
     """Cap(x, ref) for every state x in ``idx`` other than ``ref``, from one solve.
 
     G = K^{-1}, with K = ``chain.killed`` on S minus {ref}, is the Green
@@ -229,7 +219,7 @@ def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int,
     as in ``equilibrium_potential``: an escape probability above 1 is a solver
     failure, h_x must be harmonic off {x, ref}, D(h_x) must pass the two-form
     check of ``dirichlet_form``, and pi(x) / G(x, x) and D(h_x) must agree
-    within ``tol.capacity_rel``.  A failed check raises ``SolverFailure`` or
+    within ``capacity_rel``.  A failed check raises ``SolverFailure`` or
     ``ToleranceViolation`` naming ``where`` and the state.
     """
     xs = idx[idx != ref]
@@ -244,7 +234,8 @@ def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int,
     def state(k):
         return f"{where}, state {chain.states[xs[k]]!r}"
 
-    bad = np.flatnonzero(~np.isfinite(green) | (chain.holding[xs] * green < 1.0 - tol.rel))
+    rel = config.DEFAULT.rel
+    bad = np.flatnonzero(~np.isfinite(green) | (chain.holding[xs] * green < 1.0 - rel))
     if len(bad):
         k = int(bad[0])
         raise SolverFailure(
@@ -258,16 +249,16 @@ def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int,
     lh[ref] = 0.0
     residual = np.abs(lh).max(axis=0)
     k = int(np.argmax(residual))
-    if residual[k] > 1e-10 * max(chain.max_rate, 1.0):
+    if residual[k] > rel * max(chain.max_rate, 1.0):
         raise SolverFailure(f"{state(k)}: harmonicity residual {residual[k]:.3e} too large")
     try:
-        dirichlet = dirichlet_form(chain, pi, h, tol)
+        dirichlet = dirichlet_form(chain, pi, h)
     except NotStationary as exc:
         raise ToleranceViolation(f"{state(exc.column)}: {exc}") from exc
     caps = pi.weights[xs] / green
     reldev = np.abs(caps - dirichlet) / np.maximum(np.maximum(caps, dirichlet), 1e-300)
     k = int(np.argmax(reldev))
-    if reldev[k] > tol.capacity_rel:
+    if reldev[k] > config.DEFAULT.capacity_rel:
         raise ToleranceViolation(
             f"{state(k)}: capacity routes disagree: escape-rate {float(caps[k])!r} "
             f"vs Dirichlet {float(dirichlet[k])!r}")
@@ -275,8 +266,7 @@ def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int,
 
 
 def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
-                     model: ReducedModel,
-                     tol: ToleranceConfig = DEFAULT) -> ConditionReport:
+                     model: ReducedModel) -> ConditionReport:
     """Compute the metastability condition ratios for one chain and partition.
 
     Per valley: the worst ratio of the valley's escape capacity to the
@@ -307,7 +297,7 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
             cap_ratios.append(0.0)
             continue
         ref = refs[j - 1]
-        point = _point_capacities(chain, pi, ix, chain.index[ref], tol,
+        point = _point_capacities(chain, pi, ix, chain.index[ref],
                                   f"check_conditions: valley {j}, reference state {ref!r}")
         cap_ratios.append(float(caps[j - 1] / point.min()))
 
@@ -324,13 +314,13 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
             composite.append(0.0)
             continue
         try:
-            refl = reflected_chain(chain, sorted(partition.valley(j)), pi, tol)
+            refl = reflected_chain(chain, sorted(partition.valley(j)), pi)
         except NotIrreducibleAfterReflection:
             relax.append(None)
             composite.append(None)
             notes.append(f"valley {j}: reflection disconnects; relaxation entry unavailable")
             continue
-        gap = spectral_gap(refl, stationary(refl, tol), tol)
+        gap = spectral_gap(refl, stationary(refl))
         relax.append(gap.relaxation_time / theta)
         composite.append(imbalance * gap.relaxation_time / theta)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import numerics
+from . import config, numerics
 from .chain import (
     Chain,
     Partition,
@@ -21,7 +21,6 @@ from .chain import (
     require_stationary,
     stationarity_residual,
 )
-from .config import DEFAULT, ToleranceConfig
 from .errors import (
     BadPartition,
     BadSpec,
@@ -49,13 +48,12 @@ def _subset_indices(chain, F, what="subset"):
     return idx
 
 
-def trace_chain(chain: Chain, pi: ProbVector, F,
-                tol: ToleranceConfig = DEFAULT):
+def trace_chain(chain: Chain, pi: ProbVector, F):
     """Chain watched only on F, with its stationary law pi conditioned to F.
 
     Rates are R_F(a, b) = sum_y R(a, y) P_y[enter F at b], with the harmonic
     measure of F from one linear solve on the complement block.  A trace
-    rate below -``tol.rel`` times the max rate is a ``SolverFailure``;
+    rate below -``rel`` times the max rate is a ``SolverFailure``;
     negative rounding dust above that bound is a zero rate.  The conditioned
     measure is verified stationary for the result.
     """
@@ -66,10 +64,10 @@ def trace_chain(chain: Chain, pi: ProbVector, F,
         raise BadSubset("trace set must contain at least 2 states")
     owner = np.full(chain.n, -1)
     owner[idx] = np.arange(len(idx))
-    trace_rates = chain.rates[idx] @ _harmonic_measure(chain, owner, tol)
+    trace_rates = chain.rates[idx] @ _harmonic_measure(chain, owner)
     np.fill_diagonal(trace_rates, 0.0)
     worst = float(trace_rates.min())
-    if worst < -tol.rel * max(chain.max_rate, 1.0):
+    if worst < -config.DEFAULT.rel * max(chain.max_rate, 1.0):
         raise SolverFailure(f"trace chain has a negative rate {worst:.3e}")
     trace_rates[trace_rates < 0.0] = 0.0
     states = tuple(chain.states[i] for i in idx)
@@ -77,7 +75,7 @@ def trace_chain(chain: Chain, pi: ProbVector, F,
     w = pi.weights[idx]
     pi_f = ProbVector(w / w.sum())
     residual = stationarity_residual(traced, pi_f)
-    if residual > 1e-10 * max(traced.max_rate, 1.0):
+    if residual > config.DEFAULT.rel * max(traced.max_rate, 1.0):
         raise ToleranceViolation(
             f"conditioned measure is not stationary for the trace chain "
             f"(residual {residual:.3e})"
@@ -87,8 +85,7 @@ def trace_chain(chain: Chain, pi: ProbVector, F,
     return traced, pi_f
 
 
-def reflected_chain(chain: Chain, F, pi: ProbVector = None,
-                    tol: ToleranceConfig = DEFAULT) -> Chain:
+def reflected_chain(chain: Chain, F, pi: ProbVector = None) -> Chain:
     """Forbid all jumps between F and its complement; keep the F block.
 
     If ``pi`` is supplied and the base chain is reversible, the conditioned
@@ -115,8 +112,7 @@ def reflected_chain(chain: Chain, F, pi: ProbVector = None,
     return reflected
 
 
-def collapse_chain(chain: Chain, pi: ProbVector, A,
-                   tol: ToleranceConfig = DEFAULT):
+def collapse_chain(chain: Chain, pi: ProbVector, A):
     """Collapse the set A to a single state; rates out of it are pi-averaged.
 
     Returns the collapsed chain (extra state labelled ``@collapsed``) and its
@@ -139,7 +135,7 @@ def collapse_chain(chain: Chain, pi: ProbVector, A,
     collapsed = _chain_from_csr(states, rates)
     pic = ProbVector(np.concatenate([w[keep], [pa]]))
     residual = stationarity_residual(collapsed, pic)
-    if residual > 1e-10 * max(collapsed.max_rate, 1.0):
+    if residual > config.DEFAULT.rel * max(collapsed.max_rate, 1.0):
         raise ToleranceViolation(
             f"collapsed measure is not stationary (residual {residual:.3e})"
         )
@@ -159,14 +155,13 @@ def lift_from_collapsed(chain: Chain, A, f_collapsed, collapsed_chain: Chain):
 
 
 def collapsed_quadratic_identity_check(chain: Chain, pi: ProbVector, A,
-                                       trials: int, seed: int = 0,
-                                       tol: ToleranceConfig = DEFAULT) -> float:
+                                       trials: int, seed: int = 0) -> float:
     """Max deviation of <L^C f, g>_{pi^C} from <L F, G>_pi over random pairs.
 
     F, G are the lifts of f, g that are constant on A.  The two bilinear
     forms agree identically; the return value is floating-point dust.
     """
-    collapsed, pic = collapse_chain(chain, pi, A, tol)
+    collapsed, pic = collapse_chain(chain, pi, A)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -197,8 +192,7 @@ class EnlargedChain:
         return f"{label}{STAR_SUFFIX}"
 
 
-def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float,
-                  tol: ToleranceConfig = DEFAULT) -> EnlargedChain:
+def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float) -> EnlargedChain:
     """Attach a star copy of every state at rate 1/gamma.
 
     The stationary law of the enlarged chain halves pi onto each copy; it is
@@ -216,7 +210,7 @@ def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float,
     combined = _chain_from_csr(chain.states + star_labels, combined_rates)
     pi_star = ProbVector(np.concatenate([pi.weights, pi.weights]) * 0.5)
     residual = stationarity_residual(combined, pi_star)
-    if residual > 1e-10 * max(combined.max_rate, 1.0):
+    if residual > config.DEFAULT.rel * max(combined.max_rate, 1.0):
         raise ToleranceViolation(
             f"enlarged stationary law has residual {residual:.3e}"
         )
@@ -234,7 +228,7 @@ def _valley_indices(chain: Chain, partition: Partition):
 
 
 def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,
-                    partition: Partition, tol: ToleranceConfig = DEFAULT) -> np.ndarray:
+                    partition: Partition) -> np.ndarray:
     """Solve (I - gamma L) u = indicator(valley k) on a trace chain.
 
     The partition's valleys must cover the chain's states exactly.  The
@@ -258,16 +252,15 @@ def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,
 
 
 def resolvent_vs_enlarged_gap(chain: Chain, pi: ProbVector, gamma: float, k: int,
-                              partition: Partition,
-                              tol: ToleranceConfig = DEFAULT) -> float:
+                              partition: Partition) -> float:
     """Sup-norm gap between the resolvent solution and its stochastic twin.
 
     The twin is the equilibrium potential, for the gamma-enlargement, between
     the star copy of valley k and the star copies of the other valleys,
     restricted to the base states.
     """
-    u = resolvent_solve(chain, pi, gamma, k, partition, tol)
-    enlarged = enlarge_chain(chain, pi, gamma, tol)
+    u = resolvent_solve(chain, pi, gamma, k, partition)
+    enlarged = enlarge_chain(chain, pi, gamma)
     target = sorted(partition.valley(k))
     others = sorted(partition.others(k))
     A = [enlarged.star(s) for s in target]
@@ -343,8 +336,7 @@ def _lex_min_cycle(adj, length, n):
     return None
 
 
-def cycle_decompose(chain: Chain, pi: ProbVector,
-                    tol: ToleranceConfig = DEFAULT) -> CycleDecomposition:
+def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
     """Split the generator into cycle generators stationary for pi.
 
     Two-cycles are eliminated first, then three-cycles, and so on; each step
@@ -352,7 +344,7 @@ def cycle_decompose(chain: Chain, pi: ProbVector,
     cycle of the current minimal length, which zeroes at least one edge.
     Reversible chains decompose into 2-cycles only.
     """
-    require_stationary(chain, pi, tol)
+    require_stationary(chain, pi)
     w = pi.weights
     n = chain.n
     coo = chain.rates.tocoo()

@@ -1,10 +1,12 @@
 """Chain construction, stationary laws, generator calculus, spectral gaps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import metastab as ms
-from metastab import numerics
+from metastab import config, numerics
 from metastab.errors import (
     BadSpec,
     DuplicateEdge,
@@ -293,11 +295,11 @@ class TestSpectralGap:
             pi = ms.stationary(chain)
             assert ms.spectral_gap(chain, pi).gap == pytest.approx(m, rel=1e-11)
 
-    def test_guard(self, b2):
+    def test_guard(self, b2, monkeypatch):
         pi = ms.stationary(b2)
-        from metastab.config import ToleranceConfig
+        monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=1))
         with pytest.raises(TooLarge):
-            ms.spectral_gap(b2, pi, ToleranceConfig(spectral_guard=1))
+            ms.spectral_gap(b2, pi)
 
 
 class TestProbVector:
@@ -338,8 +340,7 @@ class TestPartitionHelpers:
 
 
 class TestStationaryFallback:
-    def test_spectral_guard_does_not_switch_stationary_solve(self, bd4):
-        from metastab.config import ToleranceConfig
-        tol = ToleranceConfig(spectral_guard=2)
-        pi = ms.stationary(bd4, tol)
+    def test_spectral_guard_does_not_switch_stationary_solve(self, bd4, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=2))
+        pi = ms.stationary(bd4)
         assert np.abs(pi.weights - 0.25).max() <= 1e-10

@@ -1,9 +1,12 @@
 """Model builders: geometry, stationary laws, default partitions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import metastab as ms
+from metastab import config
 from metastab.errors import BadParams, BadSpec, TooLarge
 from metastab.models import glued_cubes_rotation
 
@@ -87,10 +90,10 @@ class TestZeroRange:
         pi = ms.stationary(spec.chain)
         assert not ms.is_reversible(spec.chain, pi)
 
-    def test_guard(self):
-        from metastab.config import ToleranceConfig
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, state_guard=100))
         with pytest.raises(TooLarge):
-            ms.zero_range(3, 40, 3.0, 0.5, tol=ToleranceConfig(state_guard=100))
+            ms.zero_range(3, 40, 3.0, 0.5)
 
     def test_bad_params(self):
         with pytest.raises(BadParams):

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import metastab as ms
 from metastab import pathsim
-from metastab.errors import BadSpec, StartsInDelta, TouchesDelta
+from metastab.errors import BadPartition, BadSpec, StartsInDelta, TouchesDelta
 
 from conftest import random_chain, random_partition
 
@@ -303,6 +303,26 @@ class TestEstimateT2:
         b = ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=100, seed=5)
         assert a == b
 
+    def test_estimate_names_the_start_valley(self, bd3, bd3_partition):
+        est = ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=50, seed=5,
+                             starts=("3", "1"), escape_delta=0.5)
+        assert [(r.valley, r.start) for r in est.per_valley] == [(2, "3"), (1, "1")]
+        part = ms.Partition((frozenset({"1"}), frozenset({"2", "3"})))
+        est = ms.estimate_T2(bd3, part, 2.0, 1.0, trials=5, seed=5, starts=("3",))
+        assert est.per_valley[0].valley == 2
+
+    @pytest.mark.parametrize("escape_delta", [None, 0.5])
+    def test_unknown_start(self, bd3, bd3_partition, escape_delta):
+        with pytest.raises(BadSpec, match="unknown start"):
+            ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=10, seed=0,
+                           starts=("zz",), escape_delta=escape_delta)
+
+    @pytest.mark.parametrize("escape_delta", [None, 0.5])
+    def test_delta_start(self, bd3, bd3_partition, escape_delta):
+        with pytest.raises(BadPartition, match="must lie in a valley"):
+            ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=10, seed=0,
+                           starts=("2",), escape_delta=escape_delta)
+
 
 class TestEstimate91:
     def test_empty_delta(self, b2):
@@ -357,6 +377,39 @@ class TestFddCompare:
         c = ms.fdd_compare(bd3, bd3_partition, model, [0.5], 200, 7, "1",
                            jobs=2)
         assert a == b == c
+
+
+class _NearOneRng:
+    """A generator whose uniforms are all 1 - 2**-53 and whose holding times are their means."""
+
+    def __init__(self, seed):
+        pass
+
+    def exponential(self, scale):
+        return scale
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+
+class TestJumpTables:
+    CHAIN = "zero_range:L=4,N=8,alpha=3,p=0.7"
+
+    def test_rows_end_at_one(self):
+        spec = ms.build_from_string(self.CHAIN)
+        rows = pathsim._chain_tables(spec.chain)
+        assert len(rows) == 165
+        assert all(cumprob[-1] == 1.0 for _, _, cumprob in rows)
+        implicit = pathsim._ImplicitTables(spec.implicit)
+        assert all(implicit[s][2][-1] == 1.0 for s in spec.chain.states)
+
+    def test_uniform_near_one_picks_last_target(self, monkeypatch):
+        chain = ms.build_from_string(self.CHAIN).chain
+        rows = pathsim._chain_tables(chain)
+        monkeypatch.setattr(pathsim.np.random, "default_rng", _NearOneRng)
+        for i, start in enumerate(chain.states):
+            path = ms.simulate(chain, start, 1.5 * rows[i][0], seed=0)
+            assert path.events[0][1] == chain.states[rows[i][1][-1]]
 
 
 class TestTrialRecorder:

@@ -6,7 +6,6 @@ import scipy.sparse.linalg as spla
 
 import metastab as ms
 from metastab import numerics, potential, reduction
-from metastab.config import DEFAULT
 from metastab.errors import BadPartition, BadSpec, SolverFailure, ToleranceViolation
 from metastab.reduction import symmetrized_rate_via_capacities
 
@@ -131,8 +130,7 @@ def _reference_capacity_ratio(chain, pi, valley, ref, cap):
         return 0.0
     if chain.n > 600:
         ix = chain.indices_of(valley)
-        point = reduction._point_capacities(chain, pi, ix, chain.index[ref],
-                                            DEFAULT, "test")
+        point = reduction._point_capacities(chain, pi, ix, chain.index[ref], "test")
         xs = [chain.states[i] for i in ix if chain.states[i] != ref]
         for x in (xs[0], xs[len(xs) // 2], xs[-1]):
             assert point[xs.index(x)] == pytest.approx(

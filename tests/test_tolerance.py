@@ -1,0 +1,162 @@
+"""The one tolerance object: every check reads ``metastab.config.DEFAULT`` when it runs."""
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import metastab as ms
+from metastab import (
+    chain,
+    cli,
+    config,
+    models,
+    numerics,
+    pathsim,
+    potential,
+    reduction,
+    specio,
+    transforms,
+)
+from metastab.errors import NotStationary, SolverFailure, ToleranceViolation
+
+from conftest import birth_death
+
+
+def _off(pi, i, rel=1e-8):
+    """``pi`` with entry ``i`` off by ``rel`` relative, renormalized."""
+    w = pi.weights.copy()
+    w[i] *= 1.0 + rel
+    return ms.ProbVector(w / w.sum())
+
+
+def _perturb_solves(monkeypatch, perturb):
+    """Pass every ``numerics.solve_linear`` result through ``perturb``."""
+    solve = numerics.solve_linear
+    monkeypatch.setattr(numerics, "solve_linear", lambda a, b: perturb(solve(a, b)))
+
+
+def _dirichlet_form(monkeypatch):
+    bd4 = birth_death(4)
+    pi = _off(ms.stationary(bd4), 3)
+    return lambda: ms.dirichlet_form(bd4, pi, np.arange(4.0)), NotStationary, "D\\(f\\)"
+
+
+def _equilibrium_harmonicity(monkeypatch):
+    # h moves at state 3 only, so the escape-rate capacity (read at state 2)
+    # does not move and D(h) moves to second order
+    bd5 = birth_death(5)
+    pi = ms.stationary(bd5)
+
+    def perturb(H):
+        H = H.copy()
+        H[1] += [1e-8, -1e-8]
+        return H
+
+    _perturb_solves(monkeypatch, perturb)
+    return (lambda: ms.equilibrium_potential(bd5, pi, ["1"], ["5"]),
+            SolverFailure, "harmonicity")
+
+
+def _symmetric_capacity(monkeypatch):
+    bd4 = birth_death(4)
+    pi = ms.stationary(bd4)
+
+    # every rate of the symmetric part 1e-8 larger, so its capacity is too
+    def faster(ch, p):
+        return ms.build_chain(ch.states, [(a, b, r * (1.0 + 1e-8)) for a, b, r in ch.edges()])
+
+    monkeypatch.setattr(potential, "symmetric_part", faster)
+    return (lambda: ms.symmetric_capacity(bd4, pi, ["1"], ["4"]),
+            ToleranceViolation, "symmetric capacity")
+
+
+def _poisson_residual(monkeypatch):
+    bd4 = birth_death(4)
+    pi = ms.stationary(bd4)
+    _perturb_solves(monkeypatch, lambda x: x * (1.0 + 1e-8))
+    return (lambda: ms.poisson_solve(bd4, pi, [1.0, -1.0, 1.0, -1.0], 1.0),
+            SolverFailure, "Poisson residual")
+
+
+def _point_capacity_harmonicity(monkeypatch):
+    # the Green function's diagonal, hence every capacity, is left alone
+    bd5 = birth_death(5)
+    pi = ms.stationary(bd5)
+    _perturb_solves(monkeypatch, lambda X: X + 1e-8 * (1.0 - np.eye(*X.shape)))
+    return (lambda: reduction._point_capacities(bd5, pi, np.arange(5), 0, "test"),
+            SolverFailure, "harmonicity")
+
+
+def _trace_chain(monkeypatch):
+    bd4 = birth_death(4)
+    pi = _off(ms.stationary(bd4), 1)
+    return (lambda: ms.trace_chain(bd4, pi, ["1", "2", "3"]),
+            ToleranceViolation, "trace chain")
+
+
+def _collapse_chain(monkeypatch):
+    bd4 = birth_death(4)
+    pi = _off(ms.stationary(bd4), 3)
+    return (lambda: ms.collapse_chain(bd4, pi, ["1", "2"]),
+            ToleranceViolation, "collapsed measure")
+
+
+def _enlarge_chain(monkeypatch):
+    bd4 = birth_death(4)
+    pi = _off(ms.stationary(bd4), 3)
+    return lambda: ms.enlarge_chain(bd4, pi, 1.0), ToleranceViolation, "enlarged"
+
+
+# identity checks that compare with the base tolerance ``rel``: each case
+# misses its identity by about 1e-8 relative
+RELATIVE_CHECKS = {
+    "dirichlet_form": _dirichlet_form,
+    "equilibrium_potential": _equilibrium_harmonicity,
+    "symmetric_capacity": _symmetric_capacity,
+    "poisson_solve": _poisson_residual,
+    "point_capacities": _point_capacity_harmonicity,
+    "trace_chain": _trace_chain,
+    "collapse_chain": _collapse_chain,
+    "enlarge_chain": _enlarge_chain,
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELATIVE_CHECKS))
+def test_identity_bound_reads_package_tolerance(case, monkeypatch):
+    call, error, match = RELATIVE_CHECKS[case](monkeypatch)
+    with pytest.raises(error, match=match):
+        call()
+    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT.scaled(1e-6))
+    call()
+
+
+def test_env_tolerance_reaches_checks_from_import():
+    script = (
+        "import numpy as np, metastab as ms\n"
+        "steps = [('1', '2'), ('2', '3'), ('3', '4')]\n"
+        "bd4 = ms.build_chain('1234', [(a, b, 1.0) for x, y in steps"
+        " for a, b in ((x, y), (y, x))])\n"
+        "w = np.array([1.0, 1.0, 1.0, 1.0 + 1e-8])\n"
+        "ms.collapse_chain(bd4, ms.ProbVector(w / w.sum()), ['1', '2'])\n"
+        "print(ms.config.DEFAULT.rel)\n")
+    src = str(Path(ms.__file__).resolve().parent.parent)
+    env = dict(os.environ, METASTAB_TOL="1e-6", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert float(out.stdout) == 1e-6
+
+
+def test_no_function_takes_a_tolerance_object():
+    for module in (chain, cli, models, pathsim, potential, reduction, specio, transforms):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__:
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                assert param.name != "tol", f"{module.__name__}.{name}"
+                assert not isinstance(param.default, config.ToleranceConfig), \
+                    f"{module.__name__}.{name}"
