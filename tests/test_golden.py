@@ -20,6 +20,11 @@ SPECS = {
         "rates": [["1", "2", 1.0], ["2", "1", 1.0], ["2", "3", 1.0], ["3", "2", 1.0]],
         "partition": {"valleys": [["1"], ["3"]], "delta": ["2"]},
     },
+    "b2": {
+        "states": ["1", "2"],
+        "rates": [["1", "2", 2.0], ["2", "1", 3.0]],
+        "partition": {"valleys": [["1"], ["2"]], "delta": []},
+    },
     "c3": {
         "states": ["1", "2", "3"],
         "rates": [["1", "2", 1.0], ["2", "3", 1.0], ["3", "1", 1.0]],
@@ -34,6 +39,12 @@ CASES = {
     "c3_cycles.json": ("c3", ["cycles"]),
     "bd3_validate.json": ("bd3", ["validate", "--theta", "2", "--grid", "0.5,1",
                                   "--trials", "400", "--seed", "5", "--delta", "0.5"]),
+    "bd3_validate_start3.json": ("bd3", ["validate", "--theta", "2", "--grid", "0.5,1",
+                                         "--trials", "400", "--seed", "5", "--delta", "0.5",
+                                         "--start", "3"]),
+    "b2_analyze.json": ("b2", ["analyze"]),
+    "b2_validate.json": ("b2", ["validate", "--theta", "1", "--grid", "0.5,1",
+                                "--trials", "50", "--seed", "3"]),
 }
 
 
