@@ -183,7 +183,12 @@ class Partition:
                 out[s] = k
         return out
 
-    def validate_for(self, chain: Chain, require_valleys=1):
+    def validate_for(self, chain: Chain, require_valleys=1) -> np.ndarray:
+        """Check that the partition covers exactly the chain's states.
+
+        Returns the owner array: ``owner[i]`` is the valley (1..n) of dense
+        state i, and 0 means Delta.
+        """
         states = set(chain.states)
         covered = self.union() | self.delta
         if covered != states:
@@ -194,6 +199,10 @@ class Partition:
             raise BadPartition(f"partition references unknown states {sorted(extra)[:4]}")
         if self.n < require_valleys:
             raise BadPartition(f"need at least {require_valleys} valleys, got {self.n}")
+        owner = np.zeros(chain.n, dtype=int)
+        for k, v in enumerate(self.valleys, start=1):
+            owner[chain.indices_of(v)] = k
+        return owner
 
 
 def build_chain(states: Sequence, rate_triples) -> Chain:

@@ -219,15 +219,7 @@ def cmd_validate(args) -> int:
     pi = stationary(chain)
     model = coarse_rates(chain, pi, partition, args.theta)
     theta = model.theta
-    label_map = partition.label_map()
-    if args.start:
-        if args.start not in chain.index:
-            raise InputError(f"unknown start state {args.start!r}")
-        if label_map.get(args.start, 0) == 0:
-            raise InputError("--start must lie inside a valley")
-        start = args.start
-    else:
-        start = partition.reference_states(chain, pi)[0]
+    start = args.start or partition.reference_states(chain, pi)[0]
     fdd = fdd_compare(chain, partition, model, grid, args.trials, args.seed,
                       start, jobs=args.jobs)
     t2 = estimate_T2(chain, partition, theta, max(grid), args.trials,

@@ -477,7 +477,7 @@ def skorohod_distance(p1: Path, p2: Path, m_max: int = 8) -> float:
 
 
 def _record_trial(payload):
-    """One trial: states at ``times``, time in ``occupied``, first time in ``escape``.
+    """One trial: states at ``times``, time in Delta, first time in another valley.
 
     States are dense indices by ``state_at``'s rule and the occupation sums
     maximal runs left to right as ``occupation_time`` does, so both equal
@@ -496,19 +496,46 @@ def _record_trial(payload):
     return at_times, occupation, float(bounds[hits[0]]) if hits.size else math.inf
 
 
-def _run_trials(chain, start, horizon, seed, trials, jobs, times=(),
-                occupied=(), escape=()):
-    """Record trials k < ``trials`` from ``start``, trial k on the stream (seed, k)."""
+def _valley_of(chain, owner, start):
+    """The valley of ``start`` by ``Partition.validate_for``'s owner array."""
+    valley = int(owner[_start_index(chain, start)])
+    if valley == 0:
+        raise BadPartition(f"start state {start!r} must lie in a valley")
+    return valley
+
+
+def _run_trials(chain, owner, start, horizon, seed, trials, jobs, times=()):
+    """Record trials k < ``trials`` from ``start``, trial k on the stream (seed, k).
+
+    Delta and the valleys other than the start's are read off ``owner``.
+    """
     _check_horizon(horizon)
-    flags = [np.array([s in labels for s in chain.states]) for labels in (occupied, escape)]
-    shared = (_chain_tables(chain), _start_index(chain, start), horizon,
-              np.asarray(times, dtype=float), *flags)
+    if trials < 1:
+        raise BadSpec(f"trials must be at least 1, got {trials!r}")
+    start_idx = _start_index(chain, start)
+    shared = (_chain_tables(chain), start_idx, horizon, np.asarray(times, dtype=float),
+              owner == 0, (owner != 0) & (owner != owner[start_idx]))
     payloads = [shared + ((seed, k),) for k in range(trials)]
     if jobs <= 1:
         return [_record_trial(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_record_trial, payloads,
                              chunksize=max(1, trials // (4 * jobs))))
+
+
+def _trials_by_start(chain, partition, owner, starts, pi, horizon, seed, trials,
+                     jobs, times=()):
+    """(start, valley, trial records) for each start, all starts checked first.
+
+    ``starts`` defaults to the partition's reference states; the k-th start
+    (from 1) draws its trials from the seed offset by 1000 k.
+    """
+    if starts is None:
+        starts = partition.reference_states(chain, pi or stationary(chain))
+    valleys = [_valley_of(chain, owner, start) for start in starts]
+    return [(start, valley,
+             _run_trials(chain, owner, start, horizon, seed + 1000 * k, trials, jobs, times))
+            for k, (start, valley) in enumerate(zip(starts, valleys), start=1)]
 
 
 class ValleyEstimate(NamedTuple):
@@ -536,28 +563,12 @@ def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float
     error, plus the worst mean.  With ``escape_delta`` set, the empirical
     probability of leaving the starting valley by that (rescaled) time is
     recorded as well.  Each start must lie in a valley, which its estimate
-    reports; the k-th start (from 1) draws its trials from seed + 1000 k.
+    reports; starts and seeds are as in ``_trials_by_start``.
     """
-    partition.validate_for(chain, require_valleys=2)
-    if starts is None:
-        pi = pi or stationary(chain)
-        starts = partition.reference_states(chain, pi)
-    label_map = partition.label_map()
-    valleys = []
-    for start in starts:
-        if start not in label_map:
-            raise BadSpec(f"unknown start state {start!r}")
-        if label_map[start] == 0:
-            raise BadPartition(f"start state {start!r} must lie in a valley")
-        valleys.append(label_map[start])
-    if not partition.delta and escape_delta is None:
-        per = tuple(ValleyEstimate(v, s, 0.0, 0.0, None) for v, s in zip(valleys, starts))
-        return T2Estimate(per, 0.0, horizon, trials)
+    owner = partition.validate_for(chain, require_valleys=2)
     results = []
-    for j, (valley, start) in enumerate(zip(valleys, starts), start=1):
-        escape = () if escape_delta is None else partition.others(valley)
-        rows = _run_trials(chain, start, horizon * theta, seed + 1000 * j, trials,
-                           jobs, occupied=partition.delta, escape=escape)
+    for start, valley, rows in _trials_by_start(chain, partition, owner, starts, pi,
+                                                horizon * theta, seed, trials, jobs):
         occ = np.array([r[1] / theta for r in rows])
         mean = float(occ.mean())
         stderr = float(occ.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
@@ -585,28 +596,20 @@ def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
 
     The sup over the continuum is approximated on a uniform grid of
     ``grid_points`` values; starting states (one per valley by default) are
-    sampled from a user list, not exhaustively.
+    sampled from a user list, not exhaustively.  Each start must lie in a
+    valley; starts and seeds are as in ``_trials_by_start``.
     """
-    partition.validate_for(chain, require_valleys=2)
-    if delta <= 0:
-        raise BadSpec("delta must be positive")
-    if starts is None:
-        pi = pi or stationary(chain)
-        starts = partition.reference_states(chain, pi)
+    owner = partition.validate_for(chain, require_valleys=2)
+    if not (math.isfinite(delta) and delta > 0):
+        raise BadSpec(f"delta must be finite and positive, got {delta!r}")
     grid = tuple(np.linspace(delta, 2.0 * delta, grid_points))
-    if not partition.delta:
-        zero = tuple(0.0 for _ in grid)
-        return Estimate91(grid, {s: zero for s in starts},
-                          {s: zero for s in starts}, 0.0, trials)
     real_times = tuple(s * theta for s in grid)
-    in_delta = np.array([float(s in partition.delta) for s in chain.states])
     probabilities, stderr = {}, {}
     sup = 0.0
-    for j, start in enumerate(starts, start=1):
-        recs = _run_trials(chain, start, real_times[-1], seed + 1000 * j, trials,
-                           jobs, times=real_times)
-        rows = in_delta[np.array([r[0] for r in recs])]
-        p = rows.mean(axis=0)
+    for start, _, recs in _trials_by_start(chain, partition, owner, starts, pi,
+                                           real_times[-1], seed, trials, jobs,
+                                           times=real_times):
+        p = (owner[np.array([r[0] for r in recs])] == 0).mean(axis=0)
         se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / trials)
         probabilities[start] = tuple(float(x) for x in p)
         stderr[start] = tuple(float(x) for x in se)
@@ -640,20 +643,17 @@ def fdd_compare(chain: Chain, partition: Partition, reduced: ReducedModel,
     total-variation distance charges the full mass sitting in the
     separating set.
     """
-    partition.validate_for(chain, require_valleys=2)
-    label_map = partition.label_map()
-    if start not in label_map or label_map[start] == 0:
-        raise BadPartition(f"start state {start!r} must lie in a valley")
-    j0 = label_map[start]
-    times = sorted(float(t) for t in time_grid)
-    if not times or times[0] < 0:
-        raise BadSpec("time grid must be nonempty and nonnegative")
+    owner = partition.validate_for(chain, require_valleys=2)
+    j0 = _valley_of(chain, owner, start)
+    times = [float(t) for t in time_grid]
+    if not (times and all(math.isfinite(t) and t >= 0 for t in times)):
+        raise BadSpec(f"time grid must be nonempty, finite and nonnegative, got {times!r}")
+    times.sort()
     n = partition.n
     real_times = tuple(t * reduced.theta for t in times)
     horizon = max(real_times[-1], 1e-9)
     # t == 0 and t beyond the last jump read the start and the last state
-    recs = _run_trials(chain, start, horizon, seed, trials, jobs, times=real_times)
-    owner = np.array([label_map[s] for s in chain.states])
+    recs = _run_trials(chain, owner, start, horizon, seed, trials, jobs, times=real_times)
     rows = owner[np.array([r[0] for r in recs])]
     out = []
     for col, t in enumerate(times):

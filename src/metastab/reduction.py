@@ -36,21 +36,19 @@ from .potential import _harmonic_measure, capacity
 from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
 
 
-def _valley_flux(chain: Chain, pi: ProbVector, partition: Partition):
+def _valley_flux(chain: Chain, pi: ProbVector, owner: np.ndarray):
     """One factorization of -L on Delta gives every valley-to-valley flux.
 
     G[y, k] = P_y[enter F in valley k+1] is the harmonic measure of the
     valleys (``potential._harmonic_measure``), one solve with one right-hand
-    side per valley.  Returns flux = G_F^T diag(pi_F) R_F G, the pi-weighted
-    rates of the trace process on F between valleys, and its off-diagonal
-    row sums Cap(valley j, others).  A valley whose escape flux out and in
-    differ means pi is not stationary on F.
+    side per valley; ``owner`` is ``Partition.validate_for``'s owner array.
+    Returns flux = G_F^T diag(pi_F) R_F G, the pi-weighted rates of the trace
+    process on F between valleys, and its off-diagonal row sums
+    Cap(valley j, others).  A valley whose escape flux out and in differ
+    means pi is not stationary on F.
     """
-    partition.validate_for(chain, require_valleys=2)
-    labels = partition.label_map()
-    owner = np.array([labels[s] - 1 for s in chain.states])
-    f = np.flatnonzero(owner >= 0)
-    G = _harmonic_measure(chain, owner)
+    f = np.flatnonzero(owner > 0)
+    G = _harmonic_measure(chain, owner - 1)
     flux = G[f].T @ (pi.weights[f, np.newaxis] * (chain.rates[f] @ G))
     escape = flux - np.diag(np.diag(flux))
     outflow, inflow = escape.sum(axis=1), escape.sum(axis=0)
@@ -125,8 +123,10 @@ def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
     """
     if theta is not None and not (np.isfinite(theta) and theta > 0):
         raise BadSpec(f"theta must be finite and positive, got {theta!r}")
-    flux, caps = _valley_flux(chain, pi, partition)
-    masses = np.array([pi.mass(chain.indices_of(v)) for v in partition.valleys])
+    owner = partition.validate_for(chain, require_valleys=2)
+    flux, caps = _valley_flux(chain, pi, owner)
+    masses = np.array([pi.mass(np.flatnonzero(owner == k))
+                       for k in range(1, partition.n + 1)])
     if theta is None:
         theta = (masses / caps).min()
     rates = theta * flux / masses[:, np.newaxis]
@@ -134,8 +134,7 @@ def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
     diagnostics = {
         "valley_masses": masses.tolist(),
         "valley_capacities": caps.tolist(),
-        "delta_mass": float(pi.mass(chain.indices_of(partition.delta)))
-        if partition.delta else 0.0,
+        "delta_mass": pi.mass(np.flatnonzero(owner == 0)),
     }
     return ReducedModel(partition.n, rates, rates.sum(axis=1), float(theta), diagnostics)
 
@@ -280,12 +279,12 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     chain, pi and partition.  Reflections that disconnect a valley leave a
     None entry with a note.
     """
-    partition.validate_for(chain, require_valleys=2)
+    owner = partition.validate_for(chain, require_valleys=2)
     if model.valley_count != partition.n:
         raise BadPartition(f"the reduced model has {model.valley_count} valleys, "
                            f"the partition {partition.n}")
     n = partition.n
-    valley_idx = [chain.indices_of(v) for v in partition.valleys]
+    valley_idx = [np.flatnonzero(owner == k) for k in range(1, n + 1)]
     theta, masses, caps, delta_mass = (
         model.theta, model.masses, model.capacities, model.delta_mass)
     refs = partition.reference_states(chain, pi)

@@ -217,16 +217,6 @@ def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float) -> EnlargedChain:
     return EnlargedChain(chain, float(gamma), combined, pi_star)
 
 
-def _valley_indices(chain: Chain, partition: Partition):
-    """Dense indices per valley; the valleys must cover the chain's states."""
-    partition.validate_for(chain)
-    if partition.delta:
-        raise BadPartition(
-            f"the valleys must cover the chain's states; delta holds "
-            f"{sorted(partition.delta)[:4]}")
-    return [chain.indices_of(v) for v in partition.valleys]
-
-
 def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,
                     partition: Partition) -> np.ndarray:
     """Solve (I - gamma L) u = indicator(valley k) on a trace chain.
@@ -236,14 +226,15 @@ def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,
     """
     if not gamma > 0:
         raise NonPositiveGamma(f"gamma must be > 0, got {gamma!r}")
-    valleys = _valley_indices(chain, partition)
+    owner = partition.validate_for(chain)
+    if partition.delta:
+        raise BadPartition(
+            f"the valleys must cover the chain's states; delta holds "
+            f"{sorted(partition.delta)[:4]}")
     if not 1 <= k <= partition.n:
         raise BadPartition(f"valley index {k} out of range 1..{partition.n}")
-    n = chain.n
-    ind = np.zeros(n)
-    ind[valleys[k - 1]] = 1.0
-    A = sp.identity(n, format="csr") - gamma * chain.generator_matrix()
-    u = numerics.solve_linear(A, ind)
+    A = sp.identity(chain.n, format="csr") - gamma * chain.generator_matrix()
+    u = numerics.solve_linear(A, (owner == k).astype(float))
     if u.min() < -1e-12 or u.max() > 1.0 + 1e-12:
         raise SolverFailure(
             f"resolvent solution escapes [0, 1]: range [{u.min()}, {u.max()}]"

@@ -260,6 +260,17 @@ class TestValidate:
         err = json.loads(capsys.readouterr().out)["error"]
         assert flag.lstrip("-") in err["message"]
 
+    @pytest.mark.parametrize("start, error", [("zz", "BadSpec"), ("2", "BadPartition")])
+    def test_bad_start_exits_2_before_simulating(self, bd3_spec, monkeypatch, capsys,
+                                                 start, error):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validate simulated from a bad start")
+
+        monkeypatch.setattr(pathsim, "_trajectory", forbidden)
+        assert main(["validate", "--spec", bd3_spec, "--start", start]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == error and repr(start) in err["message"]
+
     def test_zero_grid_exits_2(self, bd3_spec, capsys):
         # the occupation estimate would run on the horizon max(grid) * theta = 0
         assert main(["validate", "--spec", bd3_spec, "--grid", "0", "--trials", "5"]) == 2

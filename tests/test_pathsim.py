@@ -269,6 +269,11 @@ class TestEstimateT2:
         est = ms.estimate_T2(b2, part, 1.0, 1.0, trials=10, seed=0)
         assert est.worst_mean == 0.0
 
+    def test_empty_delta_all_zero_means(self, b2):
+        est = ms.estimate_T2(b2, _two_valleys_no_delta(), 1.0, 1.0, trials=10, seed=0)
+        assert [(r.valley, r.mean, r.stderr) for r in est.per_valley] == \
+            [(1, 0.0, 0.0), (2, 0.0, 0.0)]
+
     def test_birth_death_matches_semigroup_integral(self, bd3, bd3_partition):
         theta, horizon, trials = 2.0, 1.0, 3000
         est = ms.estimate_T2(bd3, bd3_partition, theta, horizon, trials, seed=21)
@@ -429,8 +434,8 @@ class TestTrialRecorder:
             # jump times themselves probe the right-continuous convention
             times = sorted({0.0, horizon, *rng.uniform(0.0, horizon, 6),
                             *(t for p in paths for t, _ in p.events[:2])})
-            rows = pathsim._run_trials(chain, start, horizon, case, 5, 1, times=times,
-                                       occupied=part.delta, escape=escape)
+            rows = pathsim._run_trials(chain, part.validate_for(chain), start, horizon,
+                                       case, 5, 1, times=times)
             for path, (at_times, occupation, first_escape) in zip(paths, rows):
                 assert [chain.states[i] for i in at_times] == \
                     [path.state_at(t) for t in times]
@@ -439,15 +444,21 @@ class TestTrialRecorder:
                     (a for a, _, s in path.sojourns() if s in escape), math.inf)
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sampled a trajectory with a bad input")
+
+    monkeypatch.setattr(pathsim, "_trajectory", forbidden)
+
+
+def _two_valleys_no_delta():
+    return ms.Partition((frozenset({"1"}), frozenset({"2"})))
+
+
+@pytest.mark.usefixtures("no_sampling")
 class TestHorizonChecks:
     """Bad horizons raise before any trajectory is sampled."""
-
-    @pytest.fixture(autouse=True)
-    def no_sampling(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("sampled a trajectory with a bad horizon")
-
-        monkeypatch.setattr(pathsim, "_trajectory", forbidden)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_simulate(self, b2, horizon):
@@ -465,6 +476,54 @@ class TestHorizonChecks:
         with pytest.raises(BadSpec, match="unknown start"):
             ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=10, seed=0,
                            starts=["zz"])
+
+
+@pytest.mark.usefixtures("no_sampling")
+class TestValidatorInputChecks:
+    """Every validator checks its starts, trials and times before sampling."""
+
+    def test_estimate_T2_zero_trials(self, bd3, bd3_partition):
+        with pytest.raises(BadSpec, match="trials"):
+            ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=0, seed=0)
+
+    def test_estimate_91_zero_trials(self, bd3, bd3_partition):
+        with pytest.raises(BadSpec, match="trials"):
+            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=0, seed=0)
+
+    def test_fdd_compare_zero_trials(self, bd3, bd3_partition):
+        model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
+        with pytest.raises(BadSpec, match="trials"):
+            ms.fdd_compare(bd3, bd3_partition, model, [0.5], 0, 1, "1")
+
+    def test_estimate_T2_infinite_horizon_without_delta(self, b2):
+        with pytest.raises(BadSpec, match="horizon"):
+            ms.estimate_T2(b2, _two_valleys_no_delta(), 1.0, math.inf, trials=10, seed=0)
+
+    def test_estimate_91_unknown_start_without_delta(self, b2):
+        with pytest.raises(BadSpec, match="unknown start"):
+            ms.estimate_91(b2, _two_valleys_no_delta(), 1.0, 0.5, trials=10, seed=0,
+                           starts=["zz"])
+
+    def test_estimate_91_delta_start(self, bd3, bd3_partition):
+        with pytest.raises(BadPartition, match="must lie in a valley"):
+            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=10, seed=0,
+                           starts=["2"])
+
+    def test_fdd_compare_unknown_start(self, bd3, bd3_partition):
+        model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
+        with pytest.raises(BadSpec, match="unknown start"):
+            ms.fdd_compare(bd3, bd3_partition, model, [0.5], 10, 1, "zz")
+
+    @pytest.mark.parametrize("grid", [[1.0, math.nan, 0.5], [0.5, math.inf], [-1.0], []])
+    def test_fdd_compare_bad_grid(self, bd3, bd3_partition, grid):
+        model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
+        with pytest.raises(BadSpec, match="time grid"):
+            ms.fdd_compare(bd3, bd3_partition, model, grid, 10, 1, "1")
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
+    def test_estimate_91_bad_delta(self, bd3, bd3_partition, delta):
+        with pytest.raises(BadSpec, match="delta"):
+            ms.estimate_91(bd3, bd3_partition, 2.0, delta, trials=10, seed=0)
 
 
 class TestPathValidation:
