@@ -45,6 +45,11 @@ CASES = {
     "b2_analyze.json": ("b2", ["analyze"]),
     "b2_validate.json": ("b2", ["validate", "--theta", "1", "--grid", "0.5,1",
                                 "--trials", "50", "--seed", "3"]),
+    "zr_L4_N20_p07_analyze.json": (None, ["analyze", "--model",
+                                          "zero_range:L=4,N=20,alpha=3,p=0.7"]),
+    "zr_L3_N30_validate.json": (None, ["validate", "--model", "zero_range:L=3,N=30,alpha=3,p=0.5",
+                                       "--trials", "2", "--grid", "0.5,1", "--seed", "1"]),
+    "prw_N8_points41_analyze.json": (None, ["analyze", "--model", "potential_rw:N=8,points=41"]),
 }
 
 
