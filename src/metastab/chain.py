@@ -237,13 +237,17 @@ def build_chain(states: Sequence, rate_triples) -> Chain:
 
 
 def _chain_from_csr(states, csr) -> Chain:
-    """Internal constructor for derived chains; revalidates the invariants."""
+    """Internal constructor for derived and built chains; revalidates the invariants.
+
+    Every rate must be finite and positive; labels are trusted to be distinct.
+    """
     csr = sp.csr_matrix(csr)
     csr.setdiag(0.0)
     csr.eliminate_zeros()
-    if csr.nnz and csr.data.min() <= 0:
+    bad = np.flatnonzero(~(np.isfinite(csr.data) & (csr.data > 0)))
+    if len(bad):
         coo = csr.tocoo()
-        k = int(np.argmin(coo.data))
+        k = bad[0]
         raise NonPositiveRate(states[coo.row[k]], states[coo.col[k]], float(coo.data[k]))
     if len(states) < 2:
         raise BadSpec("a chain needs at least 2 states")

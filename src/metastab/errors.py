@@ -26,7 +26,8 @@ class DuplicateEdge(InputError):
 
 class NonPositiveRate(InputError):
     def __init__(self, src, dst, rate):
-        super().__init__(f"rate for edge ({src!r}, {dst!r}) must be > 0, got {rate!r}")
+        super().__init__(f"rate for edge ({src!r}, {dst!r}) must be finite and > 0, "
+                         f"got {rate!r}")
         self.edge = (src, dst)
         self.rate = rate
 

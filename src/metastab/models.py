@@ -3,7 +3,10 @@
 Each builder returns a ModelSpec: the chain, a default valley partition, and
 a suggested time scale.  The stationary laws claimed by the builders are
 closed-form but never trusted: callers (and the test suite) re-verify them
-through the generic stationary solver.
+through the generic stationary solver.  A builder enumerates its states and
+edges as integer arrays, formats each label once, and hands the rates to the
+chain constructor directly; ``build_chain`` is the validating entry for
+chains from outside.
 """
 
 import itertools
@@ -11,9 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import config
-from .chain import Chain, Partition, ProbVector, build_chain
+from .chain import Chain, Partition, ProbVector, _chain_from_csr
 from .errors import BadParams, BadSpec, TooLarge
 
 
@@ -25,21 +30,34 @@ class ModelSpec:
     partition: Partition            # may be None when no valley structure exists
     suggested_theta: float
     pi_formula: ProbVector          # closed-form stationary law (verify before use)
-    implicit: object = None         # on-the-fly neighbor enumerator, when available
     info: dict = field(default_factory=dict)
+
+
+def _csr_chain(states, src, dst, rates):
+    """Chain on ``states`` with rate ``rates[e]`` on the edge src[e] -> dst[e]."""
+    n = len(states)
+    return _chain_from_csr(states, sp.csr_matrix((rates, (src, dst)), shape=(n, n)))
+
+
+def _lattice_edges(shape):
+    """Nearest-neighbor edges (src, dst), both directions, of a C-ordered grid."""
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    lo = np.concatenate([flat.take(range(s - 1), axis=ax).ravel() for ax, s in enumerate(shape)])
+    hi = np.concatenate([flat.take(range(1, s), axis=ax).ravel() for ax, s in enumerate(shape)])
+    return np.concatenate([lo, hi]), np.concatenate([hi, lo])
 
 
 # ---------------------------------------------------------------------------
 # four glued cubes
 
 
-def _cube_state(k, coords, N):
-    """Canonical label; the two gluing corners are shared between cubes."""
-    if all(c == N for c in coords):
-        return f"c{k}{(k + 1) % 4}"
-    if all(c == 1 for c in coords):
-        return f"c{(k - 1) % 4}{k}"
-    return f"{k}:" + ",".join(str(c) for c in coords)
+def _cube_labels(d, N):
+    """Labels by (cube k, C-ordered lattice index); the gluing corners are shared."""
+    local = [",".join(map(str, c)) for c in itertools.product(range(1, N + 1), repeat=d)]
+    labels = np.array([[f"{k}:{c}" for c in local] for k in range(4)], dtype=object)
+    for k in range(4):
+        labels[k, -1] = labels[(k + 1) % 4, 0] = f"c{k}{(k + 1) % 4}"
+    return labels
 
 
 def glued_cubes(d: int, N: int, ell: int) -> ModelSpec:
@@ -56,33 +74,21 @@ def glued_cubes(d: int, N: int, ell: int) -> ModelSpec:
         raise BadParams(f"need d >= 2, N >= 3, 1 <= ell < N/2; got d={d}, N={N}, ell={ell}")
     if 4 * (N ** d - 1) > config.DEFAULT.state_guard:
         raise TooLarge(f"glued cubes would have {4 * (N ** d - 1)} states")
-    adjacency = {}
-    for k in range(4):
-        for coords in itertools.product(range(1, N + 1), repeat=d):
-            s = _cube_state(k, coords, N)
-            nbrs = adjacency.setdefault(s, set())
-            for axis in range(d):
-                for step in (-1, 1):
-                    c = coords[axis] + step
-                    if 1 <= c <= N:
-                        nbrs.add(_cube_state(k, coords[:axis] + (c,) + coords[axis + 1:], N))
-    states = sorted(adjacency)
-    triples = []
-    for s in states:
-        deg = len(adjacency[s])
-        for t in sorted(adjacency[s]):
-            triples.append((s, t, 1.0 / deg))
-    chain = build_chain(states, triples)
-    degrees = np.array([len(adjacency[s]) for s in chain.states], dtype=float)
-    pi_formula = ProbVector(degrees / degrees.sum())
-    valleys = []
-    for k in range(4):
-        core = frozenset(
-            _cube_state(k, coords, N)
-            for coords in itertools.product(range(ell + 1, N - ell + 1), repeat=d))
-        valleys.append(core)
-    union = set().union(*valleys)
-    partition = Partition(tuple(valleys), frozenset(states) - union)
+    labels = _cube_labels(d, N)
+    # states sorted by label; slot[k, i] is the state of lattice point i of cube k
+    states, slot = np.unique(labels, return_inverse=True)
+    states = states.tolist()
+    slot = slot.reshape(labels.shape)
+    lo, hi = _lattice_edges((N,) * d)
+    src, dst = slot[:, lo].ravel(), slot[:, hi].ravel()
+    degrees = np.bincount(src, minlength=len(states))
+    chain = _csr_chain(states, src, dst, 1.0 / degrees[src])
+    weights = degrees.astype(float)
+    pi_formula = ProbVector(weights / weights.sum())
+    coords = np.indices((N,) * d).reshape(d, -1)
+    core = ((coords >= ell) & (coords < N - ell)).all(axis=0)
+    valleys = tuple(frozenset(labels[k, core]) for k in range(4))
+    partition = Partition(valleys, frozenset(states) - set().union(*valleys))
     theta = N ** 2 * math.log(N) if d == 2 else float(N ** d)
     return ModelSpec(
         family="glued_cubes",
@@ -91,7 +97,7 @@ def glued_cubes(d: int, N: int, ell: int) -> ModelSpec:
         partition=partition,
         suggested_theta=float(theta),
         pi_formula=pi_formula,
-        info={"degrees": {s: int(len(adjacency[s])) for s in states},
+        info={"degrees": dict(zip(states, degrees.tolist())),
               "glue_states": [f"c{k}{(k + 1) % 4}" for k in range(4)]},
     )
 
@@ -100,64 +106,12 @@ def glued_cubes_rotation(spec: ModelSpec) -> dict:
     """The label automorphism rotating cube k onto cube k+1 (mod 4)."""
     if spec.family != "glued_cubes":
         raise BadParams("rotation map is defined for glued_cubes models")
-    d, N = spec.params["d"], spec.params["N"]
-    out = {}
-    for k in range(4):
-        for coords in itertools.product(range(1, N + 1), repeat=d):
-            out[_cube_state(k, coords, N)] = _cube_state((k + 1) % 4, coords, N)
-    return out
+    labels = _cube_labels(spec.params["d"], spec.params["N"])
+    return dict(zip(labels.ravel().tolist(), np.roll(labels, -1, axis=0).ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
 # condensing zero-range process
-
-
-def _zr_label(cfg):
-    return "|".join(str(c) for c in cfg)
-
-
-def _zr_parse(label):
-    return tuple(int(c) for c in label.split("|"))
-
-
-def _zr_g(n, alpha):
-    if n <= 0:
-        return 0.0
-    if n == 1:
-        return 1.0
-    return float(n ** alpha / (n - 1) ** alpha)
-
-
-class ZeroRangeImplicit:
-    """Neighbor enumerator for simulation without the dense state space."""
-
-    def __init__(self, L, alpha, p):
-        self.L = L
-        self.alpha = alpha
-        self.p = p
-
-    def holding_rate(self, label):
-        # right and left legs carry p and 1-p of each g, so the total is sum g
-        cfg = _zr_parse(label)
-        return sum(_zr_g(c, self.alpha) for c in cfg if c > 0)
-
-    def jump_targets(self, label):
-        cfg = _zr_parse(label)
-        targets, rates = [], []
-        for x in range(self.L):
-            if cfg[x] == 0:
-                continue
-            g = _zr_g(cfg[x], self.alpha)
-            for direction, prob in ((1, self.p), (-1, 1.0 - self.p)):
-                if prob <= 0:
-                    continue
-                y = (x + direction) % self.L
-                moved = list(cfg)
-                moved[x] -= 1
-                moved[y] += 1
-                targets.append(_zr_label(moved))
-                rates.append(g * prob)
-        return targets, np.array(rates)
 
 
 def zero_range(L: int, N: int, alpha: float, p: float, ell: int = None) -> ModelSpec:
@@ -170,8 +124,8 @@ def zero_range(L: int, N: int, alpha: float, p: float, ell: int = None) -> Model
     particles there.  ell defaults to floor(sqrt(N)), which keeps the
     valley-mass and separating-set trends monotone at desk-scale N.
     """
-    if L < 3 or N < L or alpha <= 1 or not 0.5 <= p <= 1:
-        raise BadParams(f"need L >= 3, N >= L, alpha > 1, p in [1/2, 1]; "
+    if L < 3 or N < L or not 1 < alpha < math.inf or not 0.5 <= p <= 1:
+        raise BadParams(f"need L >= 3, N >= L, finite alpha > 1, p in [1/2, 1]; "
                         f"got L={L}, N={N}, alpha={alpha}, p={p}")
     if ell is None:
         ell = max(1, math.isqrt(N))
@@ -180,53 +134,50 @@ def zero_range(L: int, N: int, alpha: float, p: float, ell: int = None) -> Model
     count = math.comb(N + L - 1, L - 1)
     if count > config.DEFAULT.state_guard:
         raise TooLarge(f"zero range would have {count} states")
-    configs = []
-    for cuts in itertools.combinations(range(N + L - 1), L - 1):
-        prev = -1
-        cfg = []
-        for c in cuts:
-            cfg.append(c - prev - 1)
-            prev = c
-        cfg.append(N + L - 2 - prev)
-        configs.append(tuple(cfg))
-    configs.sort()
-    implicit = ZeroRangeImplicit(L, alpha, p)
-    states = [_zr_label(c) for c in configs]
-    triples = []
-    for s in states:
-        targets, rates = implicit.jump_targets(s)
-        combined = {}
-        for t, r in zip(targets, rates):
-            combined[t] = combined.get(t, 0.0) + float(r)
-        for t in sorted(combined):
-            triples.append((s, t, combined[t]))
-    chain = build_chain(states, triples)
-    log_w = np.array([-alpha * sum(math.log(c) for c in _zr_parse(s) if c > 1)
-                      for s in chain.states])
+    # the positions of L - 1 walls among N + L - 1 slots, in lexicographic
+    # order, give the configurations in lexicographic order
+    walls = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(N + L - 1), L - 1)), dtype=np.int64, count=count * (L - 1))
+    configs = np.diff(walls.reshape(count, L - 1), prepend=-1, append=N + L - 1, axis=1) - 1
+    # base-(N + 1) keys increase with the configurations, so a moved
+    # configuration is found by binary search
+    radix = (N + 1) ** np.arange(L - 1, -1, -1)
+    keys = configs @ radix
+    try:
+        # bounds n^alpha for every n <= N as well
+        theta = float(N ** (1.0 + alpha))
+    except OverflowError as exc:
+        raise BadParams(f"alpha={alpha} makes N^(1 + alpha) overflow double precision") from exc
+    g = np.array([0.0, 1.0] + [n ** alpha / (n - 1) ** alpha for n in range(2, N + 1)])
+    src, dst, rates = [], [], []
+    for x in range(L):
+        occupied = np.flatnonzero(configs[:, x])
+        for y, prob in (((x + 1) % L, p), ((x - 1) % L, 1.0 - p)):
+            if prob > 0:
+                src.append(occupied)
+                dst.append(np.searchsorted(keys, keys[occupied] - radix[x] + radix[y]))
+                rates.append(g[configs[occupied, x]] * prob)
+    states = ["|".join(map(str, c)) for c in configs.tolist()]
+    chain = _csr_chain(states, np.concatenate(src), np.concatenate(dst), np.concatenate(rates))
+    log_c = np.array([0.0, 0.0] + [math.log(c) for c in range(2, N + 1)])
+    log_w = -alpha * sum(log_c[configs].T)
     w = np.exp(log_w - log_w.max())
     pi_formula = ProbVector(w / w.sum())
-    valleys = tuple(
-        frozenset(s for s in states if _zr_parse(s)[x] >= N - ell)
-        for x in range(L))
-    union = set().union(*valleys)
-    partition = Partition(valleys, frozenset(states) - union)
+    labels = np.array(states, dtype=object)
+    valleys = tuple(frozenset(labels[configs[:, x] >= N - ell]) for x in range(L))
+    partition = Partition(valleys, frozenset(states) - set().union(*valleys))
     return ModelSpec(
         family="zero_range",
         params={"L": L, "N": N, "alpha": alpha, "p": p, "ell": ell},
         chain=chain,
         partition=partition,
-        suggested_theta=float(N ** (1.0 + alpha)),
+        suggested_theta=theta,
         pi_formula=pi_formula,
-        implicit=implicit,
     )
 
 
 # ---------------------------------------------------------------------------
 # random walk in a potential field
-
-
-def _grid_label(coords):
-    return "(" + ",".join(f"{c:.8g}" for c in coords) + ")"
 
 
 def potential_rw(axes, potential, N: float, eps: float = None) -> ModelSpec:
@@ -242,49 +193,36 @@ def potential_rw(axes, potential, N: float, eps: float = None) -> ModelSpec:
     axes = [np.asarray(a, dtype=float) for a in axes]
     if not 1 <= len(axes) <= 2 or any(len(a) < 2 for a in axes):
         raise BadParams("need one or two coordinate axes with at least 2 points each")
-    if N <= 0:
-        raise BadParams("inverse-temperature scale N must be positive")
+    if not 0 < N < math.inf:
+        raise BadParams(f"inverse-temperature scale N must be finite and positive, got {N!r}")
     shape = tuple(len(a) for a in axes)
-    points = list(itertools.product(*[range(s) for s in shape]))
-    coords = {idx: tuple(axes[ax][i] for ax, i in enumerate(idx)) for idx in points}
-    fvals = {}
-    for idx in points:
-        c = coords[idx]
+    coords = [tuple(axes[ax][i] for ax, i in enumerate(idx)) for idx in np.ndindex(shape)]
+    fvals = []
+    for c in coords:
         val = float(potential(c[0]) if len(c) == 1 else potential(c))
         if not math.isfinite(val):
             raise BadParams(f"potential is not finite at {c}")
-        fvals[idx] = val
-
-    def neighbors(idx):
-        for ax in range(len(shape)):
-            for step in (-1, 1):
-                j = idx[ax] + step
-                if 0 <= j < shape[ax]:
-                    yield idx[:ax] + (j,) + idx[ax + 1:]
-
-    labels = {idx: _grid_label(coords[idx]) for idx in points}
-    max_step = max((abs(fvals[nb] - fvals[idx])
-                    for idx in points for nb in neighbors(idx)), default=0.0)
+        fvals.append(val)
+    fvals = np.array(fvals)
+    labels = ["(" + ",".join(f"{x:.8g}" for x in c) + ")" for c in coords]
+    if len(set(labels)) < len(labels):
+        raise BadParams("grid points closer than 8 significant digits share a label")
+    src, dst = _lattice_edges(shape)
+    max_step = float(np.abs(fvals[dst] - fvals[src]).max())
     if 0.5 * N * max_step > 700.0:
         raise BadParams(
             f"inverse temperature N={N} makes rates overflow double precision "
             f"(largest potential step {max_step:g})")
-    triples = []
-    for idx in points:
-        for nb in neighbors(idx):
-            rate = math.exp(-0.5 * N * (fvals[nb] - fvals[idx]))
-            triples.append((labels[idx], labels[nb], rate))
-    states = [labels[idx] for idx in sorted(points)]
-    chain = build_chain(states, triples)
-    logw = np.array([-N * fvals[idx] for idx in sorted(points)])
+    rates = [math.exp(v) for v in (-0.5 * N * (fvals[dst] - fvals[src])).tolist()]
+    chain = _csr_chain(labels, src, dst, rates)
+    logw = -N * fvals
     w = np.exp(logw - logw.max())
     pi_formula = ProbVector(w / w.sum())
-    merge = partition_merge_level(fvals, sorted(points), neighbors)
+    merge = _merge_level(fvals, chain.rates)
     partition = None
     if merge is not None:
-        partition = _sublevel_partition(sorted(points), fvals, neighbors,
-                                        labels, eps, merge)
-    fmin = min(fvals.values())
+        partition = _sublevel_partition(labels, fvals, chain.rates, eps, merge)
+    fmin = float(fvals.min())
     # Arrhenius suggestion, clamped below the float overflow threshold
     theta = math.exp(min(N * (merge - fmin), 700.0)) if merge is not None else 1.0
     return ModelSpec(
@@ -298,9 +236,8 @@ def potential_rw(axes, potential, N: float, eps: float = None) -> ModelSpec:
     )
 
 
-def partition_merge_level(fvals, points, neighbors):
+def _merge_level(fvals, adjacency):
     """Lowest level at which two basins of attraction join (watershed sweep)."""
-    order = sorted(points, key=lambda idx: (fvals[idx], idx))
     parent = {}
 
     def find(x):
@@ -309,46 +246,30 @@ def partition_merge_level(fvals, points, neighbors):
             x = parent[x]
         return x
 
-    active = set()
-    for idx in order:
-        parent[idx] = idx
-        roots = {find(nb) for nb in neighbors(idx) if nb in active}
-        active.add(idx)
+    for i in np.argsort(fvals, kind="stable").tolist():
+        parent[i] = i
+        nbrs = adjacency.indices[adjacency.indptr[i]:adjacency.indptr[i + 1]].tolist()
+        roots = {find(j) for j in nbrs if j in parent}
         if len(roots) >= 2:
-            return fvals[idx]
+            return float(fvals[i])
         for r in roots:
-            parent[r] = idx
+            parent[r] = i
     return None
 
 
-def _sublevel_partition(points, fvals, neighbors, labels, eps, merge):
-    fmin = min(fvals.values())
+def _sublevel_partition(labels, fvals, adjacency, eps, merge):
     if eps is None:
-        eps = 0.05 * (merge - fmin)
+        eps = 0.05 * (merge - float(fvals.min()))
     if not 0 < eps:
         return None
-    threshold = merge - eps
-    low = {idx for idx in points if fvals[idx] < threshold}
-    comps = []
-    unassigned = set(low)
-    while unassigned:
-        seed = unassigned.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            cur = stack.pop()
-            for nb in neighbors(cur):
-                if nb in unassigned:
-                    unassigned.discard(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(comp)
-    if len(comps) < 2:
+    low = np.flatnonzero(fvals < merge - eps)
+    count, comp = connected_components(adjacency[low][:, low], directed=False)
+    if count < 2:
         return None
-    comps.sort(key=lambda c: sorted(c)[0])
-    valleys = tuple(frozenset(labels[idx] for idx in comp) for comp in comps)
-    delta = frozenset(labels[idx] for idx in points) - set().union(*valleys)
-    return Partition(valleys, delta)
+    members = sorted((low[comp == c] for c in range(count)), key=lambda m: m[0])
+    labels = np.array(labels, dtype=object)
+    valleys = tuple(frozenset(labels[m]) for m in members)
+    return Partition(valleys, frozenset(labels) - set().union(*valleys))
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +280,7 @@ _NAMED_POTENTIALS = {
     "double_well": lambda x: (x * x - 1.0) ** 2,
     "flat": lambda x: 0.0,
 }
+_REQUIRED = object()
 
 
 def build_from_string(text: str) -> ModelSpec:
@@ -375,23 +297,22 @@ def build_from_string(text: str) -> ModelSpec:
         key, _, value = part.partition("=")
         kv[key.strip()] = value.strip()
 
-    def grab(key, cast, default=None):
+    def grab(key, cast, default=_REQUIRED):
         if key in kv:
             raw = kv.pop(key)
             try:
                 return cast(raw)
             except ValueError as exc:
                 raise BadSpec(f"bad value for {key}: {raw!r}") from exc
-        if default is None:
+        if default is _REQUIRED:
             raise BadSpec(f"model {family!r} needs parameter {key!r}")
         return default
 
     if family == "glued_cubes":
         spec = glued_cubes(grab("d", int), grab("N", int), grab("ell", int))
     elif family == "zero_range":
-        ell = int(kv.pop("ell")) if "ell" in kv else None
         spec = zero_range(grab("L", int), grab("N", int), grab("alpha", float),
-                          grab("p", float), ell)
+                          grab("p", float), grab("ell", int, None))
     elif family == "potential_rw":
         name = grab("potential", str, "double_well")
         if name not in _NAMED_POTENTIALS:
@@ -400,9 +321,8 @@ def build_from_string(text: str) -> ModelSpec:
         lo = grab("lo", float, -2.0)
         hi = grab("hi", float, 2.0)
         n_scale = grab("N", float)
-        eps = float(kv.pop("eps")) if "eps" in kv else None
         spec = potential_rw([np.linspace(lo, hi, points)],
-                            _NAMED_POTENTIALS[name], n_scale, eps)
+                            _NAMED_POTENTIALS[name], n_scale, grab("eps", float, None))
     else:
         raise BadSpec(f"unknown model family {family!r}")
     if kv:

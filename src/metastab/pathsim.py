@@ -113,42 +113,27 @@ def _trajectory(tables, start, horizon, rng):
         states.append(state)
 
 
-def _table_row(mean_holding, targets, rates):
-    """One state's sampling table; its cumulative probabilities end at exactly 1."""
-    cum = np.cumsum(rates)
-    return mean_holding, targets, (cum / cum[-1]).tolist()
-
-
 def _chain_tables(chain: Chain):
-    """Sampling tables of a Chain by dense index, built once and cached on it."""
+    """Sampling tables of a Chain by dense index, built once and cached on it.
+
+    A state's cumulative jump probabilities end at exactly 1.
+    """
     tables = chain.__dict__.get("_jump_tables")
     if tables is None:
         rates = chain.rates
         tables = []
         for i, mean_holding in enumerate((1.0 / chain.holding).tolist()):
             sl = slice(rates.indptr[i], rates.indptr[i + 1])
-            tables.append(_table_row(mean_holding, rates.indices[sl].tolist(),
-                                     rates.data[sl]))
+            cum = np.cumsum(rates.data[sl])
+            tables.append((mean_holding, rates.indices[sl].tolist(),
+                           (cum / cum[-1]).tolist()))
         chain.__dict__["_jump_tables"] = tables
     return tables
 
 
-class _ImplicitTables(dict):
-    """Sampling tables of an implicit model by label, built on first visit."""
-
-    def __init__(self, model):
-        super().__init__()
-        self.model = model
-
-    def __missing__(self, state):
-        entry = self[state] = _table_row(1.0 / self.model.holding_rate(state),
-                                         *self.model.jump_targets(state))
-        return entry
-
-
-def _check_horizon(horizon):
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise BadSpec(f"horizon must be finite and positive, got {horizon!r}")
+def _require_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise BadSpec(f"{name} must be finite and positive, got {value!r}")
 
 
 def _start_index(chain, start):
@@ -157,18 +142,14 @@ def _start_index(chain, start):
     raise BadSpec(f"unknown start state {start!r}")
 
 
-def simulate(chain, start, horizon, seed) -> Path:
+def simulate(chain: Chain, start, horizon, seed) -> Path:
     """Sample one trajectory: exponential holding, jumps by normalized rates.
 
-    ``chain`` is either a Chain or an implicit model exposing
-    ``holding_rate(state)`` and ``jump_targets(state)``.  ``seed`` may be an
-    int or a sequence of ints; given the same seed the path is identical.
+    ``start`` is a state label or a ProbVector to draw it from.  ``seed`` may
+    be an int or a sequence of ints; given the same seed the path is identical.
     """
-    _check_horizon(horizon)
+    _require_positive("horizon", horizon)
     rng = np.random.default_rng(seed)
-    if not isinstance(chain, Chain):
-        times, states = _trajectory(_ImplicitTables(chain), start, horizon, rng)
-        return Path(start, tuple(zip(times, states)), horizon)
     start_idx = (int(rng.choice(chain.n, p=start.weights))
                  if isinstance(start, ProbVector) else _start_index(chain, start))
     times, states = _trajectory(_chain_tables(chain), start_idx, horizon, rng)
@@ -509,7 +490,7 @@ def _run_trials(chain, owner, start, horizon, seed, trials, jobs, times=()):
 
     Delta and the valleys other than the start's are read off ``owner``.
     """
-    _check_horizon(horizon)
+    _require_positive("horizon", horizon)
     if trials < 1:
         raise BadSpec(f"trials must be at least 1, got {trials!r}")
     start_idx = _start_index(chain, start)
@@ -566,6 +547,8 @@ def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float
     reports; starts and seeds are as in ``_trials_by_start``.
     """
     owner = partition.validate_for(chain, require_valleys=2)
+    _require_positive("theta", theta)
+    _require_positive("horizon", horizon)
     results = []
     for start, valley, rows in _trials_by_start(chain, partition, owner, starts, pi,
                                                 horizon * theta, seed, trials, jobs):
@@ -600,8 +583,10 @@ def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
     valley; starts and seeds are as in ``_trials_by_start``.
     """
     owner = partition.validate_for(chain, require_valleys=2)
-    if not (math.isfinite(delta) and delta > 0):
-        raise BadSpec(f"delta must be finite and positive, got {delta!r}")
+    _require_positive("theta", theta)
+    _require_positive("delta", delta)
+    if grid_points < 1:
+        raise BadSpec(f"grid_points must be at least 1, got {grid_points!r}")
     grid = tuple(np.linspace(delta, 2.0 * delta, grid_points))
     real_times = tuple(s * theta for s in grid)
     probabilities, stderr = {}, {}

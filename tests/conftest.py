@@ -1,5 +1,7 @@
 """Shared fixtures: small reference chains and random-instance generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,57 @@ def collapsed_jump_probability(chain, pi, partition, j, k):
         return 1.0
     h = hitting_probability(collapsed, sorted(partition.valley(k)), rest)
     return float(h[collapsed.index[COLLAPSED_LABEL]])
+
+
+def reference_zero_range(L, N, alpha, p):
+    """The zero-range chain of ``models.zero_range``, one state at a time.
+
+    Labels are formatted and parsed per state, each state's jumps are
+    enumerated site by site, and every edge goes through ``build_chain``.
+    """
+    def g(n):
+        return 0.0 if n <= 0 else 1.0 if n == 1 else float(n ** alpha / (n - 1) ** alpha)
+
+    configs = sorted(cfg for cfg in itertools.product(range(N + 1), repeat=L)
+                     if sum(cfg) == N)
+    states = ["|".join(str(c) for c in cfg) for cfg in configs]
+    triples = []
+    for s in states:
+        cfg = tuple(int(c) for c in s.split("|"))
+        out = {}
+        for x in range(L):
+            if cfg[x] == 0:
+                continue
+            for direction, prob in ((1, p), (-1, 1.0 - p)):
+                if prob <= 0:
+                    continue
+                moved = list(cfg)
+                moved[x] -= 1
+                moved[(x + direction) % L] += 1
+                t = "|".join(str(c) for c in moved)
+                out[t] = out.get(t, 0.0) + g(cfg[x]) * prob
+        triples.extend((s, t, out[t]) for t in sorted(out))
+    return build_chain(states, triples)
+
+
+def reference_glued_cubes(d, N):
+    """The glued-cubes chain of ``models.glued_cubes`` from an adjacency dict."""
+    def label(k, coords):
+        if all(c == N for c in coords):
+            return f"c{k}{(k + 1) % 4}"
+        if all(c == 1 for c in coords):
+            return f"c{(k - 1) % 4}{k}"
+        return f"{k}:" + ",".join(str(c) for c in coords)
+
+    adjacency = {}
+    for k in range(4):
+        for coords in itertools.product(range(1, N + 1), repeat=d):
+            nbrs = adjacency.setdefault(label(k, coords), set())
+            for axis in range(d):
+                for step in (-1, 1):
+                    c = coords[axis] + step
+                    if 1 <= c <= N:
+                        nbrs.add(label(k, coords[:axis] + (c,) + coords[axis + 1:]))
+    states = sorted(adjacency)
+    triples = [(s, t, 1.0 / len(adjacency[s])) for s in states for t in sorted(adjacency[s])]
+    return build_chain(states, triples)

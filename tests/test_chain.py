@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import metastab as ms
 from metastab import config, numerics
+from metastab.chain import _chain_from_csr
 from metastab.errors import (
     BadSpec,
     DuplicateEdge,
@@ -46,6 +48,17 @@ class TestBuildChain:
     def test_nonpositive_rate(self):
         with pytest.raises(NonPositiveRate):
             ms.build_chain(["a", "b"], [("a", "b", 0.0), ("b", "a", 1.0)])
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, -1.0])
+    def test_derived_rate_not_finite_and_positive(self, rate):
+        rates = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, rate], [0.0, 1.0, 0.0]]))
+        with pytest.raises(NonPositiveRate) as err:
+            _chain_from_csr(("a", "b", "c"), rates)
+        assert err.value.edge == ("b", "c")
+
+    def test_infinite_input_rate(self):
+        with pytest.raises(NonPositiveRate, match="finite"):
+            ms.build_chain(["a", "b"], [("a", "b", np.inf), ("b", "a", 1.0)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(BadSpec):

@@ -143,6 +143,13 @@ class TestAnalyze:
     def test_conflicting_inputs_exit_2(self, bd3_spec):
         assert main(["analyze", "--spec", bd3_spec, "--model", "x:y=1"]) == 2
 
+    def test_infinite_spec_rate_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "inf.json"
+        spec.write_text(json.dumps(BD3).replace("1.0]", "Infinity]", 1))
+        assert main(["analyze", "--spec", str(spec)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "NonPositiveRate" and "('1', '2')" in err["message"]
+
     def test_resource_guard_exits_3(self):
         assert main(["analyze", "--model", "zero_range:L=6,N=60,alpha=3,p=0.5"]) == 3
 

@@ -1,5 +1,7 @@
 """Model builders: geometry, stationary laws, default partitions."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,16 @@ import metastab as ms
 from metastab import config
 from metastab.errors import BadParams, BadSpec, TooLarge
 from metastab.models import glued_cubes_rotation
+
+from conftest import reference_glued_cubes, reference_zero_range
+
+
+def assert_same_chain(chain, reference):
+    """States and CSR arrays equal bit for bit."""
+    assert chain.states == reference.states
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(chain.rates, name), getattr(reference.rates, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestGluedCubes:
@@ -49,6 +61,14 @@ class TestGluedCubes:
         assert spec.suggested_theta == 27.0
         assert [len(v) for v in spec.partition.valleys] == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("d,N", [(2, 3), (2, 4), (2, 8), (3, 3), (3, 5)])
+    def test_matches_adjacency_reference(self, d, N):
+        spec = ms.glued_cubes(d, N, 1)
+        assert_same_chain(spec.chain, reference_glued_cubes(d, N))
+        degrees = np.diff(spec.chain.rates.indptr)
+        assert spec.pi_formula.weights.tolist() == (degrees / degrees.sum()).tolist()
+        assert list(spec.info["degrees"].values()) == degrees.tolist()
+
     def test_bad_params(self):
         with pytest.raises(BadParams):
             ms.glued_cubes(1, 4, 1)
@@ -64,10 +84,28 @@ class TestZeroRange:
         assert np.abs(pi.weights - spec.pi_formula.weights).max() <= 1e-10
 
     def test_jump_rate_values(self):
-        from metastab.models import _zr_g
-        assert _zr_g(0, 3.0) == 0.0
-        assert _zr_g(1, 3.0) == 1.0
-        assert _zr_g(2, 3.0) == pytest.approx(2.0 ** 3 / 1.0)
+        chain = ms.zero_range(3, 5, 3.0, 0.7, ell=2).chain
+        # g(1) = 1 and g(2) = 2^3, times p to the right and 1 - p to the left
+        assert chain.rate("1|2|2", "0|3|2") == 0.7
+        assert chain.rate("1|2|2", "0|2|3") == 1.0 - 0.7
+        assert chain.rate("1|2|2", "2|2|1") == 8.0 * 0.7
+        assert chain.rate("1|2|2", "1|1|3") == 8.0 * 0.7
+        assert chain.rate("1|2|2", "2|1|2") == 8.0 * (1.0 - 0.7)
+        # g(0) = 0: only the occupied site moves
+        assert chain.rates[chain.index["0|0|5"]].nnz == 2
+
+    @pytest.mark.parametrize("L,N,alpha,p", [(3, 8, 3.0, 0.5), (3, 30, 3.0, 0.5),
+                                             (4, 20, 3.0, 0.7), (3, 8, 3.0, 1.0),
+                                             (5, 9, 2.5, 1.0), (4, 12, 2.0, 0.6)])
+    def test_matches_per_state_reference(self, L, N, alpha, p):
+        spec = ms.zero_range(L, N, alpha, p, ell=2)
+        assert_same_chain(spec.chain, reference_zero_range(L, N, alpha, p))
+        counts = np.array([[int(c) for c in s.split("|")] for s in spec.chain.states])
+        log_w = -alpha * np.log(np.where(counts > 1, counts, 1)).sum(axis=1)
+        w = np.exp(log_w - log_w.max())
+        assert np.abs(spec.pi_formula.weights - w / w.sum()).max() <= 1e-15
+        for x, valley in enumerate(spec.partition.valleys):
+            assert valley == {s for s, c in zip(spec.chain.states, counts) if c[x] >= N - 2}
 
     def test_particle_conservation(self):
         spec = ms.zero_range(3, 8, 3.0, 0.5)
@@ -102,6 +140,11 @@ class TestZeroRange:
             ms.zero_range(3, 10, 0.5, 0.5)
         with pytest.raises(BadParams):
             ms.zero_range(3, 10, 3.0, 0.3)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 400.0])
+    def test_alpha_not_finite(self, alpha):
+        with pytest.raises(BadParams, match="alpha"):
+            ms.zero_range(3, 30, alpha, 0.5)
 
 
 class TestPotentialRW:
@@ -145,6 +188,33 @@ class TestPotentialRW:
         pi = ms.stationary(spec.chain)
         assert ms.is_reversible(spec.chain, pi)
 
+    def test_grid_matches_per_point_rates(self):
+        axes = [np.linspace(-1.2, 1.2, 9), np.linspace(-0.5, 0.5, 5)]
+
+        def F(q):
+            return (q[0] ** 2 - 1) ** 2 + q[1] ** 2
+
+        spec = ms.potential_rw(axes, F, 5.0)
+        edges = {(a, b): r for a, b, r in spec.chain.edges()}
+        assert len(edges) == 2 * (8 * 5 + 9 * 4)
+        for i, j in itertools.product(range(9), range(5)):
+            here = (axes[0][i], axes[1][j])
+            for nb in ((i + 1, j), (i, j + 1)):
+                if nb[0] < 9 and nb[1] < 5:
+                    there = (axes[0][nb[0]], axes[1][nb[1]])
+                    a, b = (f"({x:.8g},{y:.8g})" for x, y in (here, there))
+                    assert edges[(a, b)] == math.exp(-2.5 * (F(there) - F(here)))
+                    assert edges[(b, a)] == math.exp(-2.5 * (F(here) - F(there)))
+
+    def test_colliding_labels_rejected(self):
+        with pytest.raises(BadParams, match="share a label"):
+            ms.potential_rw([np.linspace(1.0, 1.0 + 1e-10, 5)], lambda x: x, 1.0)
+
+    @pytest.mark.parametrize("N", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_inverse_temperature(self, N):
+        with pytest.raises(BadParams, match="inverse-temperature"):
+            ms.potential_rw([np.linspace(0, 1, 6)], lambda x: 0.0, N)
+
     def test_extreme_temperature_rejected(self):
         with pytest.raises(BadParams):
             ms.potential_rw([np.linspace(-2, 2, 9)],
@@ -163,6 +233,12 @@ class TestModelStrings:
     def test_potential(self):
         spec = ms.build_from_string("potential_rw:potential=double_well,points=21,N=8")
         assert spec.partition.n == 2
+
+    @pytest.mark.parametrize("text", ["zero_range:L=3,N=10,alpha=3,p=0.5,ell=x",
+                                      "potential_rw:N=8,eps=abc"])
+    def test_bad_optional_value(self, text):
+        with pytest.raises(BadSpec, match="bad value"):
+            ms.build_from_string(text)
 
     def test_rejects_unknown(self):
         with pytest.raises(BadSpec):

@@ -10,7 +10,7 @@ import metastab as ms
 from metastab import pathsim
 from metastab.errors import BadPartition, BadSpec, StartsInDelta, TouchesDelta
 
-from conftest import random_chain, random_partition
+from conftest import random_chain, random_partition, reference_zero_range
 
 
 def expm_law(chain, start, t):
@@ -64,22 +64,17 @@ class TestSimulate:
         path = ms.simulate(b2, pi, 5.0, seed=3)
         assert path.initial in {"1", "2"}
 
-    def test_implicit_model_agrees_structurally(self):
+    def test_zero_range_paths_follow_reference_edges(self):
         spec = ms.zero_range(3, 8, 3.0, 0.5)
-        imp = spec.implicit
-        for s in spec.chain.states[:10]:
-            targets, rates = imp.jump_targets(s)
-            dense = {b: r for a, b, r in spec.chain.edges() if a == s}
-            agg = {}
-            for t_, r_ in zip(targets, rates):
-                agg[t_] = agg.get(t_, 0.0) + float(r_)
-            assert set(agg) == set(dense)
-            for k in dense:
-                assert agg[k] == pytest.approx(dense[k], rel=1e-12)
-            assert imp.holding_rate(s) == pytest.approx(sum(dense.values()),
-                                                        rel=1e-12)
-        path = ms.simulate(imp, spec.chain.states[0], 50.0, seed=4)
-        assert all(s in spec.chain.index for s in path.states_visited())
+        reference = reference_zero_range(3, 8, 3.0, 0.5)
+        assert spec.chain.states == reference.states
+        assert (spec.chain.rates != reference.rates).nnz == 0
+        path = ms.simulate(spec.chain, spec.chain.states[0], 50.0, seed=4)
+        assert path.events
+        prev = path.initial
+        for _, s in path.events:
+            assert reference.rate(prev, s) > 0
+            prev = s
 
 
 class TestOccupationTime:
@@ -405,8 +400,6 @@ class TestJumpTables:
         rows = pathsim._chain_tables(spec.chain)
         assert len(rows) == 165
         assert all(cumprob[-1] == 1.0 for _, _, cumprob in rows)
-        implicit = pathsim._ImplicitTables(spec.implicit)
-        assert all(implicit[s][2][-1] == 1.0 for s in spec.chain.states)
 
     def test_uniform_near_one_picks_last_target(self, monkeypatch):
         chain = ms.build_from_string(self.CHAIN).chain
@@ -464,8 +457,6 @@ class TestHorizonChecks:
     def test_simulate(self, b2, horizon):
         with pytest.raises(BadSpec, match="horizon"):
             ms.simulate(b2, "1", horizon, seed=0)
-        with pytest.raises(BadSpec, match="horizon"):
-            ms.simulate(ms.zero_range(3, 8, 3.0, 0.5).implicit, "0|0|8", horizon, seed=0)
 
     @pytest.mark.parametrize("horizon", [0.0, math.inf])
     def test_estimate_T2(self, bd3, bd3_partition, horizon):
@@ -524,6 +515,25 @@ class TestValidatorInputChecks:
     def test_estimate_91_bad_delta(self, bd3, bd3_partition, delta):
         with pytest.raises(BadSpec, match="delta"):
             ms.estimate_91(bd3, bd3_partition, 2.0, delta, trials=10, seed=0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -2.0])
+    def test_bad_theta(self, bd3, bd3_partition, theta):
+        # horizon * theta = 2 > 0 for theta = -2
+        with pytest.raises(BadSpec, match="theta"):
+            ms.estimate_T2(bd3, bd3_partition, theta, -1.0, trials=10, seed=0)
+        with pytest.raises(BadSpec, match="theta"):
+            ms.estimate_91(bd3, bd3_partition, theta, 0.5, trials=10, seed=0)
+
+    @pytest.mark.parametrize("horizon", [-1.0, -0.5, math.inf])
+    def test_estimate_T2_names_its_own_horizon(self, bd3, bd3_partition, horizon):
+        with pytest.raises(BadSpec, match=f"horizon must be finite and positive, got {horizon!r}$"):
+            ms.estimate_T2(bd3, bd3_partition, 2.0, horizon, trials=10, seed=0)
+
+    @pytest.mark.parametrize("grid_points", [0, -3])
+    def test_estimate_91_bad_grid_points(self, bd3, bd3_partition, grid_points):
+        with pytest.raises(BadSpec, match="grid_points"):
+            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=10, seed=0,
+                           grid_points=grid_points)
 
 
 class TestPathValidation:
