@@ -77,6 +77,21 @@ class Chain:
         """
         return sp.csr_matrix(sp.diags(self.holding[idx]) - self.rates[idx][:, idx])
 
+    def killed_solver(self, idx):
+        """Solve of K x = b for K = ``killed(idx)``, from one factorization.
+
+        The chain keeps the latest one, keyed by the sorted index array ``idx``.
+        """
+        key = np.asarray(idx, dtype=np.int64).tobytes()
+        cached = self.__dict__.get("_killed_factor")
+        if cached is None or cached[0] != key:
+            cached = (key, numerics.factor(self.killed(idx)))
+            self.__dict__["_killed_factor"] = cached
+        return cached[1]
+
+    def __getstate__(self):  # a factorization does not pickle; a copy refactors
+        return {k: v for k, v in self.__dict__.items() if k != "_killed_factor"}
+
     def rate(self, a, b) -> float:
         return float(self.rates[self.index[a], self.index[b]])
 
@@ -152,10 +167,7 @@ class Partition:
         return self.valleys[j - 1]
 
     def union(self) -> frozenset:
-        out = frozenset()
-        for v in self.valleys:
-            out |= v
-        return out
+        return frozenset().union(*self.valleys)
 
     def others(self, j) -> frozenset:
         """Union of every valley except valley j."""
@@ -394,8 +406,7 @@ def spectral_gap(chain: Chain, pi: ProbVector) -> SpectralGap:
     # A = D^{1/2} (-L) D^{-1/2}; its symmetric part has the same form values
     A = -(sqrt_w[:, None] * L) / sqrt_w[None, :]
     S = 0.5 * (A + A.T)
-    evals = scipy.linalg.eigvalsh(S)
-    evals.sort()
+    evals = scipy.linalg.eigvalsh(S)  # ascending
     # the zero eigenvalue (eigenvector sqrt(pi)) is simple for irreducible chains
     gap = float(evals[1])
     if gap <= 0:

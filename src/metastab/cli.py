@@ -337,21 +337,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        _emit_error(exc, 2)
-        return 2
-    except TooLarge as exc:
-        _emit_error(exc, 3)
-        return 3
-    except NumericalError as exc:
-        _emit_error(exc, 4)
-        return 4
-    except MetastabError as exc:
-        _emit_error(exc, 2)
-        return 2
-    except OSError as exc:
-        _emit_error(exc, 2)
-        return 2
+    except (MetastabError, OSError) as exc:
+        code = 3 if isinstance(exc, TooLarge) else 4 if isinstance(exc, NumericalError) else 2
+        _emit_error(exc, code)
+        return code
 
 
 def _emit_error(exc, code):

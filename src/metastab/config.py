@@ -43,11 +43,8 @@ class ToleranceConfig:
 
 
 def default_tolerances() -> ToleranceConfig:
-    cfg = ToleranceConfig()
     env = os.environ.get("METASTAB_TOL")
-    if env:
-        cfg = cfg.scaled(float(env))
-    return cfg
+    return ToleranceConfig().scaled(float(env)) if env else ToleranceConfig()
 
 
 DEFAULT = default_tolerances()

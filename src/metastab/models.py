@@ -102,14 +102,6 @@ def glued_cubes(d: int, N: int, ell: int) -> ModelSpec:
     )
 
 
-def glued_cubes_rotation(spec: ModelSpec) -> dict:
-    """The label automorphism rotating cube k onto cube k+1 (mod 4)."""
-    if spec.family != "glued_cubes":
-        raise BadParams("rotation map is defined for glued_cubes models")
-    labels = _cube_labels(spec.params["d"], spec.params["N"])
-    return dict(zip(labels.ravel().tolist(), np.roll(labels, -1, axis=0).ravel().tolist()))
-
-
 # ---------------------------------------------------------------------------
 # condensing zero-range process
 
@@ -197,13 +189,10 @@ def potential_rw(axes, potential, N: float, eps: float = None) -> ModelSpec:
         raise BadParams(f"inverse-temperature scale N must be finite and positive, got {N!r}")
     shape = tuple(len(a) for a in axes)
     coords = [tuple(axes[ax][i] for ax, i in enumerate(idx)) for idx in np.ndindex(shape)]
-    fvals = []
-    for c in coords:
-        val = float(potential(c[0]) if len(c) == 1 else potential(c))
-        if not math.isfinite(val):
-            raise BadParams(f"potential is not finite at {c}")
-        fvals.append(val)
-    fvals = np.array(fvals)
+    fvals = np.array([float(potential(c[0]) if len(c) == 1 else potential(c)) for c in coords])
+    bad = np.flatnonzero(~np.isfinite(fvals))
+    if len(bad):
+        raise BadParams(f"potential is not finite at {coords[bad[0]]}")
     labels = ["(" + ",".join(f"{x:.8g}" for x in c) + ")" for c in coords]
     if len(set(labels)) < len(labels):
         raise BadParams("grid points closer than 8 significant digits share a label")

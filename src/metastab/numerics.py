@@ -1,10 +1,15 @@
 """Shared numerical kernels: connectivity, linear solves, uniformization.
 
-Every linear system in the package goes through ``solve_linear``: one sparse
-LU factorization (``splu``), whatever the size.
+Every linear system in the package goes through ``factor``: one LU
+factorization, by SuperLU (``splu``) if sparse and by LAPACK if dense (the
+trace chains on the valleys).  A chain keeps its latest killed-block
+factorization (``Chain.killed_solver``) for the next caller.
 """
 
+import warnings
+
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
@@ -31,17 +36,28 @@ def strong_connectivity_witness(adj_csr):
     return None
 
 
-def solve_linear(a_sparse, b):
-    """Solve a sparse square system by one sparse LU factorization.
+def factor(a):
+    """One LU factorization of the square matrix ``a``; returns its solve.
 
-    ``b`` may hold one right-hand side per column; all share the factors.  A
-    singular matrix raises ``SolverFailure``.
+    A sparse ``a`` is factored by ``splu``, a dense one by LAPACK.  The solve
+    takes ``b`` with one right-hand side per column; all share the factors.
+    A singular matrix raises ``SolverFailure``.
     """
-    b = np.asarray(b, dtype=float)
-    try:
-        return spla.splu(sp.csc_matrix(a_sparse)).solve(b)
-    except RuntimeError as exc:
-        raise SolverFailure(f"linear solve failed: {exc}") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            if sp.issparse(a):
+                lu = spla.splu(sp.csc_matrix(a))
+                return lambda b: lu.solve(np.asarray(b, dtype=float))
+            lu = scipy.linalg.lu_factor(a)
+        except (RuntimeError, ValueError, scipy.linalg.LinAlgWarning) as exc:
+            raise SolverFailure(f"linear solve failed: {exc}") from exc
+    return lambda b: scipy.linalg.lu_solve(lu, b)
+
+
+def solve_linear(a, b):
+    """Solve a square system by one factorization (``factor``)."""
+    return factor(a)(b)
 
 
 def _apply_uniformized(vec, rates_csr, holding, lam, t, tol):

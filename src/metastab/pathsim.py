@@ -52,22 +52,14 @@ class Path:
             prev_t, prev_s = t, s
 
     def states_visited(self):
-        seen = {self.initial}
-        seen.update(s for _, s in self.events)
-        return seen
+        return {self.initial, *(s for _, s in self.events)}
 
     def state_at(self, t):
         """Value at time t (right-continuous; t beyond the horizon holds the last state)."""
         if t < 0:
             raise BadSpec("time must be nonnegative")
-        lo, hi = 0, len(self.events)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.events[mid][0] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.initial if lo == 0 else self.events[lo - 1][1]
+        k = bisect.bisect_right(self.events, t, key=lambda e: e[0])
+        return self.initial if k == 0 else self.events[k - 1][1]
 
     def sojourns(self):
         """Yield (start, end, state) with end exclusive; covers [0, horizon]."""
@@ -192,28 +184,20 @@ class TimeChange:
             raise BadSpec("time must be nonnegative")
         if u >= self.total:
             return self.horizon
-        starts = [r[0] for r in self.runs]
-        k = bisect.bisect_right(starts, u) - 1
-        inner, orig, length = self.runs[k]
+        inner, orig, _ = self.runs[bisect.bisect_right(self.runs, u, key=lambda r: r[0]) - 1]
         return orig + (u - inner)
 
 
 def _f_runs(path: Path, F):
     """Maximal runs of sojourns inside F: list of (orig_start, segments)."""
     F = set(F)
-    runs = []
-    cur = None
+    runs, inside = [], False
     for a, b, s in path.sojourns():
-        if s in F:
-            if cur is None:
-                cur = [a, []]
-            cur[1].append((a, b, s))
-        else:
-            if cur is not None:
-                runs.append(cur)
-                cur = None
-    if cur is not None:
-        runs.append(cur)
+        if s in F and not inside:
+            runs.append([a, []])
+        inside = s in F
+        if inside:
+            runs[-1][1].append((a, b, s))
     return runs
 
 
@@ -310,11 +294,7 @@ def _segments_upto(path: Path, m: float):
 
 
 def _g_weight(t, m):
-    if t <= m - 1.0:
-        return 1.0
-    if t >= m:
-        return 0.0
-    return m - t
+    return min(1.0, max(0.0, m - t))
 
 
 def _value_at(times, values, t):
@@ -347,8 +327,6 @@ def _evaluate_candidate(anchors, a_seg, b_seg, m):
             return ts[-1]
         l0, l1 = ls[k], ls[k + 1]
         t0, t1 = ts[k], ts[k + 1]
-        if l1 == l0:
-            return t0
         return t0 + (t1 - t0) * (y - l0) / (l1 - l0)
 
     breaks = set(ts)

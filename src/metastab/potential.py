@@ -172,14 +172,19 @@ def _check_sets(chain: Chain, A, B):
     return ia, ib
 
 
+# right-hand sides per solve of the trace kernel; bounds its dense blocks
+_TRACE_BLOCK = 256
+
+
 def _harmonic_measure(chain: Chain, owner) -> np.ndarray:
     """G[y, k] = P_y[enter the boundary in class k], the harmonic measure.
 
     ``owner[i]`` is the boundary class of state i, or -1 for a state off the
     boundary.  G is the class indicator on the boundary and, off it, one
     solve of the chain killed on reaching the boundary, with one right-hand
-    side per class.  Nothing is clipped: an entry below -``rel`` or a row that
-    misses 1 by more than ``rel`` is a ``SolverFailure``.
+    side per class, by the factorization the chain keeps
+    (``Chain.killed_solver``).  Nothing is clipped: an entry below -``rel``
+    or a row that misses 1 by more than ``rel`` is a ``SolverFailure``.
     """
     owner = np.asarray(owner)
     on = np.flatnonzero(owner >= 0)
@@ -187,7 +192,7 @@ def _harmonic_measure(chain: Chain, owner) -> np.ndarray:
     G = np.zeros((chain.n, int(owner.max()) + 1))
     G[on, owner[on]] = 1.0
     if len(off):
-        H = numerics.solve_linear(chain.killed(off), chain.rates[off] @ G)
+        H = chain.killed_solver(off)(chain.rates[off] @ G)
         row_dev = float(np.abs(H.sum(axis=1) - 1.0).max())
         rel = config.DEFAULT.rel
         if H.min() < -rel or row_dev > rel:
@@ -196,6 +201,38 @@ def _harmonic_measure(chain: Chain, owner) -> np.ndarray:
                 f"probability: min {H.min():.3e}, worst row-sum deviation {row_dev:.3e}")
         G[off] = H
     return G
+
+
+def _trace_rates(chain: Chain, keep) -> np.ndarray:
+    """Dense rates T_F = R_FF + R_FD K_D^-1 R_DF of the trace chain on F = ``keep``.
+
+    Column b of K_D^-1 R_DF is the harmonic measure P_y[enter F at b], which
+    is zero unless a state off F jumps to b.  Those states get one class
+    each, in blocks of ``_TRACE_BLOCK`` that share one extra class for the
+    rest of F, so each block is one ``_harmonic_measure`` solve with the
+    factorization of the block off F that the chain keeps.  The rates pass
+    ``_drop_dust``.
+    """
+    off = np.setdiff1d(np.arange(chain.n), keep)
+    entered = np.flatnonzero(chain.rates[off][:, keep].getnnz(axis=0))
+    T = chain.rates[keep][:, keep].toarray()
+    owner = np.full(chain.n, -1)
+    for start in range(0, len(entered), _TRACE_BLOCK):
+        cols = entered[start:start + _TRACE_BLOCK]
+        owner[keep], owner[keep[cols]] = len(cols), np.arange(len(cols))
+        T[:, cols] = (chain.rates[keep] @ _harmonic_measure(chain, owner))[:, :len(cols)]
+    return _drop_dust(T, chain.max_rate)
+
+
+def _drop_dust(T, max_rate) -> np.ndarray:
+    """Zero the diagonal of the trace rates ``T``.  A rate below -``rel``
+    times the max rate is a ``SolverFailure``; negative dust above is 0."""
+    np.fill_diagonal(T, 0.0)
+    worst = float(T.min())
+    if worst < -config.DEFAULT.rel * max(max_rate, 1.0):
+        raise SolverFailure(f"trace chain has a negative rate {worst:.3e}")
+    T[T < 0.0] = 0.0
+    return T
 
 
 def _two_set_measure(chain: Chain, ia, ib) -> np.ndarray:
@@ -341,7 +378,7 @@ def thomson_function_bound(chain: Chain, pi: ProbVector, A, B, f, eps=None) -> f
     [(1 - eps) (sum_A pi L f)^2 - (1/eps) (sum_{off} pi |L f|)^2] / D(f)
     is returned; it never exceeds Cap.
     """
-    if not is_reversible(chain, pi, rel=1e-10):
+    if not is_reversible(chain, pi, rel=config.DEFAULT.rel):
         raise NotReversible("function-form Thomson bound needs a reversible chain")
     ia, ib = _check_sets(chain, A, B)
     f = np.asarray(f, dtype=float)
@@ -353,7 +390,7 @@ def thomson_function_bound(chain: Chain, pi: ProbVector, A, B, f, eps=None) -> f
     off_residual = float(np.abs(lf[interior]).max()) if len(interior) else 0.0
     span = float(np.abs(f).max()) + 1.0
     num_a = float(np.sum(pi.weights[ia] * lf[ia]))
-    if off_residual <= 1e-10 * max(chain.max_rate * span, 1.0):
+    if off_residual <= config.DEFAULT.rel * max(chain.max_rate * span, 1.0):
         return num_a ** 2 / den
     if eps is None:
         raise NotAdmissible(
@@ -383,12 +420,9 @@ def dirichlet_II(chain: Chain, pi: ProbVector, A, B, f) -> float:
     interior = np.setdiff1d(np.arange(n), np.concatenate([ia, ib]))
     m = len(interior) + 2
     # basis for the class: chi_A, chi_B, and point masses off A u B
-    M = sp.lil_matrix((n, m))
-    M[ia, 0] = 1.0
-    M[ib, 1] = 1.0
-    for k, i in enumerate(interior):
-        M[i, k + 2] = 1.0
-    M = sp.csr_matrix(M)
+    basis = np.empty(n, dtype=int)
+    basis[ia], basis[ib], basis[interior] = 0, 1, np.arange(2, m)
+    M = sp.csr_matrix((np.ones(n), (np.arange(n), basis)), shape=(n, m))
     L = chain.generator_matrix()
     K = -sp.diags(pi.weights) @ L             # pi (-L)
     Ksym = 0.5 * (K + K.T)
@@ -410,7 +444,7 @@ def poisson_solve(chain: Chain, pi: ProbVector, g, theta: float) -> np.ndarray:
         raise BadSpec(f"theta must be finite and positive, got {theta!r}")
     g = np.asarray(g, dtype=float)
     mean = float(np.sum(pi.weights * g))
-    if abs(mean) > 1e-10 * max(1.0, float(np.abs(g).max())):
+    if abs(mean) > config.DEFAULT.rel * max(1.0, float(np.abs(g).max())):
         raise NotZeroMean(f"E_pi[g] = {mean!r} is not zero")
     n = chain.n
     L = chain.generator_matrix()

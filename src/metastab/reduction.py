@@ -6,17 +6,19 @@ valley j to valley k.  Everything is exact finite linear algebra; the checks
 report ratios for the user to compare across a model family, never verdicts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from . import config, numerics
 from .chain import (
     Chain,
     Partition,
     ProbVector,
+    _chain_from_csr,
     apply_generator,
     dirichlet_form,
     spectral_gap,
@@ -30,9 +32,9 @@ from .errors import (
     SolverFailure,
     ToleranceViolation,
 )
-from .potential import _harmonic_measure, capacity
-# trace_chain and collapse_chain are not called here; the traced benchmark run
-# looks them up on this module to report their time
+# capacity, trace_chain and collapse_chain are not called here; the traced
+# benchmark run looks them up on this module to report their time
+from .potential import _drop_dust, _harmonic_measure, _trace_rates, capacity  # noqa: F401
 from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
 
 
@@ -161,21 +163,6 @@ def jump_probabilities(chain: Chain, pi: ProbVector, partition: Partition, j: in
     return {k: float(row[k - 1]) for k in range(1, partition.n + 1) if k != j}
 
 
-def symmetrized_rate_via_capacities(chain: Chain, pi: ProbVector,
-                                    partition: Partition, theta: float,
-                                    j: int, k: int) -> float:
-    """Reversible-case cross-check for pi(valley j) r(j, k) via three capacities."""
-    cap_j = capacity(chain, pi, sorted(partition.valley(j)), sorted(partition.others(j)))
-    cap_k = capacity(chain, pi, sorted(partition.valley(k)), sorted(partition.others(k)))
-    rest = sorted(partition.others(j) - partition.valley(k))
-    if rest:
-        cap_jk = capacity(chain, pi, sorted(partition.valley(j) | partition.valley(k)), rest)
-    else:
-        cap_jk = 0.0
-    mass = pi.mass(chain.indices_of(partition.valley(j)))
-    return theta * 0.5 * (cap_j + cap_k - cap_jk) / mass
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Raw separation-of-scales ratios; entries are None when unavailable.
@@ -194,67 +181,79 @@ class ConditionReport:
     notes: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "reference_states": list(self.reference_states),
-            "capacity_ratio": list(self.capacity_ratio),
-            "measure_ratio": list(self.measure_ratio),
-            "pointwise_measure_ratio": self.pointwise_measure_ratio,
-            "relaxation_ratio": list(self.relaxation_ratio),
-            "relaxation_composite": list(self.relaxation_composite),
-            "notes": list(self.notes),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _point_capacities(chain: Chain, pi: ProbVector, idx, ref: int, where: str) -> np.ndarray:
-    """Cap(x, ref) for every state x in ``idx`` other than ``ref``, from one solve.
+def _valley_trace(rates, e) -> np.ndarray:
+    """Dense rates of the trace onto ``e`` of the chain with dense ``rates``.
 
-    G = K^{-1}, with K = ``chain.killed`` on S minus {ref}, is the Green
-    function of the chain killed at ref, and
-    G(x, x) = 1 / (lambda(x) P_x[hit ref before returning to x]), so
-    Cap(x, ref) = pi(x) / G(x, x), reversible or not.  One solve with one
-    unit column per x gives every G(x, x) and, as column x over G(x, x), the
-    equilibrium potential h_x = P[hit x before ref].  Each capacity is checked
-    as in ``equilibrium_potential``: an escape probability above 1 is a solver
-    failure, h_x must be harmonic off {x, ref}, D(h_x) must pass the two-form
-    check of ``dirichlet_form``, and pi(x) / G(x, x) and D(h_x) must agree
-    within ``capacity_rel``.  A failed check raises ``SolverFailure`` or
-    ``ToleranceViolation`` naming ``where`` and the state.
+    The rates pass ``_drop_dust``.  The row sums of the harmonic measure are
+    not checked: the other valleys enter ``e`` only through rare transitions,
+    so the dense solve is ill-conditioned and its row sums miss 1 by far more
+    than the error of the rates, which weigh it by those rare rates.
     """
-    xs = idx[idx != ref]
+    out = np.setdiff1d(np.arange(len(rates)), e)
+    killed = np.diag(rates[out].sum(axis=1)) - rates[np.ix_(out, out)]
+    harmonic = numerics.factor(killed)(rates[np.ix_(out, e)])
+    return _drop_dust(rates[np.ix_(e, e)] + rates[np.ix_(e, out)] @ harmonic, rates.max())
+
+
+# the two-form check's (edges x columns) arrays stay near this many entries
+_TWO_FORM_BLOCK = 1 << 22
+
+
+def _point_capacities(chain: Chain, weights, ref: int, where: str) -> np.ndarray:
+    """Cap(x, ref) for every state x of ``chain`` other than ``ref``, from one solve.
+
+    ``chain`` is a valley's trace chain and ``weights`` pi on its states, not
+    normalised.  G = K^{-1}, with K = ``chain.killed`` off ref as a dense
+    block, is the Green function of the chain killed at ref, and
+    G(x, x) = 1 / (lambda(x) P_x[hit ref before returning to x]), so
+    Cap(x, ref) = pi(x) / G(x, x), reversible or not.  Column x of G over
+    G(x, x) is the equilibrium potential h_x = P[hit x before ref].  Each
+    capacity is checked as in ``equilibrium_potential``: an escape
+    probability above 1 is a solver failure, h_x must be harmonic off
+    {x, ref}, D(h_x) must pass the two-form check of ``dirichlet_form`` (on
+    pi conditioned to the valley, in column blocks), and pi(x) / G(x, x) and
+    D(h_x) must agree within ``capacity_rel``.  A failed check raises
+    ``SolverFailure`` or ``ToleranceViolation`` naming ``where`` and the state.
+    """
     rest = np.flatnonzero(np.arange(chain.n) != ref)
-    cols = np.arange(len(xs))
-    rows = np.searchsorted(rest, xs)
-    unit = np.zeros((len(rest), len(xs)))
-    unit[rows, cols] = 1.0
-    X = numerics.solve_linear(chain.killed(rest), unit)
-    green = X[rows, cols]
+    cols = np.arange(len(rest))
+    G = numerics.factor(chain.killed(rest).toarray())(np.eye(len(rest)))
+    green = G[cols, cols]
 
     def state(k):
-        return f"{where}, state {chain.states[xs[k]]!r}"
+        return f"{where}, state {chain.states[rest[k]]!r}"
 
     rel = config.DEFAULT.rel
-    bad = np.flatnonzero(~np.isfinite(green) | (chain.holding[xs] * green < 1.0 - rel))
+    bad = np.flatnonzero(~np.isfinite(green) | (chain.holding[rest] * green < 1.0 - rel))
     if len(bad):
         k = int(bad[0])
         raise SolverFailure(
             f"{state(k)}: Green function G(x, x) = {float(green[k])!r} gives escape "
             f"probability 1 / (lambda(x) G(x, x)) = "
-            f"{float(1.0 / (chain.holding[xs[k]] * green[k]))!r}, not in (0, 1]")
-    h = np.zeros((chain.n, len(xs)))
-    h[rest] = X / green
+            f"{float(1.0 / (chain.holding[rest[k]] * green[k]))!r}, not in (0, 1]")
+    h = np.zeros((chain.n, len(rest)))
+    h[rest] = G / green
     lh = apply_generator(chain, h)
-    lh[xs, cols] = 0.0
+    lh[rest, cols] = 0.0
     lh[ref] = 0.0
     residual = np.abs(lh).max(axis=0)
     k = int(np.argmax(residual))
     if residual[k] > rel * max(chain.max_rate, 1.0):
         raise SolverFailure(f"{state(k)}: harmonicity residual {residual[k]:.3e} too large")
-    try:
-        dirichlet = dirichlet_form(chain, pi, h)
-    except NotStationary as exc:
-        raise ToleranceViolation(f"{state(exc.column)}: {exc}") from exc
-    caps = pi.weights[xs] / green
+    mass = float(weights.sum())
+    conditioned = ProbVector(weights / mass)
+    step = max(1, _TWO_FORM_BLOCK // chain.rates.nnz)
+    dirichlet = np.empty(len(rest))
+    for start in range(0, len(rest), step):
+        try:
+            dirichlet[start:start + step] = mass * dirichlet_form(
+                chain, conditioned, h[:, start:start + step])
+        except NotStationary as exc:
+            raise ToleranceViolation(f"{state(start + exc.column)}: {exc}") from exc
+    caps = weights[rest] / green
     reldev = np.abs(caps - dirichlet) / np.maximum(np.maximum(caps, dirichlet), 1e-300)
     k = int(np.argmax(reldev))
     if reldev[k] > config.DEFAULT.capacity_rel:
@@ -270,48 +269,41 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
 
     Per valley: the worst ratio of the valley's escape capacity to the
     capacity between a state and the valley's pi-maximal reference state
-    (zero for singleton valleys, where the max is empty), with every
-    Cap(x, ref) = pi(x) / G(x, x) read off the Green function G of the chain
-    killed at ref, one solve per valley (see ``_point_capacities``); the
-    measure ratio pi(delta)/pi(valley); and relaxation times of the reflected
-    chains relative to theta.  Theta, the valley masses and capacities and
-    pi(delta) are read off ``model``, the ``coarse_rates`` result for the same
-    chain, pi and partition.  Reflections that disconnect a valley leave a
-    None entry with a note.
+    (zero for singleton valleys, where the max is empty); the measure ratio
+    pi(delta)/pi(valley); and relaxation times of the reflected chains
+    relative to theta.  The chain killed at ref spends as long at x as its
+    trace on the valley union F does, so Cap(x, ref) = pi(x) / G(x, x) is
+    read off the trace chain: ``potential._trace_rates`` builds it on F from
+    the factorization of Delta that ``coarse_rates`` left on the chain,
+    ``_valley_trace`` traces it onto each valley and ``_point_capacities``
+    reads the valley's capacities there.  Theta, the valley masses and
+    capacities and pi(delta) are read off ``model``, the ``coarse_rates``
+    result for the same chain, pi and partition.  Reflections that
+    disconnect a valley leave a None entry with a note.
     """
     owner = partition.validate_for(chain, require_valleys=2)
     if model.valley_count != partition.n:
         raise BadPartition(f"the reduced model has {model.valley_count} valleys, "
                            f"the partition {partition.n}")
-    n = partition.n
-    valley_idx = [np.flatnonzero(owner == k) for k in range(1, n + 1)]
     theta, masses, caps, delta_mass = (
         model.theta, model.masses, model.capacities, model.delta_mass)
     refs = partition.reference_states(chain, pi)
-
-    cap_ratios = []
-    for j in range(1, n + 1):
-        ix = valley_idx[j - 1]
-        if len(ix) == 1:
-            cap_ratios.append(0.0)
-            continue
-        ref = refs[j - 1]
-        point = _point_capacities(chain, pi, ix, chain.index[ref],
-                                  f"check_conditions: valley {j}, reference state {ref!r}")
-        cap_ratios.append(float(caps[j - 1] / point.min()))
-
-    measure_ratios = [delta_mass / m for m in masses]
-    union_idx = np.concatenate(valley_idx)
-    pointwise = float(delta_mass / pi.weights[union_idx].min())
-
-    relax, composite, notes = [], [], []
+    f = np.flatnonzero(owner > 0)
+    rates_f = _trace_rates(chain, f)
     imbalance = float(masses.max() / masses.min())
-    for j in range(1, n + 1):
-        ix = valley_idx[j - 1]
-        if len(ix) == 1:
+    cap_ratios, relax, composite, notes = [], [], [], []
+    for j, ref in enumerate(refs, start=1):
+        e = np.flatnonzero(owner[f] == j)
+        if len(e) == 1:
+            cap_ratios.append(0.0)
             relax.append(0.0)
             composite.append(0.0)
             continue
+        valley = _chain_from_csr(tuple(chain.states[i] for i in f[e]),
+                                 sp.csr_matrix(_valley_trace(rates_f, e)))
+        point = _point_capacities(valley, pi.weights[f[e]], valley.index[ref],
+                                  f"check_conditions: valley {j}, reference state {ref!r}")
+        cap_ratios.append(float(caps[j - 1] / point.min()))
         try:
             refl = reflected_chain(chain, sorted(partition.valley(j)), pi)
         except NotIrreducibleAfterReflection:
@@ -327,8 +319,8 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
         theta=theta,
         reference_states=refs,
         capacity_ratio=tuple(cap_ratios),
-        measure_ratio=tuple(float(x) for x in measure_ratios),
-        pointwise_measure_ratio=pointwise,
+        measure_ratio=tuple(float(delta_mass / m) for m in masses),
+        pointwise_measure_ratio=float(delta_mass / pi.weights[f].min()),
         relaxation_ratio=tuple(relax),
         relaxation_composite=tuple(composite),
         notes=tuple(notes),

@@ -67,22 +67,20 @@ def partition_to_dict(partition: Partition) -> dict:
     }
 
 
-def load_chain_spec(path):
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise BadSpec(f"invalid JSON in {path}: {exc}") from exc
-    return chain_from_dict(obj)
+
+
+def load_chain_spec(path):
+    return chain_from_dict(_read_json(path))
 
 
 def load_partition(path) -> Partition:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BadSpec(f"invalid JSON in {path}: {exc}") from exc
-    return partition_from_dict(obj)
+    return partition_from_dict(_read_json(path))
 
 
 def dump_chain_spec(chain: Chain, path, partition: Partition = None):

@@ -31,7 +31,7 @@ from .errors import (
     SolverFailure,
     ToleranceViolation,
 )
-from .potential import _harmonic_measure, hitting_probability
+from .potential import _trace_rates, hitting_probability
 
 COLLAPSED_LABEL = "@collapsed"
 STAR_SUFFIX = "*"
@@ -51,25 +51,19 @@ def _subset_indices(chain, F, what="subset"):
 def trace_chain(chain: Chain, pi: ProbVector, F):
     """Chain watched only on F, with its stationary law pi conditioned to F.
 
-    Rates are R_F(a, b) = sum_y R(a, y) P_y[enter F at b], with the harmonic
-    measure of F from one linear solve on the complement block.  A trace
-    rate below -``rel`` times the max rate is a ``SolverFailure``;
-    negative rounding dust above that bound is a zero rate.  The conditioned
-    measure is verified stationary for the result.
+    Rates are R_F(a, b) = R(a, b) + sum_y R(a, y) P_y[enter F at b], from
+    ``potential._trace_rates`` with the factorization of the block off F
+    that the chain keeps (``Chain.killed_solver``).  A trace rate below
+    -``rel`` times the max rate is a ``SolverFailure``; negative rounding
+    dust above that bound is a zero rate.  The conditioned measure is
+    verified stationary for the result.
     """
     idx = _subset_indices(chain, F, "trace set")
     if len(idx) == chain.n:
         return chain, ProbVector(pi.weights.copy())
     if len(idx) < 2:
         raise BadSubset("trace set must contain at least 2 states")
-    owner = np.full(chain.n, -1)
-    owner[idx] = np.arange(len(idx))
-    trace_rates = chain.rates[idx] @ _harmonic_measure(chain, owner)
-    np.fill_diagonal(trace_rates, 0.0)
-    worst = float(trace_rates.min())
-    if worst < -config.DEFAULT.rel * max(chain.max_rate, 1.0):
-        raise SolverFailure(f"trace chain has a negative rate {worst:.3e}")
-    trace_rates[trace_rates < 0.0] = 0.0
+    trace_rates = _trace_rates(chain, idx)
     states = tuple(chain.states[i] for i in idx)
     traced = _chain_from_csr(states, sp.csr_matrix(trace_rates))
     w = pi.weights[idx]
@@ -145,13 +139,9 @@ def collapse_chain(chain: Chain, pi: ProbVector, A):
 def lift_from_collapsed(chain: Chain, A, f_collapsed, collapsed_chain: Chain):
     """Lift a function on the collapsed space to one constant on A."""
     f_collapsed = np.asarray(f_collapsed, dtype=float)
-    a_set = set(A)
-    lifted = np.empty(chain.n)
-    cidx = collapsed_chain.index
-    d_val = f_collapsed[cidx[COLLAPSED_LABEL]]
-    for i, s in enumerate(chain.states):
-        lifted[i] = d_val if s in a_set else f_collapsed[cidx[s]]
-    return lifted
+    a_set, cidx = set(A), collapsed_chain.index
+    return np.array([f_collapsed[cidx[COLLAPSED_LABEL if s in a_set else s]]
+                     for s in chain.states])
 
 
 def collapsed_quadratic_identity_check(chain: Chain, pi: ProbVector, A,
@@ -280,15 +270,12 @@ class CycleDecomposition:
     residual: float
 
     def reconstructed_rates(self, chain: Chain) -> sp.csr_matrix:
-        n = chain.n
-        out = sp.lil_matrix((n, n))
+        src, dst, vals = [], [], []
         for labels, rates in self.cycles:
             idx = [chain.index[s] for s in labels]
-            for pos, r in enumerate(rates):
-                i = idx[pos]
-                j = idx[(pos + 1) % len(idx)]
-                out[i, j] += r
-        return sp.csr_matrix(out)
+            src, dst, vals = src + idx, dst + idx[1:] + idx[:1], vals + list(rates)
+        # duplicate (src, dst) entries are summed
+        return sp.csr_matrix((vals, (src, dst)), shape=(chain.n, chain.n))
 
     def max_cycle_length(self) -> int:
         return max((len(labels) for labels, _ in self.cycles), default=0)
@@ -339,9 +326,7 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
     w = pi.weights
     n = chain.n
     coo = chain.rates.tocoo()
-    cond = {}
-    for i, j, r in zip(coo.row, coo.col, coo.data):
-        cond[(int(i), int(j))] = w[i] * float(r)
+    cond = {(int(i), int(j)): w[i] * float(r) for i, j, r in zip(coo.row, coo.col, coo.data)}
     rate_cutoff = 32 * np.finfo(float).eps * chain.max_rate
     residual = 0.0
 

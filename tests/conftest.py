@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from metastab import Partition, build_chain, collapse_chain
+from metastab import Partition, build_chain, collapse_chain, config, numerics
+from metastab.chain import apply_generator, dirichlet_form
+from metastab.errors import NotStationary, SolverFailure, ToleranceViolation
 from metastab.potential import hitting_probability
 from metastab.transforms import COLLAPSED_LABEL
 
@@ -130,6 +132,73 @@ def collapsed_jump_probability(chain, pi, partition, j, k):
         return 1.0
     h = hitting_probability(collapsed, sorted(partition.valley(k)), rest)
     return float(h[collapsed.index[COLLAPSED_LABEL]])
+
+
+def tamper_solves(monkeypatch, tamper):
+    """Patch ``numerics.factor`` so that the result x of every solve with a
+    factorization made afterwards goes through ``tamper(b, x)``, which returns
+    the result to use."""
+    factor = numerics.factor
+
+    def tampered(a):
+        solve = factor(a)
+        return lambda b: tamper(np.asarray(b), solve(b))
+
+    monkeypatch.setattr(numerics, "factor", tampered)
+
+
+def reference_point_capacities(chain, pi, idx, ref, where):
+    """Cap(x, ref) for every state x in ``idx`` other than ``ref``, on the whole chain.
+
+    G = K^{-1}, with K = ``chain.killed`` on S minus {ref}, is the Green
+    function of the chain killed at ref, and Cap(x, ref) = pi(x) / G(x, x).
+    One sparse solve with one unit column per x gives every G(x, x) and, as
+    column x over G(x, x), the equilibrium potential h_x.  The checks are
+    those of ``reduction._point_capacities``, on the whole chain: the escape
+    probability, harmonicity off {x, ref}, the two-form check of D(h_x) and
+    the agreement of pi(x) / G(x, x) with D(h_x).
+    """
+    xs = idx[idx != ref]
+    rest = np.flatnonzero(np.arange(chain.n) != ref)
+    cols = np.arange(len(xs))
+    rows = np.searchsorted(rest, xs)
+    unit = np.zeros((len(rest), len(xs)))
+    unit[rows, cols] = 1.0
+    X = numerics.solve_linear(chain.killed(rest), unit)
+    green = X[rows, cols]
+
+    def state(k):
+        return f"{where}, state {chain.states[xs[k]]!r}"
+
+    rel = config.DEFAULT.rel
+    bad = np.flatnonzero(~np.isfinite(green) | (chain.holding[xs] * green < 1.0 - rel))
+    if len(bad):
+        k = int(bad[0])
+        raise SolverFailure(
+            f"{state(k)}: Green function G(x, x) = {float(green[k])!r} gives escape "
+            f"probability 1 / (lambda(x) G(x, x)) = "
+            f"{float(1.0 / (chain.holding[xs[k]] * green[k]))!r}, not in (0, 1]")
+    h = np.zeros((chain.n, len(xs)))
+    h[rest] = X / green
+    lh = apply_generator(chain, h)
+    lh[xs, cols] = 0.0
+    lh[ref] = 0.0
+    residual = np.abs(lh).max(axis=0)
+    k = int(np.argmax(residual))
+    if residual[k] > rel * max(chain.max_rate, 1.0):
+        raise SolverFailure(f"{state(k)}: harmonicity residual {residual[k]:.3e} too large")
+    try:
+        dirichlet = dirichlet_form(chain, pi, h)
+    except NotStationary as exc:
+        raise ToleranceViolation(f"{state(exc.column)}: {exc}") from exc
+    caps = pi.weights[xs] / green
+    reldev = np.abs(caps - dirichlet) / np.maximum(np.maximum(caps, dirichlet), 1e-300)
+    k = int(np.argmax(reldev))
+    if reldev[k] > config.DEFAULT.capacity_rel:
+        raise ToleranceViolation(
+            f"{state(k)}: capacity routes disagree: escape-rate {float(caps[k])!r} "
+            f"vs Dirichlet {float(dirichlet[k])!r}")
+    return caps
 
 
 def reference_zero_range(L, N, alpha, p):

@@ -123,6 +123,22 @@ class TestAnalyze:
             for k, p in enumerate(row):
                 assert p == (0.0 if j == k else red["rates"][j][k] / red["holding_rates"][j])
 
+    def test_two_factorizations_larger_than_the_valleys(self, monkeypatch, tmp_path):
+        # the stationary solve and the block off the valleys; check_conditions
+        # reads its capacities off the trace chain on the valleys
+        model = "zero_range:L=3,N=30,alpha=3,p=0.5"
+        union = len(build_from_string(model).partition.union())
+        factor = spla.splu
+        sizes = []
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        run_report(["analyze", "--model", model], tmp_path)
+        assert len([m for m in sizes if m > union]) == 2
+
     @pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
     def test_bad_theta_exits_2(self, bd3_spec, capsys, theta):
         assert main(["analyze", "--spec", bd3_spec, f"--theta={theta}"]) == 2

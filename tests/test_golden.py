@@ -1,7 +1,9 @@
 """Golden reports: fresh CLI output must match the committed files byte for byte.
 
 A change that moves floats on purpose regenerates the files with
-``python tests/test_golden.py`` and lists the drift in CHANGES.md.
+``python tests/test_golden.py``, which rewrites each file that changed and
+prints the JSON path and relative drift of every float that moved; the
+change lists that drift in CHANGES.md.
 """
 
 import json
@@ -71,11 +73,41 @@ def test_report_matches_golden(name, tmp_path):
     assert render(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
+def float_drift(old, new, path=""):
+    """Yield (JSON path, relative drift) for each float that differs between
+    two parsed reports; any other difference yields (path, None)."""
+    if isinstance(old, float) and isinstance(new, float):
+        if old != new:
+            yield path, abs(new - old) / max(abs(old), abs(new))
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            yield from float_drift(old[key], new[key], f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from float_drift(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, None
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            (GOLDEN / case).write_bytes(render(case, tmp))
-            print(f"wrote {GOLDEN / case}", file=sys.stderr)
+            target = GOLDEN / case
+            fresh = render(case, tmp)
+            old = target.read_bytes() if target.exists() else None
+            if old == fresh:
+                continue
+            target.write_bytes(fresh)
+            print(f"wrote {target}", file=sys.stderr)
+            if old is None:
+                continue
+            changes = list(float_drift(json.loads(old), json.loads(fresh)))
+            for path, rel in changes:
+                print(f"  {path}: " + ("changed" if rel is None else f"{rel:.2e}"),
+                      file=sys.stderr)
+            floats = [rel for _, rel in changes if rel is not None]
+            if floats:
+                print(f"  largest relative drift {max(floats):.2e}", file=sys.stderr)

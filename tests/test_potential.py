@@ -28,6 +28,7 @@ from conftest import (
     random_chain,
     random_disjoint_sets,
     random_reversible_chain,
+    tamper_solves,
 )
 
 
@@ -115,9 +116,7 @@ class TestEquilibriumPotential:
             ms.equilibrium_potential(bd4, pi, ["9"], ["4"])
 
     def test_rows_off_one_are_a_solver_failure(self, bd4, monkeypatch):
-        solve = numerics.solve_linear
-        monkeypatch.setattr(numerics, "solve_linear",
-                            lambda a, b: (1.0 + 1e-6) * solve(a, b))
+        tamper_solves(monkeypatch, lambda b, x: (1.0 + 1e-6) * x)
         with pytest.raises(SolverFailure, match="row-sum deviation"):
             hitting_probability(bd4, ["1"], ["4"])
 
@@ -147,14 +146,14 @@ class TestCapacity:
     def test_one_solve(self, bd4, monkeypatch):
         """h = P[hit A before B] and g = P[hit B before A] share one solve."""
         pi = ms.stationary(bd4)
-        solve = numerics.solve_linear
+        factor = numerics.factor
         calls = []
 
-        def counted(a, b):
+        def counted(a):
             calls.append(1)
-            return solve(a, b)
+            return factor(a)
 
-        monkeypatch.setattr(numerics, "solve_linear", counted)
+        monkeypatch.setattr(numerics, "factor", counted)
         assert ms.capacity(bd4, pi, ["1"], ["4"]) == pytest.approx(1 / 12, rel=1e-12)
         assert len(calls) == 1
 

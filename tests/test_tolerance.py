@@ -15,16 +15,22 @@ from metastab import (
     cli,
     config,
     models,
-    numerics,
     pathsim,
     potential,
     reduction,
     specio,
     transforms,
 )
-from metastab.errors import NotStationary, SolverFailure, ToleranceViolation
+from metastab.errors import (
+    NotAdmissible,
+    NotReversible,
+    NotStationary,
+    NotZeroMean,
+    SolverFailure,
+    ToleranceViolation,
+)
 
-from conftest import birth_death
+from conftest import birth_death, tamper_solves
 
 
 def _off(pi, i, rel=1e-8):
@@ -35,9 +41,8 @@ def _off(pi, i, rel=1e-8):
 
 
 def _perturb_solves(monkeypatch, perturb):
-    """Pass every ``numerics.solve_linear`` result through ``perturb``."""
-    solve = numerics.solve_linear
-    monkeypatch.setattr(numerics, "solve_linear", lambda a, b: perturb(solve(a, b)))
+    """Pass the result of every solve through ``perturb``."""
+    tamper_solves(monkeypatch, lambda b, x: perturb(x))
 
 
 def _dirichlet_form(monkeypatch):
@@ -88,8 +93,32 @@ def _point_capacity_harmonicity(monkeypatch):
     bd5 = birth_death(5)
     pi = ms.stationary(bd5)
     _perturb_solves(monkeypatch, lambda X: X + 1e-8 * (1.0 - np.eye(*X.shape)))
-    return (lambda: reduction._point_capacities(bd5, pi, np.arange(5), 0, "test"),
+    return (lambda: reduction._point_capacities(bd5, pi.weights, 0, "test"),
             SolverFailure, "harmonicity")
+
+
+def _thomson_reversibility(monkeypatch):
+    bd4 = birth_death(4)
+    pi = _off(ms.stationary(bd4), 3)
+    h = potential.hitting_probability(bd4, ["1"], ["4"])
+    return (lambda: potential.thomson_function_bound(bd4, pi, ["1"], ["4"], h),
+            NotReversible, "reversible")
+
+
+def _thomson_harmonicity(monkeypatch):
+    # h + 1e-8 at state 2 is not harmonic there by about 1e-8
+    bd4 = birth_death(4)
+    pi = ms.stationary(bd4)
+    f = potential.hitting_probability(bd4, ["1"], ["4"]) + np.array([0.0, 1e-8, 0.0, 0.0])
+    return (lambda: potential.thomson_function_bound(bd4, pi, ["1"], ["4"], f),
+            NotAdmissible, "not harmonic")
+
+
+def _poisson_mean(monkeypatch):
+    bd4 = birth_death(4)
+    pi = ms.stationary(bd4)
+    return (lambda: ms.poisson_solve(bd4, pi, [1.0, -1.0, 1.0, -1.0 + 4e-8], 1.0),
+            NotZeroMean, "not zero")
 
 
 def _trace_chain(monkeypatch):
@@ -119,7 +148,10 @@ RELATIVE_CHECKS = {
     "equilibrium_potential": _equilibrium_harmonicity,
     "symmetric_capacity": _symmetric_capacity,
     "poisson_solve": _poisson_residual,
+    "poisson_solve_mean": _poisson_mean,
     "point_capacities": _point_capacity_harmonicity,
+    "thomson_function_bound_reversibility": _thomson_reversibility,
+    "thomson_function_bound_harmonicity": _thomson_harmonicity,
     "trace_chain": _trace_chain,
     "collapse_chain": _collapse_chain,
     "enlarge_chain": _enlarge_chain,

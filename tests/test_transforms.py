@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import metastab as ms
-from metastab import numerics
 from metastab.errors import (
     BadPartition,
     BadSubset,
@@ -21,6 +20,7 @@ from conftest import (
     random_disjoint_sets,
     random_partition,
     random_reversible_chain,
+    tamper_solves,
 )
 
 
@@ -85,16 +85,33 @@ class TestTraceChain:
         entry to 0 would hide the fault and return the exact trace chain."""
         chain = birth_death(5)
         pi = ms.stationary(chain)
-        solve = numerics.solve_linear
 
-        def tampered(a, b):
-            x = solve(a, b)
+        def tampered(b, x):
             x[tuple(np.argwhere(x == 0.0)[0])] = -1e-3
             return x
 
-        monkeypatch.setattr(numerics, "solve_linear", tampered)
+        tamper_solves(monkeypatch, tampered)
         with pytest.raises(SolverFailure, match="not a probability"):
             ms.trace_chain(chain, pi, ["1", "2", "4", "5"])
+
+    def test_kept_factorization_changes_no_bit(self):
+        """Tracing onto A, then B, then A again on one chain (which keeps its
+        latest factorization) gives what each trace gives on a fresh chain."""
+        def build():
+            return ms.zero_range(3, 10, 3.0, 0.7)
+
+        spec = build()
+        chain, pi = spec.chain, ms.stationary(spec.chain)
+        sets = (sorted(spec.partition.union()),
+                sorted(spec.partition.valley(1) | spec.partition.delta),
+                sorted(spec.partition.union()))
+        for F in sets:
+            kept, pi_kept = ms.trace_chain(chain, pi, F)
+            fresh, pi_fresh = ms.trace_chain(build().chain, pi, F)
+            assert kept.states == fresh.states
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(kept.rates, name), getattr(fresh.rates, name))
+            assert np.array_equal(pi_kept.weights, pi_fresh.weights)
 
     def test_bad_subset(self, bd3):
         pi = ms.stationary(bd3)
