@@ -341,13 +341,15 @@ def symmetric_part(chain: Chain, pi: ProbVector) -> Chain:
     return _chain_from_csr(chain.states, sp.csr_matrix(sym))
 
 
-def is_reversible(chain: Chain, pi: ProbVector, rel=1e-12) -> bool:
-    """Detailed-balance predicate: pi(i) R(i, j) == pi(j) R(j, i) edgewise."""
+def is_reversible(chain: Chain, pi: ProbVector, rel=None) -> bool:
+    """Detailed balance pi(i) R(i, j) == pi(j) R(j, i) edgewise, within ``rel``
+    times the largest flux (``stationary_residual`` if None)."""
     cond = sp.csr_matrix(chain.rates.multiply(pi.weights[:, np.newaxis]))
     diff = (cond - cond.T).tocoo()
     if diff.nnz == 0:
         return True
     scale = float(cond.data.max()) if cond.nnz else 1.0
+    rel = config.DEFAULT.stationary_residual if rel is None else rel
     return float(np.abs(diff.data).max()) <= rel * scale
 
 

@@ -210,7 +210,10 @@ def cmd_validate(args) -> int:
         raise InputError("--trials must be at least 1")
     if not (math.isfinite(args.delta) and args.delta > 0):
         raise InputError(f"--delta must be finite and positive, got {args.delta!r}")
-    grid = [float(x) for x in args.grid.split(",")] if args.grid else [0.5, 1.0, 2.0]
+    try:
+        grid = [float(x) for x in args.grid.split(",")] if args.grid else [0.5, 1.0, 2.0]
+    except ValueError as exc:
+        raise InputError(f"--grid must be comma-separated numbers, got {args.grid!r}") from exc
     if not all(map(math.isfinite, grid)):
         raise InputError(f"--grid entries must be finite, got {args.grid!r}")
     chain, partition, _ = _load_input(args)

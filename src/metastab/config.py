@@ -1,50 +1,58 @@
 """Numerical tolerances.
 
-Every quantity in this package is a finite linear-algebra output, so a single
-relative scale covers most checks.  The few identities with tighter or looser
-contracts get their own knobs.  ``DEFAULT`` is the one tolerance object: each
-check reads its bound from ``config.DEFAULT`` when it runs, and no function
-takes a tolerance of its own.  The environment variable ``METASTAB_TOL`` is
-read once, at import, and rescales the base relative tolerance; replacing
-``config.DEFAULT`` changes every bound at once.
+Every bound in this package is a fixed multiple of one relative scale,
+``rel``, and each multiple is written once, below.  ``DEFAULT`` is the one
+tolerance object: each check reads its bound from ``config.DEFAULT`` when it
+runs, and no function takes a tolerance of its own.  The environment variable
+``METASTAB_TOL`` is read once, at import, and sets ``rel``; replacing
+``config.DEFAULT``, say by ``dataclasses.replace(config.DEFAULT, rel=...)``,
+moves every bound at once.
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     # base relative tolerance for identity checks
     rel: float = 1e-10
-    # residual bound for stationary(), as a multiple of the max rate
-    stationary_residual: float = 1e-12
-    # stationarity required of measures passed into adjoint/transform ops
-    input_stationary: float = 1e-9
-    # capacity identities ((J-3)-style dual routes)
-    capacity_rel: float = 1e-9
-    # probability vectors must sum to one within this
-    prob_sum: float = 1e-12
     # dense eigensolve guard for spectral gaps
     spectral_guard: int = 5000
     # state count guard for model builders with combinatorial state spaces
     state_guard: int = 200_000
 
-    def scaled(self, base: float) -> "ToleranceConfig":
-        """Rescale the relative knobs, keeping their ratios to ``rel``."""
-        factor = base / self.rel
-        return replace(
-            self,
-            rel=base,
-            stationary_residual=self.stationary_residual * factor,
-            input_stationary=self.input_stationary * factor,
-            capacity_rel=self.capacity_rel * factor,
-        )
+    @property
+    def stationary_residual(self) -> float:
+        """rel / 100: flux balance of stationary()'s pi per unit max rate, and
+        detailed balance per unit largest flux (``is_reversible``'s default)."""
+        return self.rel / 100
+
+    @property
+    def prob_sum(self) -> float:
+        """rel / 100: probabilities sum to one and lie in [0, 1], and test
+        functions take their boundary levels 1 and 0, within this."""
+        return self.stationary_residual
+
+    @property
+    def input_stationary(self) -> float:
+        """10 rel: balance of a measure passed into a transform or derived by one."""
+        return self.rel * 10
+
+    @property
+    def capacity_rel(self) -> float:
+        """10 rel: agreement of the dual capacity routes."""
+        return self.input_stationary
+
+    @property
+    def flow_divergence(self) -> float:
+        """100 rel: divergence of a test flow, per unit of its largest value."""
+        return self.rel * 100
 
 
 def default_tolerances() -> ToleranceConfig:
     env = os.environ.get("METASTAB_TOL")
-    return ToleranceConfig().scaled(float(env)) if env else ToleranceConfig()
+    return ToleranceConfig(rel=float(env)) if env else ToleranceConfig()
 
 
 DEFAULT = default_tolerances()

@@ -307,6 +307,8 @@ def build_from_string(text: str) -> ModelSpec:
         if name not in _NAMED_POTENTIALS:
             raise BadSpec(f"unknown potential {name!r}; choose from {sorted(_NAMED_POTENTIALS)}")
         points = grab("points", int, 21)
+        if points < 2:
+            raise BadParams(f"need points >= 2, got {points}")
         lo = grab("lo", float, -2.0)
         hi = grab("hi", float, 2.0)
         n_scale = grab("N", float)

@@ -300,16 +300,15 @@ def symmetric_capacity(chain: Chain, pi: ProbVector, A, B) -> float:
 
 def _require_levels(chain, f, indices, value, what):
     f = np.asarray(f, dtype=float)
-    bad = np.flatnonzero(np.abs(f[indices] - value) > 1e-12)
+    bad = np.flatnonzero(np.abs(f[indices] - value) > config.DEFAULT.prob_sum)
     if len(bad):
         vertex = chain.states[int(indices[bad[0]])]
         raise NotAdmissible(f"test function must equal {value} on {what}", vertex)
 
 
-def _require_flow_class(chain, flow, ia, ib, div_a, div_b, scale_hint=None):
+def _require_flow_class(chain, flow, ia, ib, div_a, div_b):
     div = flow.divergence()
-    scale = max(1.0, float(np.abs(flow.values).max())) if scale_hint is None else scale_hint
-    atol = 1e-8 * scale
+    atol = config.DEFAULT.flow_divergence * max(1.0, float(np.abs(flow.values).max()))
     interior = np.setdiff1d(np.arange(chain.n), np.concatenate([ia, ib]))
     bad = np.flatnonzero(np.abs(div[interior]) > atol)
     if len(bad):

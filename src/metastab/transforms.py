@@ -48,6 +48,13 @@ def _subset_indices(chain, F, what="subset"):
     return idx
 
 
+def _require_balanced(chain, pi, what):
+    """A constructed law must be stationary within ``rel`` times the max rate."""
+    residual = stationarity_residual(chain, pi)
+    if residual > config.DEFAULT.rel * max(chain.max_rate, 1.0):
+        raise ToleranceViolation(f"{what} is not stationary (residual {residual:.3e})")
+
+
 def trace_chain(chain: Chain, pi: ProbVector, F):
     """Chain watched only on F, with its stationary law pi conditioned to F.
 
@@ -68,13 +75,9 @@ def trace_chain(chain: Chain, pi: ProbVector, F):
     traced = _chain_from_csr(states, sp.csr_matrix(trace_rates))
     w = pi.weights[idx]
     pi_f = ProbVector(w / w.sum())
-    residual = stationarity_residual(traced, pi_f)
-    if residual > config.DEFAULT.rel * max(traced.max_rate, 1.0):
-        raise ToleranceViolation(
-            f"conditioned measure is not stationary for the trace chain "
-            f"(residual {residual:.3e})"
-        )
-    if is_reversible(chain, pi, rel=1e-12) and not is_reversible(traced, pi_f, rel=1e-9):
+    _require_balanced(traced, pi_f, "conditioned measure on the trace chain")
+    if (is_reversible(chain, pi)
+            and not is_reversible(traced, pi_f, rel=config.DEFAULT.input_stationary)):
         raise ToleranceViolation("trace chain lost reversibility")
     return traced, pi_f
 
@@ -96,13 +99,11 @@ def reflected_chain(chain: Chain, F, pi: ProbVector = None) -> Chain:
         reflected = _chain_from_csr(states, sp.csr_matrix(block))
     except NotIrreducible as exc:
         raise NotIrreducibleAfterReflection(str(exc)) from exc
-    if pi is not None and is_reversible(chain, pi, rel=1e-12):
+    if pi is not None and is_reversible(chain, pi):
         w = pi.weights[idx]
         cond = ProbVector(w / w.sum())
-        if not is_reversible(reflected, cond, rel=1e-9):
-            raise ToleranceViolation(
-                "conditioned measure lost detailed balance under reflection"
-            )
+        if not is_reversible(reflected, cond, rel=config.DEFAULT.input_stationary):
+            raise ToleranceViolation("conditioned measure lost detailed balance under reflection")
     return reflected
 
 
@@ -128,11 +129,7 @@ def collapse_chain(chain: Chain, pi: ProbVector, A):
     states = tuple(chain.states[i] for i in keep) + (COLLAPSED_LABEL,)
     collapsed = _chain_from_csr(states, rates)
     pic = ProbVector(np.concatenate([w[keep], [pa]]))
-    residual = stationarity_residual(collapsed, pic)
-    if residual > config.DEFAULT.rel * max(collapsed.max_rate, 1.0):
-        raise ToleranceViolation(
-            f"collapsed measure is not stationary (residual {residual:.3e})"
-        )
+    _require_balanced(collapsed, pic, "collapsed measure")
     return collapsed, pic
 
 
@@ -199,11 +196,7 @@ def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float) -> EnlargedChain:
     combined_rates = sp.bmat([[chain.rates, eye], [eye, None]], format="csr")
     combined = _chain_from_csr(chain.states + star_labels, combined_rates)
     pi_star = ProbVector(np.concatenate([pi.weights, pi.weights]) * 0.5)
-    residual = stationarity_residual(combined, pi_star)
-    if residual > config.DEFAULT.rel * max(combined.max_rate, 1.0):
-        raise ToleranceViolation(
-            f"enlarged stationary law has residual {residual:.3e}"
-        )
+    _require_balanced(combined, pi_star, "halved measure on the enlarged chain")
     return EnlargedChain(chain, float(gamma), combined, pi_star)
 
 
@@ -225,10 +218,9 @@ def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,
         raise BadPartition(f"valley index {k} out of range 1..{partition.n}")
     A = sp.identity(chain.n, format="csr") - gamma * chain.generator_matrix()
     u = numerics.solve_linear(A, (owner == k).astype(float))
-    if u.min() < -1e-12 or u.max() > 1.0 + 1e-12:
-        raise SolverFailure(
-            f"resolvent solution escapes [0, 1]: range [{u.min()}, {u.max()}]"
-        )
+    eps = config.DEFAULT.prob_sum
+    if u.min() < -eps or u.max() > 1.0 + eps:
+        raise SolverFailure(f"resolvent solution escapes [0, 1]: range [{u.min()}, {u.max()}]")
     return np.clip(u, 0.0, 1.0)
 
 

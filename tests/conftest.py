@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 from metastab import Partition, build_chain, collapse_chain, config, numerics
 from metastab.chain import apply_generator, dirichlet_form
@@ -48,6 +50,20 @@ def bd3_partition():
 @pytest.fixture
 def bd4():
     return birth_death(4)
+
+
+def expm_law(chain, start, t):
+    """Exact law at time t from a state, via scipy's expm: the one exact-law oracle."""
+    P = scipy.linalg.expm(t * chain.generator_matrix(dense=True))
+    return P[chain.index[start]]
+
+
+def occupation_integral(chain, start, F, horizon, theta, nodes=801):
+    """Exact E[int_0^horizon chi_F(state at s*theta) ds] by Simpson quadrature."""
+    idx = chain.indices_of(F)
+    s_grid = np.linspace(0.0, horizon, nodes)
+    vals = np.array([expm_law(chain, start, s * theta)[idx].sum() for s in s_grid])
+    return float(scipy.integrate.simpson(vals, x=s_grid))
 
 
 def random_chain(rng, n, extra_edges=None, rate_low=0.2, rate_high=3.0):

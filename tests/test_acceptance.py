@@ -7,17 +7,16 @@ lines.  All tolerances are pinned here; nothing is deferred to calibration.
 import json
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 import metastab as ms
-from metastab.numerics import semigroup_row
 from metastab.potential import Flow, edge_set, zero_flow
 from metastab.transforms import COLLAPSED_LABEL
 
 from conftest import (
     birth_death,
     collapsed_jump_probability,
+    expm_law,
+    occupation_integral,
     random_chain,
     random_disjoint_sets,
     random_partition,
@@ -377,28 +376,20 @@ def test_criterion_10_simulation_validator():
     model = ms.coarse_rates(bd3, pi, part, theta)
     grid = [0.5, 1.0, 2.0]
     rep = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1")
-    # oracle: uniformized semigroup of the full chain, projected; sanity-check
-    # it against scipy's expm first
+    # oracle: the exact law of the full chain, projected
     ok = True
     worst_tv = 0.0
     for row in rep.rows:
-        law = semigroup_row(bd3.rates, bd3.holding, bd3.index["1"],
-                            row.t * theta)
-        law_scipy = scipy.linalg.expm(
-            row.t * theta * bd3.generator_matrix(dense=True))[bd3.index["1"]]
-        assert np.abs(law - law_scipy).max() <= 1e-10
+        law = expm_law(bd3, "1", row.t * theta)
         exact = np.array([law[bd3.index["1"]], law[bd3.index["3"]]])
         tv = 0.5 * (np.abs(np.array(row.empirical) - exact).sum()
                     + abs(row.delta_mass - law[bd3.index["2"]]))
         worst_tv = max(worst_tv, tv)
         ok &= tv <= 0.05
-    # occupation estimate vs the exact semigroup integral
+    # occupation estimate vs the exact occupation integral
     est = ms.estimate_T2(bd3, part, theta, 1.0, trials, 1011, pi=pi)
-    s_grid = np.linspace(0.0, 1.0, 801)
     for row in est.per_valley:
-        vals = [semigroup_row(bd3.rates, bd3.holding, bd3.index[row.start],
-                              s * theta)[bd3.index["2"]] for s in s_grid]
-        exact = float(scipy.integrate.simpson(vals, x=s_grid))
+        exact = occupation_integral(bd3, row.start, ["2"], 1.0, theta)
         ok &= abs(row.mean - exact) <= 3 * row.stderr
     # bit-for-bit reruns and jobs-independence
     rep2 = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1")

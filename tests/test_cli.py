@@ -166,6 +166,11 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "NonPositiveRate" and "('1', '2')" in err["message"]
 
+    def test_too_few_model_points_exits_2(self, capsys):
+        assert main(["analyze", "--model", "potential_rw:N=8,points=-1"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "BadParams" and "points" in err["message"]
+
     def test_resource_guard_exits_3(self):
         assert main(["analyze", "--model", "zero_range:L=6,N=60,alpha=3,p=0.5"]) == 3
 
@@ -271,7 +276,7 @@ class TestValidate:
     @pytest.mark.parametrize("flag, value", [
         ("--theta", "inf"), ("--trials", "0"), ("--trials", "-3"),
         ("--delta", "inf"), ("--delta", "nan"), ("--grid", "0.5,nan"),
-        ("--grid", "1,inf"),
+        ("--grid", "1,inf"), ("--grid", "0.5,x"), ("--grid", ","),
     ])
     def test_bad_flag_exits_2_before_simulating(self, bd3_spec, monkeypatch, capsys,
                                                 flag, value):

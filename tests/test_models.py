@@ -247,6 +247,11 @@ class TestModelStrings:
         with pytest.raises(BadSpec, match="bad value"):
             ms.build_from_string(text)
 
+    @pytest.mark.parametrize("points", [-1, 0, 1])
+    def test_too_few_points(self, points):
+        with pytest.raises(BadParams, match="points"):
+            ms.build_from_string(f"potential_rw:N=8,points={points}")
+
     def test_rejects_unknown(self):
         with pytest.raises(BadSpec):
             ms.build_from_string("unknown_family:x=1")

@@ -4,27 +4,18 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import metastab as ms
 from metastab import pathsim
 from metastab.errors import BadPartition, BadSpec, StartsInDelta, TouchesDelta
 
-from conftest import random_chain, random_partition, reference_zero_range
-
-
-def expm_law(chain, start, t):
-    """Exact law at time t from a state, via scipy's expm (independent oracle)."""
-    P = scipy.linalg.expm(t * chain.generator_matrix(dense=True))
-    return P[chain.index[start]]
-
-
-def occupation_integral(chain, start, F, horizon, theta, nodes=801):
-    """Exact E[int_0^horizon chi_F(state at s*theta) ds] by Simpson quadrature."""
-    idx = chain.indices_of(F)
-    s_grid = np.linspace(0.0, horizon, nodes)
-    vals = np.array([expm_law(chain, start, s * theta)[idx].sum() for s in s_grid])
-    return float(scipy.integrate.simpson(vals, x=s_grid))
+from conftest import (
+    expm_law,
+    occupation_integral,
+    random_chain,
+    random_partition,
+    reference_zero_range,
+)
 
 
 class TestSimulate:

@@ -1,5 +1,7 @@
 """The one tolerance object: every check reads ``metastab.config.DEFAULT`` when it runs."""
 
+import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -15,6 +17,7 @@ from metastab import (
     cli,
     config,
     models,
+    numerics,
     pathsim,
     potential,
     reduction,
@@ -22,6 +25,7 @@ from metastab import (
     transforms,
 )
 from metastab.errors import (
+    BadSpec,
     NotAdmissible,
     NotReversible,
     NotStationary,
@@ -29,6 +33,8 @@ from metastab.errors import (
     SolverFailure,
     ToleranceViolation,
 )
+
+from metastab.potential import Flow, edge_set, zero_flow
 
 from conftest import birth_death, tamper_solves
 
@@ -141,8 +147,54 @@ def _enlarge_chain(monkeypatch):
     return lambda: ms.enlarge_chain(bd4, pi, 1.0), ToleranceViolation, "enlarged"
 
 
-# identity checks that compare with the base tolerance ``rel``: each case
-# misses its identity by about 1e-8 relative
+def _is_reversible_default(monkeypatch):
+    # detailed balance off by about 1e-10 of the largest flux
+    bd4 = birth_death(4)
+    pi = _off(ms.stationary(bd4), 3, rel=1e-10)
+
+    def call():
+        assert ms.is_reversible(bd4, pi), "detailed balance fails"
+
+    return call, AssertionError, "detailed balance"
+
+
+def _resolvent_range(monkeypatch):
+    # the solution dips 1e-10 below 0 at its smallest entry
+    bd4 = birth_death(4)
+    pi = ms.stationary(bd4)
+    part = ms.Partition((frozenset({"1", "2"}), frozenset({"3", "4"})), frozenset())
+    _perturb_solves(monkeypatch, lambda x: x - x.min() - 1e-10)
+    return (lambda: ms.resolvent_solve(bd4, pi, 1.0, 1, part),
+            SolverFailure, "escapes")
+
+
+def _require_levels(monkeypatch):
+    # the test function is 1 + 1e-10 on the source set
+    bd4 = birth_death(4)
+    pi = ms.stationary(bd4)
+    f = np.array([1.0 + 1e-10, 2.0 / 3.0, 1.0 / 3.0, 0.0])
+    phi = zero_flow(edge_set(bd4, pi))
+    return (lambda: ms.dirichlet_upper_bound(bd4, pi, ["1"], ["4"], f, phi),
+            NotAdmissible, "must equal 1.0")
+
+
+def _require_flow_class(monkeypatch):
+    # a unit flow along 1-2-3-4 whose middle edge carries 1e-7 extra, so
+    # states 2 and 3 have divergence 1e-7
+    bd4 = birth_death(4)
+    pi = ms.stationary(bd4)
+    psi = Flow(edge_set(bd4, pi), np.array([1.0, 1.0 + 1e-7, 1.0]))
+    return (lambda: ms.thomson_lower_bound(bd4, pi, ["1"], ["4"], psi, np.zeros(4)),
+            NotAdmissible, "divergence-free")
+
+
+def _prob_vector_sum(monkeypatch):
+    return lambda: ms.ProbVector(np.array([0.5, 0.5 + 1e-10])), BadSpec, "sums to"
+
+
+# checks whose bound is a fixed multiple of ``rel``: each case misses its
+# identity by more than the bound at the default rel = 1e-10 and by less than
+# the bound at rel = 1e-6
 RELATIVE_CHECKS = {
     "dirichlet_form": _dirichlet_form,
     "equilibrium_potential": _equilibrium_harmonicity,
@@ -155,6 +207,11 @@ RELATIVE_CHECKS = {
     "trace_chain": _trace_chain,
     "collapse_chain": _collapse_chain,
     "enlarge_chain": _enlarge_chain,
+    "is_reversible_default": _is_reversible_default,
+    "resolvent_solve_range": _resolvent_range,
+    "require_levels": _require_levels,
+    "require_flow_class": _require_flow_class,
+    "prob_vector_sum": _prob_vector_sum,
 }
 
 
@@ -163,8 +220,21 @@ def test_identity_bound_reads_package_tolerance(case, monkeypatch):
     call, error, match = RELATIVE_CHECKS[case](monkeypatch)
     with pytest.raises(error, match=match):
         call()
-    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT.scaled(1e-6))
+    monkeypatch.setattr(config, "DEFAULT", dataclasses.replace(config.DEFAULT, rel=1e-6))
     call()
+
+
+def test_rel_is_the_only_relative_field():
+    assert [f.name for f in dataclasses.fields(config.ToleranceConfig)] == [
+        "rel", "spectral_guard", "state_guard"]
+
+
+def test_default_bounds_keep_their_values():
+    cfg = config.ToleranceConfig()
+    assert cfg.rel == 1e-10
+    assert cfg.stationary_residual == cfg.prob_sum == 1e-12
+    assert cfg.input_stationary == cfg.capacity_rel == 1e-9
+    assert cfg.flow_divergence == 1e-8
 
 
 def test_env_tolerance_reaches_checks_from_import():
@@ -184,7 +254,8 @@ def test_env_tolerance_reaches_checks_from_import():
 
 
 def test_no_function_takes_a_tolerance_object():
-    for module in (chain, cli, models, pathsim, potential, reduction, specio, transforms):
+    for module in (chain, cli, models, numerics, pathsim, potential, reduction, specio,
+                   transforms):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
             if fn.__module__ != module.__name__:
                 continue
@@ -192,3 +263,23 @@ def test_no_function_takes_a_tolerance_object():
                 assert param.name != "tol", f"{module.__name__}.{name}"
                 assert not isinstance(param.default, config.ToleranceConfig), \
                     f"{module.__name__}.{name}"
+
+
+def test_no_small_float_literal_outside_config():
+    """Every bound is read from ``config``; the only small literals left are
+    the 1e-300 division guards and ``fdd_compare``'s 1e-9 horizon floor."""
+    found = []
+    for path in sorted(Path(ms.__file__).resolve().parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        floor = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "fdd_compare"
+                 for node in ast.walk(fn)
+                 if isinstance(node, ast.Constant) and node.value == 1e-9}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0.0 < node.value <= 1e-6 and node.value != 1e-300
+                    and id(node) not in floor):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found
