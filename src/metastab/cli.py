@@ -20,7 +20,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config
 from .chain import stationarity_residual, stationary
 from .errors import InputError, MetastabError, NumericalError, TooLarge
 from .models import build_from_string
@@ -339,6 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        config.DEFAULT  # the first use reads METASTAB_TOL: a bad value fails here
         return args.func(args)
     except (MetastabError, OSError) as exc:
         code = 3 if isinstance(exc, TooLarge) else 4 if isinstance(exc, NumericalError) else 2

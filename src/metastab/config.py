@@ -4,13 +4,17 @@ Every bound in this package is a fixed multiple of one relative scale,
 ``rel``, and each multiple is written once, below.  ``DEFAULT`` is the one
 tolerance object: each check reads its bound from ``config.DEFAULT`` when it
 runs, and no function takes a tolerance of its own.  The environment variable
-``METASTAB_TOL`` is read once, at import, and sets ``rel``; replacing
-``config.DEFAULT``, say by ``dataclasses.replace(config.DEFAULT, rel=...)``,
-moves every bound at once.
+``METASTAB_TOL`` is read once, when ``DEFAULT`` is first used, and sets
+``rel``; a value that is not a finite positive number raises ``BadTolerance``
+there, not at import.  Replacing ``config.DEFAULT``, say by
+``dataclasses.replace(config.DEFAULT, rel=...)``, moves every bound at once.
 """
 
+import math
 import os
 from dataclasses import dataclass
+
+from .errors import BadTolerance
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,24 @@ class ToleranceConfig:
 
 
 def default_tolerances() -> ToleranceConfig:
+    """The defaults, with ``rel`` from ``METASTAB_TOL`` when that is set."""
     env = os.environ.get("METASTAB_TOL")
-    return ToleranceConfig(rel=float(env)) if env else ToleranceConfig()
+    if not env:
+        return ToleranceConfig()
+    try:
+        rel = float(env)
+    except ValueError:
+        rel = math.nan
+    if not (math.isfinite(rel) and rel > 0):
+        raise BadTolerance(f"METASTAB_TOL must be a finite positive number, got {env!r}")
+    return ToleranceConfig(rel=rel)
 
 
-DEFAULT = default_tolerances()
+def __getattr__(name):
+    # DEFAULT is built on first use, so that a bad METASTAB_TOL raises in the
+    # caller (the CLI reports it as an input error), not in ``import metastab``
+    if name == "DEFAULT":
+        global DEFAULT
+        DEFAULT = default_tolerances()
+        return DEFAULT
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

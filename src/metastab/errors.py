@@ -104,6 +104,10 @@ class TouchesDelta(InputError):
     """Valley projection applied to a path that visits the separating set."""
 
 
+class BadTolerance(InputError):
+    """The METASTAB_TOL environment variable is not a finite positive number."""
+
+
 class TooLarge(MetastabError):
     """State count exceeds a configured resource guard."""
 

@@ -86,40 +86,64 @@ def _build_path(initial, events, horizon):
 # simulation
 
 
-def _trajectory(tables, start, horizon, rng):
-    """Jump times and post-jump states of one path from ``start`` on [0, horizon].
+# Most draws of each kind per block: bounds a block's memory and the draws
+# that go unused past the horizon.
+_BLOCK = 8192
 
-    ``tables[state]`` holds the mean holding time, the targets and their
-    cumulative jump probabilities, into which one uniform is bisected.
+
+def _trajectory(tables, start, horizon, rng):
+    """Jump times and post-jump states (arrays) of one path from ``start`` on [0, horizon].
+
+    ``tables`` is ``_chain_tables``' pair.  Exponentials and uniforms come
+    from ``rng`` in blocks: only the embedded jump chain runs per jump, one
+    uniform bisected into the state's cumulative jump probabilities, and each
+    block's jump times are its exponentials scaled by the mean holding time,
+    summed left to right from the last time.  A block holds about 1.25 times
+    the jumps expected before the horizon at the rate seen so far (at first
+    the start state's), at most ``_BLOCK``; draws past the horizon are unused.
     """
-    times, states = [], []
-    t, state = 0.0, start
-    exponential, uniform, bl = rng.exponential, rng.random, bisect.bisect_left
+    rows, mean_holding = tables
+    bl = bisect.bisect_left
+    t, state, jumps = 0.0, start, 0
+    rate = 1.0 / mean_holding[start]
+    time_blocks, state_blocks = [], []
     while True:
-        mean_holding, targets, cumprob = tables[state]
-        t += exponential(mean_holding)
-        if t > horizon:
-            return times, states
-        state = targets[bl(cumprob, uniform())]
-        times.append(t)
-        states.append(state)
+        want = 1.25 * (horizon - t) * rate
+        size = _BLOCK if want >= _BLOCK else int(want) + 1
+        holds = rng.standard_exponential(size)
+        visited = [state]
+        for u in rng.random(size).tolist():
+            targets, cumprob = rows[state]
+            state = targets[bl(cumprob, u)]
+            visited.append(state)
+        visited = np.fromiter(visited, dtype=np.intp, count=size + 1)
+        steps = holds * mean_holding[visited[:-1]]
+        steps[0] += t
+        times = np.cumsum(steps)
+        cut = int(np.searchsorted(times, horizon, side="right"))
+        time_blocks.append(times[:cut])
+        state_blocks.append(visited[1:cut + 1])
+        if cut < size:
+            return np.concatenate(time_blocks), np.concatenate(state_blocks)
+        t, jumps = float(times[-1]), jumps + size
+        rate = jumps / t
 
 
 def _chain_tables(chain: Chain):
     """Sampling tables of a Chain by dense index, built once and cached on it.
 
-    A state's cumulative jump probabilities end at exactly 1.
+    A pair: per state its targets and their cumulative jump probabilities,
+    which end at exactly 1, and the array of mean holding times.
     """
     tables = chain.__dict__.get("_jump_tables")
     if tables is None:
         rates = chain.rates
-        tables = []
-        for i, mean_holding in enumerate((1.0 / chain.holding).tolist()):
+        rows = []
+        for i in range(chain.n):
             sl = slice(rates.indptr[i], rates.indptr[i + 1])
             cum = np.cumsum(rates.data[sl])
-            tables.append((mean_holding, rates.indices[sl].tolist(),
-                           (cum / cum[-1]).tolist()))
-        chain.__dict__["_jump_tables"] = tables
+            rows.append((rates.indices[sl].tolist(), (cum / cum[-1]).tolist()))
+        tables = chain.__dict__["_jump_tables"] = (rows, 1.0 / chain.holding)
     return tables
 
 
@@ -147,7 +171,7 @@ def simulate(chain: Chain, start, horizon, seed) -> Path:
     times, states = _trajectory(_chain_tables(chain), start_idx, horizon, rng)
     labels = chain.states
     return Path(labels[start_idx],
-                tuple(zip(times, [labels[s] for s in states])), horizon)
+                tuple(zip(times.tolist(), [labels[s] for s in states.tolist()])), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +330,9 @@ def _evaluate_candidate(anchors, a_seg, b_seg, m):
 
     anchors: increasing list of (t, lam_t) with endpoints (0, 0), (m, m);
     lambda maps the time axis of path b into evaluation times of path a.
-    Returns max(sup |lam - t|, sup |g(lam t) a(lam t) - g(t) b(t)|).
+    Returns max(sup |lam - t|, sup of the value term), where the value term
+    compares valleys only by equality: |g(lam t) - g(t)| where a(lam t) and
+    b(t) agree, max(g(lam t), g(t)) where they differ.
     """
     a_times, a_values = a_seg
     b_times, b_values = b_seg
@@ -339,15 +365,17 @@ def _evaluate_candidate(anchors, a_seg, b_seg, m):
     for i, x in enumerate(grid):
         lx = lam(x)
         worst = max(worst, abs(lx - x))
-        va = _value_at(a_times, a_values, lx)
-        vb = _value_at(b_times, b_values, x)
-        worst = max(worst, abs(_g_weight(lx, m) * va - _g_weight(x, m) * vb))
+        same = _value_at(a_times, a_values, lx) == _value_at(b_times, b_values, x)
+        worst = max(worst, _value_term(_g_weight(lx, m), _g_weight(x, m), same))
         if i + 1 < len(grid):
             y = grid[i + 1]
-            ly = lam(y)
             # same constant values as just after x; g is linear in between
-            worst = max(worst, abs(_g_weight(ly, m) * va - _g_weight(y, m) * vb))
+            worst = max(worst, _value_term(_g_weight(lam(y), m), _g_weight(y, m), same))
     return worst
+
+
+def _value_term(ga, gb, same):
+    return abs(ga - gb) if same else max(ga, gb)
 
 
 def _alignment_anchors(a_seg, b_seg, m):
@@ -357,7 +385,7 @@ def _alignment_anchors(a_seg, b_seg, m):
     p, q = len(a_times), len(b_times)
 
     def mism(i, j):
-        return abs(a_values[i] - b_values[j])
+        return 0.0 if a_values[i] == b_values[j] else 1.0
 
     INF = float("inf")
     cost = np.full((p + 1, q + 1), INF)
@@ -395,7 +423,16 @@ def _alignment_anchors(a_seg, b_seg, m):
         else:
             j -= 1
     anchors.reverse()
-    # keep anchors strictly inside (0, m) and strictly monotone in both axes
+    return _monotone_anchors(anchors, m)
+
+
+def _in_order_anchors(a_seg, b_seg, m):
+    """The k-th jump of b against the k-th jump of a: the trace time change."""
+    return _monotone_anchors(zip(b_seg[0], a_seg[0]), m)
+
+
+def _monotone_anchors(anchors, m):
+    """(0, 0), the anchors inside (0, m) that keep both axes strictly increasing, (m, m)."""
     filtered = [(0.0, 0.0)]
     for t, l in anchors:
         if t <= filtered[-1][0] or l <= filtered[-1][1] or t >= m or l >= m:
@@ -408,11 +445,11 @@ def _alignment_anchors(a_seg, b_seg, m):
 def _dm_directed(path_a: Path, path_b: Path, m: float) -> float:
     a_seg = _segments_upto(path_a, m)
     b_seg = _segments_upto(path_b, m)
-    identity = [(0.0, 0.0), (m, m)]
-    best = _evaluate_candidate(identity, a_seg, b_seg, m)
-    anchors = _alignment_anchors(a_seg, b_seg, m)
-    if len(anchors) > 2:
-        best = min(best, _evaluate_candidate(anchors, a_seg, b_seg, m))
+    best = _evaluate_candidate([(0.0, 0.0), (m, m)], a_seg, b_seg, m)
+    for candidate in (_alignment_anchors, _in_order_anchors):
+        anchors = candidate(a_seg, b_seg, m)
+        if len(anchors) > 2:
+            best = min(best, _evaluate_candidate(anchors, a_seg, b_seg, m))
     return best
 
 
@@ -421,8 +458,11 @@ def skorohod_distance(p1: Path, p2: Path, m_max: int = 8) -> float:
 
     d = sum_{m <= m_max} 2^-m min(1, d_m), with d_m an upper bound on the
     reparameterization infimum obtained from piecewise-linear maps with nodes
-    at both paths' jump times.  Zero for identical paths, symmetric by
-    construction; paths shorter than m_max extend by their last value.
+    at both paths' jump times: the identity, the best monotone alignment of
+    the jumps, and the in-order pairing of the k-th jumps.  Valleys are
+    compared only by equality, so d does not depend on how they are
+    numbered.  Zero for identical paths, symmetric by construction; paths
+    shorter than m_max extend by their last value.
     """
     total = 0.0
     for m in range(1, m_max + 1):
@@ -445,8 +485,8 @@ def _record_trial(payload):
     tables, start, horizon, times, occupied, escape, seed_pair = payload
     jump_times, states = _trajectory(tables, start, horizon,
                                      np.random.default_rng(seed_pair))
-    visited = np.array([start] + states)
-    bounds = np.array([0.0] + jump_times + [horizon])
+    visited = np.concatenate(([start], states))
+    bounds = np.concatenate(([0.0], jump_times, [horizon]))
     at_times = visited[np.searchsorted(bounds[1:-1], times, side="right")]
     edges = np.diff(occupied[visited].astype(np.int8), prepend=0, append=0)
     runs = bounds[edges == -1] - bounds[edges == 1]

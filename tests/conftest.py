@@ -66,6 +66,56 @@ def occupation_integral(chain, start, F, horizon, theta, nodes=801):
     return float(scipy.integrate.simpson(vals, x=s_grid))
 
 
+class FixedDraws:
+    """A generator stand-in that hands out one fixed sequence of standard
+    exponentials and one of uniforms, each in order, in blocks of any size.
+
+    ``sizes`` records the size of each block of exponentials asked for.
+    """
+
+    def __init__(self, exponentials, uniforms):
+        self.exponentials, self.uniforms = exponentials, uniforms
+        self.sizes = []
+        self._next = {"exponentials": 0, "uniforms": 0}
+
+    def _take(self, name, size):
+        start = self._next[name]
+        block = getattr(self, name)[start:start + size]
+        if len(block) < size:
+            raise AssertionError(f"ran out of fixed {name}")
+        self._next[name] = start + size
+        return block
+
+    def standard_exponential(self, size):
+        self.sizes.append(size)
+        return self._take("exponentials", size)
+
+    def random(self, size):
+        return self._take("uniforms", size)
+
+
+def reference_trajectory(chain, start, horizon, exponentials, uniforms):
+    """Jump times and post-jump states of one path, drawn jump by jump.
+
+    The k-th jump takes the k-th exponential, scaled by the mean holding time,
+    and the k-th uniform, searched into the state's cumulative jump
+    probabilities; a jump exactly at the horizon is kept.
+    """
+    rates = chain.rates
+    times, states = [], []
+    t, state = 0.0, start
+    for e, u in zip(exponentials, uniforms):
+        t += e * (1.0 / chain.holding[state])
+        if t > horizon:
+            return times, states
+        sl = slice(rates.indptr[state], rates.indptr[state + 1])
+        cum = np.cumsum(rates.data[sl])
+        state = int(rates.indices[sl][np.searchsorted(cum / cum[-1], u, side="left")])
+        times.append(float(t))
+        states.append(state)
+    raise AssertionError("ran out of draws before the horizon")
+
+
 def random_chain(rng, n, extra_edges=None, rate_low=0.2, rate_high=3.0):
     """Random irreducible chain: a random Hamiltonian cycle plus extra edges."""
     labels = [f"s{i:02d}" for i in range(n)]

@@ -7,6 +7,7 @@ lines.  All tolerances are pinned here; nothing is deferred to calibration.
 import json
 
 import numpy as np
+import pytest
 
 import metastab as ms
 from metastab.potential import Flow, edge_set, zero_flow
@@ -402,8 +403,12 @@ def test_criterion_10_simulation_validator():
                    f"{trials} trials")
 
 
-def test_criterion_11_path_surgery_coherence():
-    rng = np.random.default_rng(111)
+def _surgery_coherence(tag):
+    """Criterion 11 on 200 paths of random chains, all drawn from the seed ``tag``.
+
+    Returns whether every check held and the worst d minus delta-occupation.
+    """
+    rng = np.random.default_rng(tag)
     ok = True
     checked = 0
     worst_slack = -1.0
@@ -418,7 +423,7 @@ def test_criterion_11_path_surgery_coherence():
             continue
         for k in range(10):
             start = starts[int(rng.integers(0, len(starts)))]
-            path = ms.simulate(chain, start, 12.0, seed=(111, checked))
+            path = ms.simulate(chain, start, 12.0, seed=(tag, checked))
             occ = ms.occupation_time(path, part.delta)
             traced = ms.trace_path(path, part.delta) \
                 if occ > 0 else None
@@ -437,8 +442,20 @@ def test_criterion_11_path_surgery_coherence():
             checked += 1
             if checked >= 200:
                 break
+    return ok, worst_slack
+
+
+def test_criterion_11_path_surgery_coherence():
+    ok, worst_slack = _surgery_coherence(111)
     report(11, ok, f"200 paths, worst d minus delta-occupation "
                    f"{worst_slack:.3e}")
+
+
+@pytest.mark.parametrize("tag", range(112, 119))
+def test_criterion_11_holds_on_other_streams(tag):
+    """The bound is a property of the surgeries, not of one seed."""
+    ok, worst_slack = _surgery_coherence(tag)
+    assert ok, f"seed tag {tag}: worst d minus delta-occupation {worst_slack:.3e}"
 
 
 def test_acceptance_report_schema_shipped():

@@ -1,6 +1,9 @@
 """CLI contract: reports, determinism, schema validity, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -239,10 +242,10 @@ class TestValidate:
             assert 0.0 <= r["tv"] <= 1.0
         assert report["validation"]["delta_occupation"]["worst_mean"] > 0
         # exact floats of the (seed, trial) streams: any drift in the draws fails
-        assert [r["tv"] for r in rows] == [0.36, 0.355]
+        assert [r["tv"] for r in rows] == [0.355, 0.3275]
         assert report["validation"]["delta_occupation"]["worst_mean"] == \
-            0.2975497530999905
-        assert report["validation"]["short_time_delta_probability"]["sup"] == 0.365
+            0.30691973213617346
+        assert report["validation"]["short_time_delta_probability"]["sup"] == 0.3975
 
     def test_jump_tables_built_once(self, bd3_spec, monkeypatch, tmp_path):
         # 20 trials: 20 for the marginals, 2 x 20 for the occupation and
@@ -337,3 +340,16 @@ class TestEnvTolerance:
         cfg = default_tolerances()
         assert cfg.rel == pytest.approx(1e-6)
         assert cfg.capacity_rel == pytest.approx(1e-5)
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_env_tolerance_exits_2(self, bd3_spec, value):
+        # a fresh process: the tolerances are read from the environment once
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, METASTAB_TOL=value, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "metastab.cli", "analyze",
+                               "--spec", bd3_spec], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "BadTolerance"
+        assert err["message"] == \
+            f"METASTAB_TOL must be a finite positive number, got '{value}'"

@@ -10,10 +10,12 @@ from metastab import pathsim
 from metastab.errors import BadPartition, BadSpec, StartsInDelta, TouchesDelta
 
 from conftest import (
+    FixedDraws,
     expm_law,
     occupation_integral,
     random_chain,
     random_partition,
+    reference_trajectory,
     reference_zero_range,
 )
 
@@ -241,6 +243,19 @@ class TestSkorohodDistance:
         assert ms.skorohod_distance(p1, p2, m_max=8) == \
             pytest.approx(255 / 256, abs=1e-12)
 
+    def test_valley_numbering_does_not_matter(self):
+        # shifted jumps between three valleys; the labels used to weigh the shift
+        p1 = ms.Path(1, ((0.25, 3), (0.75, 2), (2.5, 1)), 10.0)
+        p2 = ms.Path(1, ((0.375, 3), (0.5, 2), (2.75, 3)), 10.0)
+        renumber = {1: 2, 2: 3, 3: 1}
+
+        def renumbered(path):
+            return ms.Path(renumber[path.initial],
+                           tuple((t, renumber[s]) for t, s in path.events), path.horizon)
+
+        assert ms.skorohod_distance(renumbered(p1), renumbered(p2)) == \
+            ms.skorohod_distance(p1, p2)
+
     def test_symmetry(self, bd3, bd3_partition):
         a = ms.project(ms.simulate(bd3, "1", 15.0, seed=11), bd3_partition, "phi")
         b = ms.project(ms.simulate(bd3, "3", 15.0, seed=12), bd3_partition, "phi")
@@ -374,11 +389,11 @@ class _NearOneRng:
     def __init__(self, seed):
         pass
 
-    def exponential(self, scale):
-        return scale
+    def standard_exponential(self, size):
+        return np.ones(size)
 
-    def random(self):
-        return 1.0 - 2.0 ** -53
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
 
 
 class TestJumpTables:
@@ -386,17 +401,60 @@ class TestJumpTables:
 
     def test_rows_end_at_one(self):
         spec = ms.build_from_string(self.CHAIN)
-        rows = pathsim._chain_tables(spec.chain)
-        assert len(rows) == 165
-        assert all(cumprob[-1] == 1.0 for _, _, cumprob in rows)
+        rows, mean_holding = pathsim._chain_tables(spec.chain)
+        assert len(rows) == len(mean_holding) == 165
+        assert all(cumprob[-1] == 1.0 for _, cumprob in rows)
 
     def test_uniform_near_one_picks_last_target(self, monkeypatch):
         chain = ms.build_from_string(self.CHAIN).chain
-        rows = pathsim._chain_tables(chain)
+        rows, mean_holding = pathsim._chain_tables(chain)
         monkeypatch.setattr(pathsim.np.random, "default_rng", _NearOneRng)
         for i, start in enumerate(chain.states):
-            path = ms.simulate(chain, start, 1.5 * rows[i][0], seed=0)
-            assert path.events[0][1] == chain.states[rows[i][1][-1]]
+            path = ms.simulate(chain, start, 1.5 * mean_holding[i], seed=0)
+            assert path.events[0] == (mean_holding[i], chain.states[rows[i][0][-1]])
+
+
+class TestBlockSeams:
+    """The block sampler against the per-jump reference fed the same draws."""
+
+    DRAWS = 60_000
+
+    @staticmethod
+    def _draws(seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_exponential(TestBlockSeams.DRAWS),
+                rng.random(TestBlockSeams.DRAWS))
+
+    def _sample(self, chain, start, horizon, draws):
+        rng = FixedDraws(*draws)
+        times, states = pathsim._trajectory(pathsim._chain_tables(chain), start,
+                                            horizon, rng)
+        assert (times.tolist(), states.tolist()) == \
+            reference_trajectory(chain, start, horizon, *draws)
+        return times, rng.sizes
+
+    def test_long_path_crosses_full_blocks(self):
+        chain = random_chain(np.random.default_rng(81), 9)
+        times, sizes = self._sample(chain, 0, 20_000.0, self._draws(82))
+        assert len(sizes) >= 3 and max(sizes) == pathsim._BLOCK
+        assert sum(sizes[:-1]) < len(times) < sum(sizes)
+
+    def test_short_paths_cross_seams(self):
+        chain = random_chain(np.random.default_rng(83), 9)
+        blocks = 0
+        for k in range(40):
+            _, sizes = self._sample(chain, k % chain.n, 2.0 + k, self._draws(k))
+            blocks += len(sizes)
+        assert blocks > 40
+
+    def test_horizon_on_a_jump_time_keeps_that_jump(self):
+        chain = random_chain(np.random.default_rng(81), 9)
+        draws = self._draws(85)
+        times, _ = self._sample(chain, 0, 20_000.0, draws)
+        k = pathsim._BLOCK + 17
+        cut, sizes = self._sample(chain, 0, float(times[k]), draws)
+        assert len(sizes) >= 2
+        assert cut.tolist() == times[:k + 1].tolist()
 
 
 class TestTrialRecorder:

@@ -26,6 +26,7 @@ from metastab import (
 )
 from metastab.errors import (
     BadSpec,
+    BadTolerance,
     NotAdmissible,
     NotReversible,
     NotStationary,
@@ -251,6 +252,13 @@ def test_env_tolerance_reaches_checks_from_import():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert float(out.stdout) == 1e-6
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "inf", "nan"])
+def test_env_tolerance_must_be_finite_and_positive(value, monkeypatch):
+    monkeypatch.setenv("METASTAB_TOL", value)
+    with pytest.raises(BadTolerance, match=f"METASTAB_TOL .* got '{value}'"):
+        config.default_tolerances()
 
 
 def test_no_function_takes_a_tolerance_object():
