@@ -293,7 +293,7 @@ def stationary(chain: Chain) -> ProbVector:
         s = chain.states[bad[0]]
         raise SolverFailure(
             f"stationary solve gave pi({s!r}) / pi({chain.states[r]!r}) = "
-            f"{w[bad[0]]!r}; an irreducible chain has pi > 0")
+            f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
     pi = ProbVector(w / w.sum())
     residual = stationarity_residual(chain, pi)
     bound = config.DEFAULT.stationary_residual * chain.max_rate

@@ -110,12 +110,17 @@ def _stationary_section(chain, pi, model):
     }
 
 
-def cmd_analyze(args) -> int:
+def _reduce(args):
+    """Load the input and reduce it: (chain, partition, model_spec, pi, model)."""
     chain, partition, model_spec = _load_input(args)
     partition = _require_partition(partition)
     partition.validate_for(chain, require_valleys=2)
     pi = stationary(chain)
-    model = coarse_rates(chain, pi, partition, args.theta)
+    return chain, partition, model_spec, pi, coarse_rates(chain, pi, partition, args.theta)
+
+
+def cmd_analyze(args) -> int:
+    chain, partition, model_spec, pi, model = _reduce(args)
     scales = model.timescales
     conditions = check_conditions(chain, pi, partition, model)
     report = _report_skeleton("analyze", args)
@@ -208,6 +213,8 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     if not (math.isfinite(args.delta) and args.delta > 0):
         raise InputError(f"--delta must be finite and positive, got {args.delta!r}")
     try:
@@ -216,54 +223,25 @@ def cmd_validate(args) -> int:
         raise InputError(f"--grid must be comma-separated numbers, got {args.grid!r}") from exc
     if not all(map(math.isfinite, grid)):
         raise InputError(f"--grid entries must be finite, got {args.grid!r}")
-    chain, partition, _ = _load_input(args)
-    partition = _require_partition(partition)
-    partition.validate_for(chain, require_valleys=2)
-    pi = stationary(chain)
-    model = coarse_rates(chain, pi, partition, args.theta)
-    theta = model.theta
+    chain, partition, _, pi, model = _reduce(args)
     start = args.start or partition.reference_states(chain, pi)[0]
     fdd = fdd_compare(chain, partition, model, grid, args.trials, args.seed,
                       start, jobs=args.jobs)
-    t2 = estimate_T2(chain, partition, theta, max(grid), args.trials,
+    t2 = estimate_T2(chain, partition, model.theta, max(grid), args.trials,
                      args.seed, jobs=args.jobs, pi=pi)
-    est91 = estimate_91(chain, partition, theta, args.delta, args.trials,
-                        args.seed, jobs=args.jobs, pi=pi)
+    est91 = estimate_91(chain, partition, model.theta, args.delta, args.trials,
+                        args.seed, jobs=args.jobs, pi=pi)._asdict()
+    probabilities, stderr = est91.pop("probabilities"), est91.pop("stderr")
+    est91["per_start"] = [{"start": str(s), "probabilities": probabilities[s],
+                           "stderr": stderr[s]} for s in probabilities]
     report = _report_skeleton("validate", args, seed=args.seed)
     report["validation"] = {
-        "theta": theta,
-        "fdd": {
-            "start": str(fdd.start),
-            "start_valley": fdd.start_valley,
-            "trials": fdd.trials,
-            "rows": [
-                {"t": r.t, "empirical": list(r.empirical),
-                 "delta_mass": r.delta_mass, "reduced": list(r.reduced),
-                 "tv": r.tv, "stderr": r.stderr}
-                for r in fdd.rows
-            ],
-        },
-        "delta_occupation": {
-            "horizon": t2.horizon,
-            "trials": t2.trials,
-            "worst_mean": t2.worst_mean,
-            "per_valley": [
-                {"valley": v.valley, "start": str(v.start), "mean": v.mean,
-                 "stderr": v.stderr,
-                 "escape_probability": v.escape_probability}
-                for v in t2.per_valley
-            ],
-        },
-        "short_time_delta_probability": {
-            "grid": list(est91.grid),
-            "sup": est91.sup,
-            "trials": est91.trials,
-            "per_start": [
-                {"start": str(s), "probabilities": list(est91.probabilities[s]),
-                 "stderr": list(est91.stderr[s])}
-                for s in est91.probabilities
-            ],
-        },
+        "theta": model.theta,
+        "fdd": {**fdd._asdict(), "start": str(fdd.start),
+                "rows": [row._asdict() for row in fdd.rows]},
+        "delta_occupation": {**t2._asdict(), "per_valley": [
+            {**v._asdict(), "start": str(v.start)} for v in t2.per_valley]},
+        "short_time_delta_probability": est91,
     }
     _emit(report, args.out)
     return 0

@@ -13,6 +13,7 @@ which makes all estimators reproducible and independent of worker count.
 
 import bisect
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -181,14 +182,12 @@ def simulate(chain: Chain, start, horizon, seed) -> Path:
 def occupation_time(path: Path, F) -> float:
     """Total time spent in F up to the horizon.
 
-    Accumulated left to right over maximal F-runs, one subtraction per run,
-    so a full-state F gives the horizon exactly and the total equals the
-    horizon of trace_path(path, F) bit for bit.
+    The total of time_change(path, F): accumulated left to right over
+    maximal F-runs, one subtraction per run, so a full-state F gives the
+    horizon exactly and the total equals the horizon of trace_path(path, F)
+    bit for bit.
     """
-    total = 0.0
-    for run_start, segments in _f_runs(path, F):
-        total += segments[-1][1] - run_start
-    return total
+    return time_change(path, F).total
 
 
 @dataclass(frozen=True)
@@ -453,19 +452,22 @@ def _dm_directed(path_a: Path, path_b: Path, m: float) -> float:
     return best
 
 
-def skorohod_distance(p1: Path, p2: Path, m_max: int = 8) -> float:
+_M_MAX = 8  # horizons of the Skorohod-type distance; the rest weigh 2^-8 in all
+
+
+def skorohod_distance(p1: Path, p2: Path) -> float:
     """Weighted Skorohod-type distance between coarse paths.
 
-    d = sum_{m <= m_max} 2^-m min(1, d_m), with d_m an upper bound on the
+    d = sum_{m <= _M_MAX} 2^-m min(1, d_m), with d_m an upper bound on the
     reparameterization infimum obtained from piecewise-linear maps with nodes
     at both paths' jump times: the identity, the best monotone alignment of
     the jumps, and the in-order pairing of the k-th jumps.  Valleys are
     compared only by equality, so d does not depend on how they are
     numbered.  Zero for identical paths, symmetric by construction; paths
-    shorter than m_max extend by their last value.
+    shorter than _M_MAX extend by their last value.
     """
     total = 0.0
-    for m in range(1, m_max + 1):
+    for m in range(1, _M_MAX + 1):
         dm = min(_dm_directed(p1, p2, float(m)), _dm_directed(p2, p1, float(m)))
         total += 2.0 ** -m * min(1.0, dm)
     return total
@@ -495,46 +497,48 @@ def _record_trial(payload):
     return at_times, occupation, float(bounds[hits[0]]) if hits.size else math.inf
 
 
-def _valley_of(chain, owner, start):
-    """The valley of ``start`` by ``Partition.validate_for``'s owner array."""
-    valley = int(owner[_start_index(chain, start)])
-    if valley == 0:
-        raise BadPartition(f"start state {start!r} must lie in a valley")
-    return valley
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
 
 
-def _run_trials(chain, owner, start, horizon, seed, trials, jobs, times=()):
-    """Record trials k < ``trials`` from ``start``, trial k on the stream (seed, k).
+def _trials_by_start(chain, partition, owner, starts, pi, horizon, seed, trials, jobs,
+                     times=(), first=1):
+    """(start, valley, trial records) for each start, every input checked first.
 
-    Delta and the valleys other than the start's are read off ``owner``.
-    """
-    _require_positive("horizon", horizon)
-    if trials < 1:
-        raise BadSpec(f"trials must be at least 1, got {trials!r}")
-    start_idx = _start_index(chain, start)
-    shared = (_chain_tables(chain), start_idx, horizon, np.asarray(times, dtype=float),
-              owner == 0, (owner != 0) & (owner != owner[start_idx]))
-    payloads = [shared + ((seed, k),) for k in range(trials)]
-    if jobs <= 1:
-        return [_record_trial(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_record_trial, payloads,
-                             chunksize=max(1, trials // (4 * jobs))))
-
-
-def _trials_by_start(chain, partition, owner, starts, pi, horizon, seed, trials,
-                     jobs, times=()):
-    """(start, valley, trial records) for each start, all starts checked first.
-
-    ``starts`` defaults to the partition's reference states; the k-th start
-    (from 1) draws its trials from the seed offset by 1000 k.
+    ``starts`` defaults to the partition's reference states.  Trial k of the
+    i-th start, counting from ``first``, draws from the stream
+    (seed + 1000 i, k).  Delta and the valleys other than a start's are read
+    off ``owner``.  All trials run in this process at ``jobs <= 1``, else in
+    one pool of at most ``jobs`` workers and no more than trials or CPUs.
     """
     if starts is None:
         starts = partition.reference_states(chain, pi or stationary(chain))
-    valleys = [_valley_of(chain, owner, start) for start in starts]
-    return [(start, valley,
-             _run_trials(chain, owner, start, horizon, seed + 1000 * k, trials, jobs, times))
-            for k, (start, valley) in enumerate(zip(starts, valleys), start=1)]
+    index = [_start_index(chain, start) for start in starts]
+    valleys = [int(owner[i]) for i in index]
+    if 0 in valleys:
+        raise BadPartition(f"start state {starts[valleys.index(0)]!r} must lie in a valley")
+    _require_positive("horizon", horizon)
+    if trials < 1:
+        raise BadSpec(f"trials must be at least 1, got {trials!r}")
+    tables, times, delta = _chain_tables(chain), np.asarray(times, dtype=float), owner == 0
+    payloads = []
+    for i, (start_idx, valley) in enumerate(zip(index, valleys), start=first):
+        escape = (owner != 0) & (owner != valley)
+        payloads += [(tables, start_idx, horizon, times, delta, escape, (seed + 1000 * i, k))
+                     for k in range(trials)]
+    if jobs <= 1:
+        records = [_record_trial(p) for p in payloads]
+    else:
+        workers = min(jobs, len(payloads), _cpus())
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(_record_trial, payloads,
+                                    chunksize=max(1, len(payloads) // (4 * workers))))
+    return [(start, valley, records[m * trials:(m + 1) * trials])
+            for m, (start, valley) in enumerate(zip(starts, valleys))]
 
 
 class ValleyEstimate(NamedTuple):
@@ -582,6 +586,9 @@ def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float
     return T2Estimate(tuple(results), worst, horizon, trials)
 
 
+_GRID_POINTS = 16  # estimate_91's uniform grid on [delta, 2 delta]
+
+
 class Estimate91(NamedTuple):
     grid: tuple                 # rescaled times in [delta, 2 delta]
     probabilities: dict         # start label -> tuple of estimates per grid point
@@ -591,21 +598,18 @@ class Estimate91(NamedTuple):
 
 
 def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
-                trials: int, seed: int, starts=None, grid_points: int = 16,
-                jobs: int = 1, pi: ProbVector = None) -> Estimate91:
+                trials: int, seed: int, starts=None, jobs: int = 1, pi: ProbVector = None) -> Estimate91:
     """Monte-Carlo sup over s in [delta, 2 delta] of P[state at s*theta in Delta].
 
     The sup over the continuum is approximated on a uniform grid of
-    ``grid_points`` values; starting states (one per valley by default) are
+    ``_GRID_POINTS`` values; starting states (one per valley by default) are
     sampled from a user list, not exhaustively.  Each start must lie in a
     valley; starts and seeds are as in ``_trials_by_start``.
     """
     owner = partition.validate_for(chain, require_valleys=2)
     _require_positive("theta", theta)
     _require_positive("delta", delta)
-    if grid_points < 1:
-        raise BadSpec(f"grid_points must be at least 1, got {grid_points!r}")
-    grid = tuple(np.linspace(delta, 2.0 * delta, grid_points))
+    grid = tuple(np.linspace(delta, 2.0 * delta, _GRID_POINTS))
     real_times = tuple(s * theta for s in grid)
     probabilities, stderr = {}, {}
     sup = 0.0
@@ -647,7 +651,6 @@ def fdd_compare(chain: Chain, partition: Partition, reduced: ReducedModel,
     separating set.
     """
     owner = partition.validate_for(chain, require_valleys=2)
-    j0 = _valley_of(chain, owner, start)
     times = [float(t) for t in time_grid]
     if not (times and all(math.isfinite(t) and t >= 0 for t in times)):
         raise BadSpec(f"time grid must be nonempty, finite and nonnegative, got {times!r}")
@@ -656,7 +659,8 @@ def fdd_compare(chain: Chain, partition: Partition, reduced: ReducedModel,
     real_times = tuple(t * reduced.theta for t in times)
     horizon = max(real_times[-1], 1e-9)
     # t == 0 and t beyond the last jump read the start and the last state
-    recs = _run_trials(chain, owner, start, horizon, seed, trials, jobs, times=real_times)
+    [(_, j0, recs)] = _trials_by_start(chain, partition, owner, [start], None, horizon,
+                                       seed, trials, jobs, times=real_times, first=0)
     rows = owner[np.array([r[0] for r in recs])]
     out = []
     for col, t in enumerate(times):

@@ -127,8 +127,9 @@ class TestStationary:
             return x
 
         monkeypatch.setattr(numerics, "solve_linear", negate_smallest)
-        with pytest.raises(SolverFailure):
+        with pytest.raises(SolverFailure) as err:
             ms.stationary(chain)
+        assert "np.float64" not in str(err.value)
 
 
 class TestGenerator:

@@ -240,7 +240,7 @@ class TestSkorohodDistance:
     def test_distinct_constants(self):
         p1 = ms.Path(1, (), 10.0)
         p2 = ms.Path(2, (), 10.0)
-        assert ms.skorohod_distance(p1, p2, m_max=8) == \
+        assert ms.skorohod_distance(p1, p2) == \
             pytest.approx(255 / 256, abs=1e-12)
 
     def test_valley_numbering_does_not_matter(self):
@@ -474,14 +474,64 @@ class TestTrialRecorder:
             # jump times themselves probe the right-continuous convention
             times = sorted({0.0, horizon, *rng.uniform(0.0, horizon, 6),
                             *(t for p in paths for t, _ in p.events[:2])})
-            rows = pathsim._run_trials(chain, part.validate_for(chain), start, horizon,
-                                       case, 5, 1, times=times)
+            [(_, _, rows)] = pathsim._trials_by_start(
+                chain, part, part.validate_for(chain), [start], None, horizon, case, 5, 1,
+                times=times, first=0)
             for path, (at_times, occupation, first_escape) in zip(paths, rows):
                 assert [chain.states[i] for i in at_times] == \
                     [path.state_at(t) for t in times]
                 assert occupation == ms.occupation_time(path, part.delta)
                 assert first_escape == next(
                     (a for a, _, s in path.sojourns() if s in escape), math.inf)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size, maps in this process."""
+
+    sizes = None
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools the validators open; no process is started."""
+    sizes = []
+    monkeypatch.setattr(_InProcessPool, "sizes", sizes)
+    monkeypatch.setattr(pathsim, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(pathsim, "_cpus", lambda: 3)
+    return sizes
+
+
+class TestWorkerPool:
+    """Each validator call opens at most one pool, bounded by trials and CPUs."""
+
+    @pytest.mark.parametrize("trials, jobs, workers", [(20, 5000, 3), (2, 5000, 2), (20, 2, 2)])
+    def test_pool_bound(self, bd3, bd3_partition, pools, trials, jobs, workers):
+        pi = ms.stationary(bd3)
+        model = ms.coarse_rates(bd3, pi, bd3_partition, 2.0)
+        rep = ms.fdd_compare(bd3, bd3_partition, model, [0.5], trials, 7, "1", jobs=jobs)
+        assert pools == [workers]
+        assert rep == ms.fdd_compare(bd3, bd3_partition, model, [0.5], trials, 7, "1")
+
+    def test_one_pool_for_all_starts(self, pools):
+        spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
+        starts = [sorted(v)[0] for v in spec.partition.valleys[:3]]
+        est = ms.estimate_T2(spec.chain, spec.partition, 1.0, 0.5, trials=4, seed=3,
+                             starts=starts, jobs=2)
+        assert pools == [2]
+        assert est == ms.estimate_T2(spec.chain, spec.partition, 1.0, 0.5, trials=4,
+                                     seed=3, starts=starts)
 
 
 @pytest.fixture
@@ -574,12 +624,6 @@ class TestValidatorInputChecks:
     def test_estimate_T2_names_its_own_horizon(self, bd3, bd3_partition):
         with pytest.raises(BadSpec, match="horizon must be finite and positive, got -1.0$"):
             ms.estimate_T2(bd3, bd3_partition, 2.0, -1.0, trials=10, seed=0)
-
-    @pytest.mark.parametrize("grid_points", [0, -3])
-    def test_estimate_91_bad_grid_points(self, bd3, bd3_partition, grid_points):
-        with pytest.raises(BadSpec, match="grid_points"):
-            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=10, seed=0,
-                           grid_points=grid_points)
 
 
 class TestPathValidation:
