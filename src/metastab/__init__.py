@@ -70,6 +70,7 @@ from .pathsim import (
     last_passage_path,
     occupation_time,
     project,
+    sample_valleys,
     simulate,
     skorohod_distance,
     time_change,

@@ -30,6 +30,8 @@ from .pathsim import (
     fdd_compare,
     last_passage_path,
     project,
+    sample_valleys,
+    short_time_grid,
     simulate,
     trace_path,
 )
@@ -221,16 +223,19 @@ def cmd_validate(args) -> int:
         grid = [float(x) for x in args.grid.split(",")] if args.grid else [0.5, 1.0, 2.0]
     except ValueError as exc:
         raise InputError(f"--grid must be comma-separated numbers, got {args.grid!r}") from exc
-    if not all(map(math.isfinite, grid)):
-        raise InputError(f"--grid entries must be finite, got {args.grid!r}")
+    if not (all(map(math.isfinite, grid)) and min(grid) >= 0 and max(grid) > 0):
+        raise InputError(f"--grid needs finite, nonnegative entries, one positive: {args.grid!r}")
     chain, partition, _, pi, model = _reduce(args)
-    start = args.start or partition.reference_states(chain, pi)[0]
-    fdd = fdd_compare(chain, partition, model, grid, args.trials, args.seed,
-                      start, jobs=args.jobs)
-    t2 = estimate_T2(chain, partition, model.theta, max(grid), args.trials,
-                     args.seed, jobs=args.jobs, pi=pi)
-    est91 = estimate_91(chain, partition, model.theta, args.delta, args.trials,
-                        args.seed, jobs=args.jobs, pi=pi)._asdict()
+    theta, refs = model.theta, partition.reference_states(chain, pi)
+    start, times = args.start or refs[0], [t * theta for t in grid]
+    # a start that is not a reference state gets a sample of its own, drawn first
+    own = None if start in refs else sample_valleys(
+        chain, partition, times, args.trials, args.seed, [start], args.jobs)
+    times += [s * theta for s in short_time_grid(args.delta)]
+    sample = sample_valleys(chain, partition, times, args.trials, args.seed, refs, args.jobs)
+    fdd = fdd_compare(own or sample, model, grid, start)
+    t2 = estimate_T2(sample, theta, max(grid))
+    est91 = estimate_91(sample, theta, args.delta)._asdict()
     probabilities, stderr = est91.pop("probabilities"), est91.pop("stderr")
     est91["per_start"] = [{"start": str(s), "probabilities": probabilities[s],
                            "stderr": stderr[s]} for s in probabilities]

@@ -6,9 +6,11 @@ use the integer alphabet {0, 1, ..., n}: valley j maps to j, the separating
 set maps to 0.
 
 Sojourn sums are accumulated left to right everywhere, so the total length of
-a trace path equals the occupation time of its set bit for bit.  Every
-trajectory draws its randomness from a stream seeded by (seed, trial index),
-which makes all estimators reproducible and independent of worker count.
+a trace path equals the occupation time of its set bit for bit.  The three
+validators read one sample (``sample_valleys``): per start and trial, the
+valley at each time and the time in the separating set up to it.  Trial k of
+the i-th start draws from the stream (seed + 1000 i, k), so every estimate is
+reproducible and independent of worker count.
 """
 
 import bisect
@@ -478,23 +480,25 @@ def skorohod_distance(p1: Path, p2: Path) -> float:
 
 
 def _record_trial(payload):
-    """One trial: states at ``times``, time in Delta, first time in another valley.
+    """One trial: the valley (0 for Delta) at ``times`` and the time in Delta up to each.
 
-    States are dense indices by ``state_at``'s rule and the occupation sums
-    maximal runs left to right as ``occupation_time`` does, so both equal
-    their Path counterparts bit for bit.  A path that never escapes gives inf.
+    The path runs to the last time.  Both equal ``state_at`` and ``occupation_time`` of
+    the path cut at each time bit for bit: maximal Delta-runs are summed left to right.
     """
-    tables, start, horizon, times, occupied, escape, seed_pair = payload
-    jump_times, states = _trajectory(tables, start, horizon,
+    tables, owner, start, times, seed_pair = payload
+    jump_times, states = _trajectory(tables, start, float(times[-1]),
                                      np.random.default_rng(seed_pair))
-    visited = np.concatenate(([start], states))
-    bounds = np.concatenate(([0.0], jump_times, [horizon]))
-    at_times = visited[np.searchsorted(bounds[1:-1], times, side="right")]
-    edges = np.diff(occupied[visited].astype(np.int8), prepend=0, append=0)
-    runs = bounds[edges == -1] - bounds[edges == 1]
-    occupation = float(np.cumsum(runs)[-1]) if runs.size else 0.0
-    hits = np.flatnonzero(escape[visited])
-    return at_times, occupation, float(bounds[hits[0]]) if hits.size else math.inf
+    valleys = owner[np.concatenate(([start], states))]
+    bounds = np.concatenate(([0.0], jump_times, times[-1:]))
+    edges = np.diff((valleys == 0).astype(np.int8), prepend=0, append=0)
+    run_starts, run_ends = bounds[edges == 1], bounds[edges == -1]
+    done = np.concatenate(([0.0], np.cumsum(run_ends - run_starts)))
+    at = valleys[np.searchsorted(jump_times, times, side="right")]
+    begun = np.searchsorted(run_starts, times, side="right")  # runs begun by each time
+    occupation, inside = done[begun], at == 0
+    k = begun[inside] - 1                                     # the run each time is inside
+    occupation[inside] = done[k] + (times[inside] - run_starts[k])
+    return at, occupation
 
 
 def _cpus():
@@ -505,31 +509,41 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _trials_by_start(chain, partition, owner, starts, pi, horizon, seed, trials, jobs,
-                     times=(), first=1):
-    """(start, valley, trial records) for each start, every input checked first.
+class ValleySample(NamedTuple):
+    times: tuple                # chain times, increasing; every path runs to the last
+    starts: tuple
+    valleys: tuple              # the valley of each start
+    trials: int
+    at: np.ndarray              # [start, trial, time] -> valley, 0 for Delta
+    occupation: np.ndarray      # [start, trial, time] -> time in Delta up to that time
 
-    ``starts`` defaults to the partition's reference states.  Trial k of the
-    i-th start, counting from ``first``, draws from the stream
-    (seed + 1000 i, k).  Delta and the valleys other than a start's are read
-    off ``owner``.  All trials run in this process at ``jobs <= 1``, else in
-    one pool of at most ``jobs`` workers and no more than trials or CPUs.
+
+def sample_valleys(chain: Chain, partition: Partition, times, trials: int, seed: int,
+                   starts=None, jobs: int = 1) -> ValleySample:
+    """``trials`` paths from each start, recorded at ``times``; every input checked first.
+
+    ``starts`` defaults to the partition's reference states; each must be a known state
+    inside a valley, and none may repeat.  Trial k of the i-th start (i = 1, 2, ...)
+    draws from the stream (seed + 1000 i, k).  All trials run in this process at
+    ``jobs <= 1``, else in one pool of at most ``jobs`` workers, trials or CPUs.
     """
-    if starts is None:
-        starts = partition.reference_states(chain, pi or stationary(chain))
+    owner = partition.validate_for(chain, require_valleys=2)
+    starts = tuple(partition.reference_states(chain, stationary(chain))
+                   if starts is None else starts)
     index = [_start_index(chain, start) for start in starts]
-    valleys = [int(owner[i]) for i in index]
+    valleys = tuple(int(owner[i]) for i in index)
     if 0 in valleys:
         raise BadPartition(f"start state {starts[valleys.index(0)]!r} must lie in a valley")
-    _require_positive("horizon", horizon)
+    if len(set(starts)) < len(starts):
+        raise BadSpec(f"repeated start states in {starts!r}")
+    times = sorted({float(t) for t in times})
+    if not (times and times[-1] > 0 and all(math.isfinite(t) and t >= 0 for t in times)):
+        raise BadSpec(f"sample times must be finite, >= 0 and end at a positive horizon: {times}")
     if trials < 1:
         raise BadSpec(f"trials must be at least 1, got {trials!r}")
-    tables, times, delta = _chain_tables(chain), np.asarray(times, dtype=float), owner == 0
-    payloads = []
-    for i, (start_idx, valley) in enumerate(zip(index, valleys), start=first):
-        escape = (owner != 0) & (owner != valley)
-        payloads += [(tables, start_idx, horizon, times, delta, escape, (seed + 1000 * i, k))
-                     for k in range(trials)]
+    tables, grid = _chain_tables(chain), np.array(times)
+    payloads = [(tables, owner, start_idx, grid, (seed + 1000 * i, k))
+                for i, start_idx in enumerate(index, start=1) for k in range(trials)]
     if jobs <= 1:
         records = [_record_trial(p) for p in payloads]
     else:
@@ -537,8 +551,18 @@ def _trials_by_start(chain, partition, owner, starts, pi, horizon, seed, trials,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_record_trial, payloads,
                                     chunksize=max(1, len(payloads) // (4 * workers))))
-    return [(start, valley, records[m * trials:(m + 1) * trials])
-            for m, (start, valley) in enumerate(zip(starts, valleys))]
+    shape = (len(starts), trials, len(times))
+    return ValleySample(tuple(times), starts, valleys, trials,
+                        np.array([r[0] for r in records]).reshape(shape),
+                        np.array([r[1] for r in records]).reshape(shape))
+
+
+def _columns(sample: ValleySample, times):
+    """The sample's column of each chain time; BadSpec for a time it lacks."""
+    missing = [t for t in times if t not in sample.times]
+    if missing:
+        raise BadSpec(f"the sample has no time {float(missing[0])!r}")
+    return [sample.times.index(t) for t in times]
 
 
 class ValleyEstimate(NamedTuple):
@@ -546,7 +570,6 @@ class ValleyEstimate(NamedTuple):
     start: object
     mean: float
     stderr: float
-    escape_probability: object   # None unless escape_delta was requested
 
 
 class T2Estimate(NamedTuple):
@@ -556,37 +579,28 @@ class T2Estimate(NamedTuple):
     trials: int
 
 
-def estimate_T2(chain: Chain, partition: Partition, theta: float, horizon: float,
-                trials: int, seed: int, starts=None, escape_delta=None,
-                jobs: int = 1, pi: ProbVector = None) -> T2Estimate:
+def estimate_T2(sample: ValleySample, theta: float, horizon: float) -> T2Estimate:
     """Mean time spent in the separating set on [0, horizon], rescaled time.
 
-    Each trajectory runs for horizon * theta units of chain time; the mean of
-    occupation(delta)/theta is reported per starting valley with its standard
-    error, plus the worst mean.  With ``escape_delta`` set, the empirical
-    probability of leaving the starting valley by that (rescaled) time is
-    recorded as well.  Each start must lie in a valley, which its estimate
-    reports; starts and seeds are as in ``_trials_by_start``.
-    """
-    owner = partition.validate_for(chain, require_valleys=2)
+    Per start, read at chain time horizon * theta, with its valley and standard error."""
     _require_positive("theta", theta)
     _require_positive("horizon", horizon)
-    results = []
-    for start, valley, rows in _trials_by_start(chain, partition, owner, starts, pi,
-                                                horizon * theta, seed, trials, jobs):
-        occ = np.array([r[1] / theta for r in rows])
-        mean = float(occ.mean())
+    [col] = _columns(sample, [horizon * theta])
+    trials, results = sample.trials, []
+    for start, valley, occ in zip(sample.starts, sample.valleys,
+                                  sample.occupation[:, :, col] / theta):
         stderr = float(occ.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-        esc = None
-        if escape_delta is not None:
-            cut = escape_delta * theta
-            esc = float(np.mean([1.0 if r[2] <= cut else 0.0 for r in rows]))
-        results.append(ValleyEstimate(valley, start, mean, stderr, esc))
-    worst = max(r.mean for r in results)
-    return T2Estimate(tuple(results), worst, horizon, trials)
+        results.append(ValleyEstimate(valley, start, float(occ.mean()), stderr))
+    return T2Estimate(tuple(results), max(r.mean for r in results), horizon, trials)
 
 
 _GRID_POINTS = 16  # estimate_91's uniform grid on [delta, 2 delta]
+
+
+def short_time_grid(delta: float) -> tuple:
+    """estimate_91's rescaled times: ``_GRID_POINTS`` uniform points on [delta, 2 delta]."""
+    _require_positive("delta", delta)
+    return tuple(np.linspace(delta, 2.0 * delta, _GRID_POINTS))
 
 
 class Estimate91(NamedTuple):
@@ -597,31 +611,19 @@ class Estimate91(NamedTuple):
     trials: int
 
 
-def estimate_91(chain: Chain, partition: Partition, theta: float, delta: float,
-                trials: int, seed: int, starts=None, jobs: int = 1, pi: ProbVector = None) -> Estimate91:
+def estimate_91(sample: ValleySample, theta: float, delta: float) -> Estimate91:
     """Monte-Carlo sup over s in [delta, 2 delta] of P[state at s*theta in Delta].
 
-    The sup over the continuum is approximated on a uniform grid of
-    ``_GRID_POINTS`` values; starting states (one per valley by default) are
-    sampled from a user list, not exhaustively.  Each start must lie in a
-    valley; starts and seeds are as in ``_trials_by_start``.
+    The sup over the continuum is approximated on ``short_time_grid(delta)``;
+    the starts are the sample's, not every state of a valley.
     """
-    owner = partition.validate_for(chain, require_valleys=2)
     _require_positive("theta", theta)
-    _require_positive("delta", delta)
-    grid = tuple(np.linspace(delta, 2.0 * delta, _GRID_POINTS))
-    real_times = tuple(s * theta for s in grid)
-    probabilities, stderr = {}, {}
-    sup = 0.0
-    for start, _, recs in _trials_by_start(chain, partition, owner, starts, pi,
-                                           real_times[-1], seed, trials, jobs,
-                                           times=real_times):
-        p = (owner[np.array([r[0] for r in recs])] == 0).mean(axis=0)
-        se = np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / trials)
-        probabilities[start] = tuple(float(x) for x in p)
-        stderr[start] = tuple(float(x) for x in se)
-        sup = max(sup, float(p.max()))
-    return Estimate91(grid, probabilities, stderr, sup, trials)
+    grid = short_time_grid(delta)
+    p_all = (sample.at[:, :, _columns(sample, [s * theta for s in grid])] == 0).mean(axis=1)
+    se_all = np.sqrt(np.clip(p_all * (1.0 - p_all), 0.0, None) / sample.trials)
+    probabilities = {s: tuple(float(x) for x in p) for s, p in zip(sample.starts, p_all)}
+    stderr = {s: tuple(float(x) for x in se) for s, se in zip(sample.starts, se_all)}
+    return Estimate91(grid, probabilities, stderr, float(p_all.max()), sample.trials)
 
 
 class FddRow(NamedTuple):
@@ -640,32 +642,22 @@ class FddReport(NamedTuple):
     trials: int
 
 
-def fdd_compare(chain: Chain, partition: Partition, reduced: ReducedModel,
-                time_grid, trials: int, seed: int, start, jobs: int = 1) -> FddReport:
-    """Empirical coarse marginals at rescaled times vs the reduced model.
+def fdd_compare(sample: ValleySample, reduced: ReducedModel, time_grid, start) -> FddReport:
+    """Empirical coarse marginals from ``start`` at rescaled times vs the reduced model.
 
-    For each grid time t, the law of the projected state at chain time
-    t * reduced.theta is estimated over ``trials`` trajectories and compared
-    with the corresponding transition row of the reduced model; the
-    total-variation distance charges the full mass sitting in the
-    separating set.
+    At each grid time t, the sample's law of the valley at chain time t * reduced.theta
+    is compared with the reduced model's transition row; the total-variation distance
+    charges the full mass sitting in the separating set.
     """
-    owner = partition.validate_for(chain, require_valleys=2)
-    times = [float(t) for t in time_grid]
-    if not (times and all(math.isfinite(t) and t >= 0 for t in times)):
-        raise BadSpec(f"time grid must be nonempty, finite and nonnegative, got {times!r}")
-    times.sort()
-    n = partition.n
-    real_times = tuple(t * reduced.theta for t in times)
-    horizon = max(real_times[-1], 1e-9)
-    # t == 0 and t beyond the last jump read the start and the last state
-    [(_, j0, recs)] = _trials_by_start(chain, partition, owner, [start], None, horizon,
-                                       seed, trials, jobs, times=real_times, first=0)
-    rows = owner[np.array([r[0] for r in recs])]
+    times = sorted(float(t) for t in time_grid)
+    if start not in sample.starts:
+        raise BadSpec(f"the sample has no start {start!r}")
+    i, trials = sample.starts.index(start), sample.trials
+    j0 = sample.valleys[i]
+    rows = sample.at[i][:, _columns(sample, [t * reduced.theta for t in times])]
     out = []
     for col, t in enumerate(times):
-        counts = np.bincount(rows[:, col], minlength=n + 1)
-        emp = counts / trials
+        emp = np.bincount(rows[:, col], minlength=reduced.valley_count + 1) / trials
         red = reduced_transition(reduced, t)[j0 - 1]
         tv = 0.5 * (float(np.abs(emp[1:] - red).sum()) + float(emp[0]))
         se = 0.5 * float(np.sqrt(np.clip(emp * (1 - emp), 0, None) / trials).sum())

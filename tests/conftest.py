@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from metastab import Partition, build_chain, collapse_chain, config, numerics
+from metastab import Partition, build_chain, collapse_chain, config, numerics, pathsim
 from metastab.chain import apply_generator, dirichlet_form
 from metastab.errors import NotStationary, SolverFailure, ToleranceViolation
 from metastab.potential import hitting_probability
@@ -211,6 +211,34 @@ def tamper_solves(monkeypatch, tamper):
         return lambda b: tamper(np.asarray(b), solve(b))
 
     monkeypatch.setattr(numerics, "factor", tampered)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size, maps in this process."""
+
+    sizes = None
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools the sampler opens, on 3 faked CPUs; no process starts."""
+    sizes = []
+    monkeypatch.setattr(_InProcessPool, "sizes", sizes)
+    monkeypatch.setattr(pathsim, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(pathsim, "_cpus", lambda: 3)
+    return sizes
 
 
 def reference_point_capacities(chain, pi, idx, ref, where):

@@ -376,7 +376,9 @@ def test_criterion_10_simulation_validator():
     trials = 10_000
     model = ms.coarse_rates(bd3, pi, part, theta)
     grid = [0.5, 1.0, 2.0]
-    rep = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1")
+    fdd_times = [t * theta for t in grid]
+    rep = ms.fdd_compare(ms.sample_valleys(bd3, part, fdd_times, trials, 1010, ["1"]),
+                         model, grid, "1")
     # oracle: the exact law of the full chain, projected
     ok = True
     worst_tv = 0.0
@@ -388,16 +390,17 @@ def test_criterion_10_simulation_validator():
         worst_tv = max(worst_tv, tv)
         ok &= tv <= 0.05
     # occupation estimate vs the exact occupation integral
-    est = ms.estimate_T2(bd3, part, theta, 1.0, trials, 1011, pi=pi)
+    refs = part.reference_states(bd3, pi)
+    est = ms.estimate_T2(ms.sample_valleys(bd3, part, [theta], trials, 1011, refs), theta, 1.0)
     for row in est.per_valley:
         exact = occupation_integral(bd3, row.start, ["2"], 1.0, theta)
         ok &= abs(row.mean - exact) <= 3 * row.stderr
     # bit-for-bit reruns and jobs-independence
-    rep2 = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1")
-    rep3 = ms.fdd_compare(bd3, part, model, grid, trials, 1010, "1",
-                          jobs=2)
+    rep2, rep3 = (ms.fdd_compare(ms.sample_valleys(bd3, part, fdd_times, trials, 1010, ["1"],
+                                                   jobs=jobs), model, grid, "1")
+                  for jobs in (1, 2))
     ok &= rep == rep2 == rep3
-    est2 = ms.estimate_T2(bd3, part, theta, 1.0, trials, 1011, pi=pi)
+    est2 = ms.estimate_T2(ms.sample_valleys(bd3, part, [theta], trials, 1011, refs), theta, 1.0)
     ok &= est == est2
     report(10, ok, f"worst empirical-vs-oracle TV {worst_tv:.4f} at "
                    f"{trials} trials")

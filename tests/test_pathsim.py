@@ -1,6 +1,7 @@
 """Simulation, path surgeries, Skorohod distance, Monte-Carlo validators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,20 +263,27 @@ class TestSkorohodDistance:
         assert ms.skorohod_distance(a, b) == ms.skorohod_distance(b, a)
 
 
+def _times_91(theta, delta):
+    """The chain times estimate_91 reads for ``theta`` and ``delta``."""
+    return [s * theta for s in pathsim.short_time_grid(delta)]
+
+
 class TestEstimateT2:
     def test_empty_delta_exact_zero(self, b2):
         part = ms.Partition((frozenset({"1"}), frozenset({"2"})))
-        est = ms.estimate_T2(b2, part, 1.0, 1.0, trials=10, seed=0)
+        est = ms.estimate_T2(ms.sample_valleys(b2, part, [1.0], 10, 0), 1.0, 1.0)
         assert est.worst_mean == 0.0
 
     def test_empty_delta_all_zero_means(self, b2):
-        est = ms.estimate_T2(b2, _two_valleys_no_delta(), 1.0, 1.0, trials=10, seed=0)
+        sample = ms.sample_valleys(b2, _two_valleys_no_delta(), [1.0], 10, 0)
+        est = ms.estimate_T2(sample, 1.0, 1.0)
         assert [(r.valley, r.mean, r.stderr) for r in est.per_valley] == \
             [(1, 0.0, 0.0), (2, 0.0, 0.0)]
 
     def test_birth_death_matches_semigroup_integral(self, bd3, bd3_partition):
         theta, horizon, trials = 2.0, 1.0, 3000
-        est = ms.estimate_T2(bd3, bd3_partition, theta, horizon, trials, seed=21)
+        sample = ms.sample_valleys(bd3, bd3_partition, [horizon * theta], trials, 21)
+        est = ms.estimate_T2(sample, theta, horizon)
         exact = {
             "1": occupation_integral(bd3, "1", ["2"], horizon, theta),
             "3": occupation_integral(bd3, "3", ["2"], horizon, theta),
@@ -285,65 +293,62 @@ class TestEstimateT2:
         # stationary-bound sanity: mean <= horizon * pi(delta)/pi(start)
         assert est.worst_mean <= horizon * (1 / 3) / (1 / 3) + 1e-9
 
-    def test_escape_flag(self, bd3, bd3_partition):
-        est = ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=500, seed=22,
-                             escape_delta=0.5)
-        for row in est.per_valley:
-            assert 0.0 <= row.escape_probability <= 1.0
-
     def test_zero_range_direction(self):
         means = []
         for N in (8, 12):
             spec = ms.zero_range(3, N, 3.0, 0.5)
             pi = ms.stationary(spec.chain)
             theta = ms.coarse_rates(spec.chain, pi, spec.partition).timescales[0]
-            est = ms.estimate_T2(spec.chain, spec.partition, theta, 0.3,
-                                 trials=40, seed=23, pi=pi)
-            means.append(est.worst_mean)
+            sample = ms.sample_valleys(spec.chain, spec.partition, [0.3 * theta], 40, 23,
+                                       spec.partition.reference_states(spec.chain, pi))
+            means.append(ms.estimate_T2(sample, theta, 0.3).worst_mean)
         assert means[1] < means[0]
 
     def test_reproducible(self, bd3, bd3_partition):
-        a = ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=100, seed=5)
-        b = ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=100, seed=5)
+        a = ms.estimate_T2(ms.sample_valleys(bd3, bd3_partition, [2.0], 100, 5), 2.0, 1.0)
+        b = ms.estimate_T2(ms.sample_valleys(bd3, bd3_partition, [2.0], 100, 5), 2.0, 1.0)
         assert a == b
 
     def test_estimate_names_the_start_valley(self, bd3, bd3_partition):
-        est = ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=50, seed=5,
-                             starts=("3", "1"), escape_delta=0.5)
+        sample = ms.sample_valleys(bd3, bd3_partition, [2.0], 50, 5, starts=("3", "1"))
+        est = ms.estimate_T2(sample, 2.0, 1.0)
         assert [(r.valley, r.start) for r in est.per_valley] == [(2, "3"), (1, "1")]
         part = ms.Partition((frozenset({"1"}), frozenset({"2", "3"})))
-        est = ms.estimate_T2(bd3, part, 2.0, 1.0, trials=5, seed=5, starts=("3",))
+        est = ms.estimate_T2(ms.sample_valleys(bd3, part, [2.0], 5, 5, starts=("3",)), 2.0, 1.0)
         assert est.per_valley[0].valley == 2
 
-    @pytest.mark.parametrize("escape_delta", [None, 0.5])
-    def test_unknown_start(self, bd3, bd3_partition, escape_delta):
+    # delta None samples at the T2 horizon, delta 0.5 on the short-time grid of 9.1
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    def test_unknown_start(self, bd3, bd3_partition, delta):
+        times = [2.0] if delta is None else _times_91(2.0, delta)
         with pytest.raises(BadSpec, match="unknown start"):
-            ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=10, seed=0,
-                           starts=("zz",), escape_delta=escape_delta)
+            ms.sample_valleys(bd3, bd3_partition, times, 10, 0, starts=("zz",))
 
-    @pytest.mark.parametrize("escape_delta", [None, 0.5])
-    def test_delta_start(self, bd3, bd3_partition, escape_delta):
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    def test_delta_start(self, bd3, bd3_partition, delta):
+        times = [2.0] if delta is None else _times_91(2.0, delta)
         with pytest.raises(BadPartition, match="must lie in a valley"):
-            ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=10, seed=0,
-                           starts=("2",), escape_delta=escape_delta)
+            ms.sample_valleys(bd3, bd3_partition, times, 10, 0, starts=("2",))
 
 
 class TestEstimate91:
     def test_empty_delta(self, b2):
         part = ms.Partition((frozenset({"1"}), frozenset({"2"})))
-        est = ms.estimate_91(b2, part, 1.0, 0.5, trials=10, seed=0)
+        est = ms.estimate_91(ms.sample_valleys(b2, part, _times_91(1.0, 0.5), 10, 0), 1.0, 0.5)
         assert est.sup == 0.0
 
     def test_birth_death_matches_semigroup(self, bd3, bd3_partition):
         theta, delta, trials = 2.0, 1.0, 3000
-        est = ms.estimate_91(bd3, bd3_partition, theta, delta, trials, seed=31)
+        sample = ms.sample_valleys(bd3, bd3_partition, _times_91(theta, delta), trials, 31)
+        est = ms.estimate_91(sample, theta, delta)
         for start, probs in est.probabilities.items():
             for s, p_emp, se in zip(est.grid, probs, est.stderr[start]):
                 p_exact = float(expm_law(bd3, start, s * theta)[bd3.index["2"]])
                 assert abs(p_emp - p_exact) <= 3 * max(se, 1e-3)
 
     def test_grid_has_sixteen_points(self, bd3, bd3_partition):
-        est = ms.estimate_91(bd3, bd3_partition, 1.0, 0.25, trials=10, seed=1)
+        sample = ms.sample_valleys(bd3, bd3_partition, _times_91(1.0, 0.25), 10, 1)
+        est = ms.estimate_91(sample, 1.0, 0.25)
         assert len(est.grid) == 16
         assert est.grid[0] == pytest.approx(0.25)
         assert est.grid[-1] == pytest.approx(0.5)
@@ -353,7 +358,9 @@ class TestFddCompare:
     def test_time_zero_is_point_mass(self, bd3, bd3_partition):
         pi = ms.stationary(bd3)
         model = ms.coarse_rates(bd3, pi, bd3_partition, 2.0)
-        rep = ms.fdd_compare(bd3, bd3_partition, model, [0.0], 50, 1, "1")
+        # a sample needs a positive horizon; only time 0 is read
+        sample = ms.sample_valleys(bd3, bd3_partition, [0.0, 1.0], 50, 1, ["1"])
+        rep = ms.fdd_compare(sample, model, [0.0], "1")
         row = rep.rows[0]
         assert row.empirical == (1.0, 0.0)
         assert row.delta_mass == 0.0
@@ -363,8 +370,9 @@ class TestFddCompare:
         theta, trials = 2.0, 4000
         pi = ms.stationary(bd3)
         model = ms.coarse_rates(bd3, pi, bd3_partition, theta)
-        rep = ms.fdd_compare(bd3, bd3_partition, model, [0.5, 1.0],
-                             trials, 41, "1")
+        sample = ms.sample_valleys(bd3, bd3_partition, [0.5 * theta, 1.0 * theta],
+                                   trials, 41, ["1"])
+        rep = ms.fdd_compare(sample, model, [0.5, 1.0], "1")
         for row in rep.rows:
             law = expm_law(bd3, "1", row.t * theta)
             exact = np.array([law[bd3.index["1"]], law[bd3.index["3"]]])
@@ -376,10 +384,9 @@ class TestFddCompare:
     def test_reproducible_and_jobs_independent(self, bd3, bd3_partition):
         pi = ms.stationary(bd3)
         model = ms.coarse_rates(bd3, pi, bd3_partition, 2.0)
-        a = ms.fdd_compare(bd3, bd3_partition, model, [0.5], 200, 7, "1")
-        b = ms.fdd_compare(bd3, bd3_partition, model, [0.5], 200, 7, "1")
-        c = ms.fdd_compare(bd3, bd3_partition, model, [0.5], 200, 7, "1",
-                           jobs=2)
+        a, b, c = (ms.fdd_compare(ms.sample_valleys(bd3, bd3_partition, [1.0], 200, 7, ["1"],
+                                                    jobs=jobs), model, [0.5], "1")
+                   for jobs in (1, 1, 2))
         assert a == b == c
 
 
@@ -458,7 +465,7 @@ class TestBlockSeams:
 
 
 class TestTrialRecorder:
-    """The validators' recorder against the public Path surgeries."""
+    """The sampler's records against the public Path surgeries."""
 
     def test_matches_path_surgeries(self):
         rng = np.random.default_rng(71)
@@ -466,72 +473,51 @@ class TestTrialRecorder:
             chain = random_chain(rng, int(rng.integers(5, 12)))
             part = random_partition(rng, chain, int(rng.integers(2, 4)))
             label_map = part.label_map()
-            starts = [s for s in chain.states if label_map[s] != 0]
-            start = starts[int(rng.integers(len(starts)))]
-            escape = part.others(label_map[start])
+            in_valleys = [s for s in chain.states if label_map[s] != 0]
+            starts = [in_valleys[i] for i in rng.choice(len(in_valleys), 2, replace=False)]
             horizon = float(rng.uniform(5.0, 40.0))
-            paths = [ms.simulate(chain, start, horizon, seed=(case, k)) for k in range(5)]
+            paths = [[ms.simulate(chain, start, horizon, seed=(case + 1000 * i, k))
+                      for k in range(5)] for i, start in enumerate(starts, start=1)]
             # jump times themselves probe the right-continuous convention
             times = sorted({0.0, horizon, *rng.uniform(0.0, horizon, 6),
-                            *(t for p in paths for t, _ in p.events[:2])})
-            [(_, _, rows)] = pathsim._trials_by_start(
-                chain, part, part.validate_for(chain), [start], None, horizon, case, 5, 1,
-                times=times, first=0)
-            for path, (at_times, occupation, first_escape) in zip(paths, rows):
-                assert [chain.states[i] for i in at_times] == \
-                    [path.state_at(t) for t in times]
-                assert occupation == ms.occupation_time(path, part.delta)
-                assert first_escape == next(
-                    (a for a, _, s in path.sojourns() if s in escape), math.inf)
+                            *(t for row in paths for p in row for t, _ in p.events[:2])})
+            sample = ms.sample_valleys(chain, part, times, 5, case, starts)
+            assert sample.times == tuple(times)
+            for m, row in enumerate(paths):
+                for k, path in enumerate(row):
+                    assert sample.at[m, k].tolist() == \
+                        [label_map[path.state_at(t)] for t in times]
+                    assert sample.occupation[m, k].tolist() == \
+                        [ms.occupation_time(_cut(path, t), part.delta) if t > 0 else 0.0
+                         for t in times]
+                    assert sample.occupation[m, k, -1] == ms.occupation_time(path, part.delta)
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records each pool's size, maps in this process."""
-
-    sizes = None
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the pools the validators open; no process is started."""
-    sizes = []
-    monkeypatch.setattr(_InProcessPool, "sizes", sizes)
-    monkeypatch.setattr(pathsim, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(pathsim, "_cpus", lambda: 3)
-    return sizes
+def _cut(path, t):
+    """``path`` on [0, t]."""
+    return ms.Path(path.initial, tuple(e for e in path.events if e[0] <= t), t)
 
 
 class TestWorkerPool:
-    """Each validator call opens at most one pool, bounded by trials and CPUs."""
+    """Each sample opens at most one pool, bounded by trials and CPUs."""
 
     @pytest.mark.parametrize("trials, jobs, workers", [(20, 5000, 3), (2, 5000, 2), (20, 2, 2)])
     def test_pool_bound(self, bd3, bd3_partition, pools, trials, jobs, workers):
         pi = ms.stationary(bd3)
         model = ms.coarse_rates(bd3, pi, bd3_partition, 2.0)
-        rep = ms.fdd_compare(bd3, bd3_partition, model, [0.5], trials, 7, "1", jobs=jobs)
+        rep = ms.fdd_compare(ms.sample_valleys(bd3, bd3_partition, [1.0], trials, 7, ["1"],
+                                               jobs=jobs), model, [0.5], "1")
         assert pools == [workers]
-        assert rep == ms.fdd_compare(bd3, bd3_partition, model, [0.5], trials, 7, "1")
+        assert rep == ms.fdd_compare(ms.sample_valleys(bd3, bd3_partition, [1.0], trials, 7,
+                                                       ["1"]), model, [0.5], "1")
 
     def test_one_pool_for_all_starts(self, pools):
         spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
         starts = [sorted(v)[0] for v in spec.partition.valleys[:3]]
-        est = ms.estimate_T2(spec.chain, spec.partition, 1.0, 0.5, trials=4, seed=3,
-                             starts=starts, jobs=2)
+        sample = ms.sample_valleys(spec.chain, spec.partition, [0.5], 4, 3, starts, jobs=2)
         assert pools == [2]
-        assert est == ms.estimate_T2(spec.chain, spec.partition, 1.0, 0.5, trials=4,
-                                     seed=3, starts=starts)
+        assert ms.estimate_T2(sample, 1.0, 0.5) == ms.estimate_T2(
+            ms.sample_valleys(spec.chain, spec.partition, [0.5], 4, 3, starts), 1.0, 0.5)
 
 
 @pytest.fixture
@@ -546,6 +532,13 @@ def _two_valleys_no_delta():
     return ms.Partition((frozenset({"1"}), frozenset({"2"})))
 
 
+def _fixed_sample(times=(1.0,)):
+    """A hand-made sample of bd3 from both valleys; no trajectory is drawn."""
+    shape = (2, 1, len(times))
+    return pathsim.ValleySample(tuple(times), ("1", "3"), (1, 2), 1,
+                                np.ones(shape, dtype=int), np.zeros(shape))
+
+
 @pytest.mark.usefixtures("no_sampling")
 class TestHorizonChecks:
     """Bad horizons raise before any trajectory is sampled."""
@@ -558,72 +551,85 @@ class TestHorizonChecks:
     @pytest.mark.parametrize("horizon", [0.0, math.inf])
     def test_estimate_T2(self, bd3, bd3_partition, horizon):
         with pytest.raises(BadSpec, match="horizon"):
-            ms.estimate_T2(bd3, bd3_partition, 2.0, horizon, trials=10, seed=0)
+            ms.sample_valleys(bd3, bd3_partition, [horizon * 2.0], 10, 0)
 
     def test_unknown_start(self, bd3, bd3_partition):
         with pytest.raises(BadSpec, match="unknown start"):
-            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=10, seed=0,
-                           starts=["zz"])
+            ms.sample_valleys(bd3, bd3_partition, _times_91(2.0, 0.5), 10, 0, starts=["zz"])
 
 
 @pytest.mark.usefixtures("no_sampling")
 class TestValidatorInputChecks:
-    """Every validator checks its starts, trials and times before sampling."""
+    """The sampler checks its starts, trials and times before sampling; the
+    readers check theta, their times and their start."""
 
     def test_estimate_T2_zero_trials(self, bd3, bd3_partition):
         with pytest.raises(BadSpec, match="trials"):
-            ms.estimate_T2(bd3, bd3_partition, 2.0, 1.0, trials=0, seed=0)
+            ms.sample_valleys(bd3, bd3_partition, [2.0], 0, 0)
 
     def test_estimate_91_zero_trials(self, bd3, bd3_partition):
         with pytest.raises(BadSpec, match="trials"):
-            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=0, seed=0)
+            ms.sample_valleys(bd3, bd3_partition, _times_91(2.0, 0.5), 0, 0)
 
     def test_fdd_compare_zero_trials(self, bd3, bd3_partition):
-        model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
         with pytest.raises(BadSpec, match="trials"):
-            ms.fdd_compare(bd3, bd3_partition, model, [0.5], 0, 1, "1")
+            ms.sample_valleys(bd3, bd3_partition, [1.0], 0, 1, ["1"])
 
     def test_estimate_T2_infinite_horizon_without_delta(self, b2):
         with pytest.raises(BadSpec, match="horizon"):
-            ms.estimate_T2(b2, _two_valleys_no_delta(), 1.0, math.inf, trials=10, seed=0)
+            ms.sample_valleys(b2, _two_valleys_no_delta(), [math.inf], 10, 0)
 
     def test_estimate_91_unknown_start_without_delta(self, b2):
         with pytest.raises(BadSpec, match="unknown start"):
-            ms.estimate_91(b2, _two_valleys_no_delta(), 1.0, 0.5, trials=10, seed=0,
-                           starts=["zz"])
+            ms.sample_valleys(b2, _two_valleys_no_delta(), _times_91(1.0, 0.5), 10, 0,
+                              starts=["zz"])
 
     def test_estimate_91_delta_start(self, bd3, bd3_partition):
         with pytest.raises(BadPartition, match="must lie in a valley"):
-            ms.estimate_91(bd3, bd3_partition, 2.0, 0.5, trials=10, seed=0,
-                           starts=["2"])
+            ms.sample_valleys(bd3, bd3_partition, _times_91(2.0, 0.5), 10, 0, starts=["2"])
+
+    @pytest.mark.parametrize("starts", [["1", "1"], ["3", "1", "3"]])
+    def test_repeated_start(self, bd3, bd3_partition, starts):
+        with pytest.raises(BadSpec, match="repeated start states in " + re.escape(repr(
+                tuple(starts)))):
+            ms.sample_valleys(bd3, bd3_partition, [2.0], 10, 0, starts=starts)
 
     def test_fdd_compare_unknown_start(self, bd3, bd3_partition):
         model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
-        with pytest.raises(BadSpec, match="unknown start"):
-            ms.fdd_compare(bd3, bd3_partition, model, [0.5], 10, 1, "zz")
+        with pytest.raises(BadSpec, match="no start 'zz'"):
+            ms.fdd_compare(_fixed_sample(), model, [0.5], "zz")
 
     @pytest.mark.parametrize("grid", [[1.0, math.nan, 0.5], [0.5, math.inf], [-1.0], []])
     def test_fdd_compare_bad_grid(self, bd3, bd3_partition, grid):
-        model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
-        with pytest.raises(BadSpec, match="time grid"):
-            ms.fdd_compare(bd3, bd3_partition, model, grid, 10, 1, "1")
+        with pytest.raises(BadSpec, match="sample times"):
+            ms.sample_valleys(bd3, bd3_partition, [t * 2.0 for t in grid], 10, 1, ["1"])
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0])
-    def test_estimate_91_bad_delta(self, bd3, bd3_partition, delta):
+    def test_estimate_91_bad_delta(self, delta):
         with pytest.raises(BadSpec, match="delta"):
-            ms.estimate_91(bd3, bd3_partition, 2.0, delta, trials=10, seed=0)
+            ms.estimate_91(_fixed_sample(), 2.0, delta)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -2.0])
-    def test_bad_theta(self, bd3, bd3_partition, theta):
-        # horizon * theta = 2 > 0 for theta = -2
+    def test_bad_theta(self, theta):
+        # horizon * theta = 2 > 0 for theta = -2, a time the sample has
         with pytest.raises(BadSpec, match="theta"):
-            ms.estimate_T2(bd3, bd3_partition, theta, -1.0, trials=10, seed=0)
+            ms.estimate_T2(_fixed_sample((2.0,)), theta, -1.0)
         with pytest.raises(BadSpec, match="theta"):
-            ms.estimate_91(bd3, bd3_partition, theta, 0.5, trials=10, seed=0)
+            ms.estimate_91(_fixed_sample(), theta, 0.5)
 
-    def test_estimate_T2_names_its_own_horizon(self, bd3, bd3_partition):
+    def test_estimate_T2_names_its_own_horizon(self):
         with pytest.raises(BadSpec, match="horizon must be finite and positive, got -1.0$"):
-            ms.estimate_T2(bd3, bd3_partition, 2.0, -1.0, trials=10, seed=0)
+            ms.estimate_T2(_fixed_sample(), 2.0, -1.0)
+
+    def test_unsampled_time(self, bd3, bd3_partition):
+        model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
+        sample = _fixed_sample((1.0, 2.0))
+        with pytest.raises(BadSpec, match="no time 3.0"):
+            ms.estimate_T2(sample, 2.0, 1.5)
+        with pytest.raises(BadSpec, match="no time 1.066"):
+            ms.estimate_91(sample, 2.0, 0.5)
+        with pytest.raises(BadSpec, match="no time 3.0"):
+            ms.fdd_compare(sample, model, [0.5, 1.5], "1")
 
 
 class TestPathValidation:
@@ -645,9 +651,9 @@ class TestDirectionChecks:
             spec = ms.glued_cubes(2, N, 1)
             pi = ms.stationary(spec.chain)
             theta = N * N * np.log(N)
-            est = ms.estimate_91(spec.chain, spec.partition, theta, 0.5,
-                                 trials=300, seed=91, pi=pi)
-            sups[N] = est.sup
+            sample = ms.sample_valleys(spec.chain, spec.partition, _times_91(theta, 0.5), 300,
+                                       91, spec.partition.reference_states(spec.chain, pi))
+            sups[N] = ms.estimate_91(sample, theta, 0.5).sup
         assert sups[8] < sups[4]
 
     def test_fdd_gap_shrinks(self):
@@ -658,7 +664,7 @@ class TestDirectionChecks:
             theta = N * N * np.log(N)
             model = ms.coarse_rates(spec.chain, pi, spec.partition, theta)
             start = sorted(spec.partition.valley(1))[0]
-            rep = ms.fdd_compare(spec.chain, spec.partition, model,
-                                 [0.5], 300, 92, start)
-            tvs[N] = rep.rows[0].tv
+            sample = ms.sample_valleys(spec.chain, spec.partition, [0.5 * theta], 300, 92,
+                                       [start])
+            tvs[N] = ms.fdd_compare(sample, model, [0.5], start).rows[0].tv
         assert tvs[16] < tvs[8]

@@ -275,19 +275,14 @@ def test_no_function_takes_a_tolerance_object():
 
 def test_no_small_float_literal_outside_config():
     """Every bound is read from ``config``; the only small literals left are
-    the 1e-300 division guards and ``fdd_compare``'s 1e-9 horizon floor."""
+    the 1e-300 division guards."""
     found = []
     for path in sorted(Path(ms.__file__).resolve().parent.glob("*.py")):
         if path.name == "config.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        floor = {id(node) for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "fdd_compare"
-                 for node in ast.walk(fn)
-                 if isinstance(node, ast.Constant) and node.value == 1e-9}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Constant) and isinstance(node.value, float)
-                    and 0.0 < node.value <= 1e-6 and node.value != 1e-300
-                    and id(node) not in floor):
+                    and 0.0 < node.value <= 1e-6 and node.value != 1e-300):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found
