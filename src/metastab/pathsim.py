@@ -318,14 +318,6 @@ def _segments_upto(path: Path, m: float):
     return times, values
 
 
-def _g_weight(t, m):
-    return min(1.0, max(0.0, m - t))
-
-
-def _value_at(times, values, t):
-    return values[bisect.bisect_right(times, t)]
-
-
 def _evaluate_candidate(anchors, a_seg, b_seg, m):
     """Exact objective of the piecewise-linear reparameterization ``anchors``.
 
@@ -333,50 +325,24 @@ def _evaluate_candidate(anchors, a_seg, b_seg, m):
     lambda maps the time axis of path b into evaluation times of path a.
     Returns max(sup |lam - t|, sup of the value term), where the value term
     compares valleys only by equality: |g(lam t) - g(t)| where a(lam t) and
-    b(t) agree, max(g(lam t), g(t)) where they differ.
+    b(t) agree, max(g(lam t), g(t)) where they differ, with
+    g(t) = min(1, max(0, m - t)).  The grid splits [0, m] into cells on which
+    lambda and both g terms are linear and both paths constant, so each cell
+    reads the paths once, at its midpoint, away from the jumps at its ends,
+    and its convex value term peaks at one of its ends.
     """
-    a_times, a_values = a_seg
-    b_times, b_values = b_seg
-    ts = [p[0] for p in anchors]
-    ls = [p[1] for p in anchors]
-
-    def lam(t):
-        k = bisect.bisect_right(ts, t) - 1
-        if k >= len(ts) - 1:
-            return ls[-1]
-        t0, t1 = ts[k], ts[k + 1]
-        l0, l1 = ls[k], ls[k + 1]
-        return l0 + (l1 - l0) * (t - t0) / (t1 - t0)
-
-    def lam_inv(y):
-        k = bisect.bisect_right(ls, y) - 1
-        if k >= len(ls) - 1:
-            return ts[-1]
-        l0, l1 = ls[k], ls[k + 1]
-        t0, t1 = ts[k], ts[k + 1]
-        return t0 + (t1 - t0) * (y - l0) / (l1 - l0)
-
-    breaks = set(ts)
-    breaks.update(t for t in b_times if 0.0 <= t <= m)
-    breaks.update(lam_inv(u) for u in a_times if 0.0 <= u <= m)
-    breaks.add(max(0.0, min(m, m - 1.0)))
-    breaks.add(lam_inv(m - 1.0))
-    grid = sorted(b for b in breaks if 0.0 <= b <= m)
-    worst = 0.0
-    for i, x in enumerate(grid):
-        lx = lam(x)
-        worst = max(worst, abs(lx - x))
-        same = _value_at(a_times, a_values, lx) == _value_at(b_times, b_values, x)
-        worst = max(worst, _value_term(_g_weight(lx, m), _g_weight(x, m), same))
-        if i + 1 < len(grid):
-            y = grid[i + 1]
-            # same constant values as just after x; g is linear in between
-            worst = max(worst, _value_term(_g_weight(lam(y), m), _g_weight(y, m), same))
-    return worst
-
-
-def _value_term(ga, gb, same):
-    return abs(ga - gb) if same else max(ga, gb)
+    (a_times, a_values), (b_times, b_values) = a_seg, b_seg
+    ts, ls = np.array(anchors).T
+    grid = np.unique(np.concatenate((ts, b_times, np.interp([*a_times, m - 1.0], ls, ts),
+                                     [m - 1.0])))
+    mid = (grid[:-1] + grid[1:]) / 2
+    same = (np.asarray(a_values)[np.searchsorted(a_times, np.interp(mid, ts, ls), side="right")]
+            == np.asarray(b_values)[np.searchsorted(b_times, mid, side="right")])
+    lam = np.interp(grid, ts, ls)
+    ga, gb = np.clip(m - lam, 0.0, 1.0), np.clip(m - grid, 0.0, 1.0)
+    agree, differ = np.abs(ga - gb), np.maximum(ga, gb)
+    term = np.where(same, np.maximum(agree[:-1], agree[1:]), np.maximum(differ[:-1], differ[1:]))
+    return float(max(np.abs(lam - grid).max(), term.max()))
 
 
 def _alignment_anchors(a_seg, b_seg, m):
@@ -446,12 +412,9 @@ def _monotone_anchors(anchors, m):
 def _dm_directed(path_a: Path, path_b: Path, m: float) -> float:
     a_seg = _segments_upto(path_a, m)
     b_seg = _segments_upto(path_b, m)
-    best = _evaluate_candidate([(0.0, 0.0), (m, m)], a_seg, b_seg, m)
-    for candidate in (_alignment_anchors, _in_order_anchors):
-        anchors = candidate(a_seg, b_seg, m)
-        if len(anchors) > 2:
-            best = min(best, _evaluate_candidate(anchors, a_seg, b_seg, m))
-    return best
+    return min(_evaluate_candidate(anchors, a_seg, b_seg, m)
+               for anchors in ([(0.0, 0.0), (m, m)], _alignment_anchors(a_seg, b_seg, m),
+                               _in_order_anchors(a_seg, b_seg, m)))
 
 
 _M_MAX = 8  # horizons of the Skorohod-type distance; the rest weigh 2^-8 in all

@@ -113,6 +113,11 @@ class ReducedModel:
         }
 
 
+def _valley_masses(pi: ProbVector, owner, n) -> np.ndarray:
+    """pi(valley k) for k = 1..n; ``owner`` maps each state to its valley, 0 for Delta."""
+    return np.array([pi.mass(np.flatnonzero(owner == k)) for k in range(1, n + 1)])
+
+
 def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
                  theta: float | None = None) -> ReducedModel:
     """The reduced model, from one run of the valley-flux kernel.
@@ -127,8 +132,7 @@ def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
         raise BadSpec(f"theta must be finite and positive, got {theta!r}")
     owner = partition.validate_for(chain, require_valleys=2)
     flux, caps = _valley_flux(chain, pi, owner)
-    masses = np.array([pi.mass(np.flatnonzero(owner == k))
-                       for k in range(1, partition.n + 1)])
+    masses = _valley_masses(pi, owner, partition.n)
     if theta is None:
         theta = (masses / caps).min()
     rates = theta * flux / masses[:, np.newaxis]
@@ -278,8 +282,9 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     ``_valley_trace`` traces it onto each valley and ``_point_capacities``
     reads the valley's capacities there.  Theta, the valley masses and
     capacities and pi(delta) are read off ``model``, the ``coarse_rates``
-    result for the same chain, pi and partition.  Reflections that
-    disconnect a valley leave a None entry with a note.
+    result for the same chain, pi and partition; a model whose valley count
+    or valley masses differ from the partition's raises ``BadPartition``.
+    Reflections that disconnect a valley leave a None entry with a note.
     """
     owner = partition.validate_for(chain, require_valleys=2)
     if model.valley_count != partition.n:
@@ -287,6 +292,12 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
                            f"the partition {partition.n}")
     theta, masses, caps, delta_mass = (
         model.theta, model.masses, model.capacities, model.delta_mass)
+    own = _valley_masses(pi, owner, partition.n)
+    differ = np.flatnonzero(own != masses)
+    if len(differ):
+        j = int(differ[0])
+        raise BadPartition(f"valley {j + 1}: the reduced model's mass {float(masses[j])!r} "
+                           f"is not the partition's {float(own[j])!r}")
     refs = partition.reference_states(chain, pi)
     f = np.flatnonzero(owner > 0)
     rates_f = _trace_rates(chain, f)

@@ -31,8 +31,11 @@ def chain_from_dict(obj):
     for entry in rates:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise BadSpec(f"rate entry {entry!r} is not a [src, dst, rate] triple")
-        triples.append((entry[0], entry[1], float(entry[2])))
-    chain = build_chain(states, triples)
+        src, dst, rate = entry
+        if not _is_number(rate):
+            raise BadSpec(f"'rates': the rate of {entry!r} is not a number")
+        triples.append((_label(src, "rates"), _label(dst, "rates"), float(rate)))
+    chain = build_chain([_label(s, "states") for s in states], triples)
     partition = None
     if obj.get("partition") is not None:
         partition = partition_from_dict(obj["partition"])
@@ -43,11 +46,27 @@ def chain_from_dict(obj):
 def partition_from_dict(obj) -> Partition:
     if not isinstance(obj, dict) or "valleys" not in obj:
         raise BadSpec("partition must be an object with a 'valleys' list")
-    valleys = obj["valleys"]
+    valleys, delta = obj["valleys"], obj.get("delta")
     if not isinstance(valleys, list) or not all(isinstance(v, list) for v in valleys):
         raise BadSpec("'valleys' must be a list of lists of state labels")
-    return Partition(tuple(frozenset(v) for v in valleys),
-                     frozenset(obj.get("delta") or ()))
+    if delta is None:
+        delta = []
+    elif not isinstance(delta, list):
+        raise BadSpec(f"'delta' must be a list of state labels, got {delta!r}")
+    return Partition(tuple(frozenset(_label(s, "valleys") for s in v) for v in valleys),
+                     frozenset(_label(s, "delta") for s in delta))
+
+
+def _is_number(value):
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _label(value, field):
+    """A state label from ``field``: a string or a JSON number."""
+    if not (isinstance(value, str) or _is_number(value)):
+        raise BadSpec(f"{field!r}: state label {value!r} is not a string or a number")
+    return value
 
 
 def chain_to_dict(chain: Chain, partition: Partition = None) -> dict:

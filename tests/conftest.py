@@ -1,13 +1,16 @@
 """Shared fixtures: small reference chains and random-instance generators."""
 
+import bisect
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
-from metastab import Partition, build_chain, collapse_chain, config, numerics, pathsim
+from metastab import (Partition, build_chain, collapse_chain, config, numerics, pathsim,
+                      simulate)
 from metastab.chain import apply_generator, dirichlet_form
 from metastab.errors import NotStationary, SolverFailure, ToleranceViolation
 from metastab.potential import hitting_probability
@@ -187,6 +190,64 @@ def random_partition(rng, chain, n_valleys, delta_fraction=0.3):
         valleys.append(frozenset(body[prev:c]))
         prev = c
     return Partition(tuple(valleys), frozenset(delta))
+
+
+def surgery_paths(tag, count=200):
+    """The criterion-11 sample: ``count`` paths of 12 time units on random chains.
+
+    Yields (path, partition).  Everything is drawn from the seed ``tag``;
+    each chain gets a random partition and up to 10 paths from valley states.
+    """
+    rng = np.random.default_rng(tag)
+    drawn = 0
+    while drawn < count:
+        chain = random_chain(rng, int(rng.integers(6, 13)))
+        part = random_partition(rng, chain, int(rng.integers(2, 4)), delta_fraction=0.3)
+        label_map = part.label_map()
+        starts = [s for s in chain.states if label_map[s] != 0]
+        if not starts:
+            continue
+        for _ in range(10):
+            start = starts[int(rng.integers(0, len(starts)))]
+            yield simulate(chain, start, 12.0, seed=(tag, drawn)), part
+            drawn += 1
+            if drawn >= count:
+                return
+
+
+def exact_candidate_objective(anchors, a_seg, b_seg, m):
+    """The objective of ``pathsim._evaluate_candidate``, in Fraction arithmetic.
+
+    Every float input is taken exactly.  The grid holds lambda's nodes, b's
+    jump times, lambda^-1 of a's jump times, m - 1 and lambda^-1(m - 1).  At
+    each grid point x the paths are read at lambda(x) and x (right-continuous,
+    so the values just after x), and |lambda - t| and the value term are taken
+    at x and at the next grid point with those values.
+    """
+    ts = [Fraction(t) for t, _ in anchors]
+    ls = [Fraction(l) for _, l in anchors]
+    a_times, b_times = ([Fraction(t) for t in seg[0]] for seg in (a_seg, b_seg))
+    a_values, b_values = a_seg[1], b_seg[1]
+    m = Fraction(m)
+
+    def interp(x, xs, ys):
+        k = min(bisect.bisect_right(xs, x), len(xs) - 1)
+        return ys[k - 1] + (ys[k] - ys[k - 1]) * (x - xs[k - 1]) / (xs[k] - xs[k - 1])
+
+    def g(t):
+        return min(Fraction(1), max(Fraction(0), m - t))
+
+    grid = sorted({*ts, *b_times, *(interp(u, ls, ts) for u in a_times),
+                   m - 1, interp(m - 1, ls, ts)})
+    worst = Fraction(0)
+    for i, x in enumerate(grid):
+        same = (a_values[bisect.bisect_right(a_times, interp(x, ts, ls))]
+                == b_values[bisect.bisect_right(b_times, x)])
+        for z in grid[i:i + 2]:
+            lz = interp(z, ts, ls)
+            ga, gb = g(lz), g(z)
+            worst = max(worst, abs(lz - z), abs(ga - gb) if same else max(ga, gb))
+    return float(worst)
 
 
 def collapsed_jump_probability(chain, pi, partition, j, k):

@@ -22,6 +22,7 @@ from conftest import (
     random_disjoint_sets,
     random_partition,
     random_reversible_chain,
+    surgery_paths,
 )
 
 
@@ -407,44 +408,28 @@ def test_criterion_10_simulation_validator():
 
 
 def _surgery_coherence(tag):
-    """Criterion 11 on 200 paths of random chains, all drawn from the seed ``tag``.
+    """Criterion 11 on the 200 paths of ``surgery_paths(tag)``.
 
     Returns whether every check held and the worst d minus delta-occupation.
     """
-    rng = np.random.default_rng(tag)
     ok = True
-    checked = 0
     worst_slack = -1.0
-    while checked < 200:
-        chain = random_chain(rng, int(rng.integers(6, 13)))
-        pi = ms.stationary(chain)
-        part = random_partition(rng, chain, int(rng.integers(2, 4)),
-                                delta_fraction=0.3)
-        label_map = part.label_map()
-        starts = [s for s in chain.states if label_map[s] != 0]
-        if not starts:
-            continue
-        for k in range(10):
-            start = starts[int(rng.integers(0, len(starts)))]
-            path = ms.simulate(chain, start, 12.0, seed=(tag, checked))
-            occ = ms.occupation_time(path, part.delta)
-            traced = ms.trace_path(path, part.delta) \
-                if occ > 0 else None
-            if traced is not None:
-                ok &= traced.horizon == occ
-            union = sorted(part.union())
-            occ_union = ms.occupation_time(path, union)
-            ok &= ms.trace_path(path, union).horizon == occ_union
-            coarse = ms.project(path, part, "phi")
-            lp = ms.last_passage_path(coarse)
-            psi_trace = ms.project(ms.trace_path(path, union), part, "psi")
-            d = ms.skorohod_distance(lp, psi_trace)
-            delta_occ = ms.occupation_time(coarse, {0})
-            ok &= d <= delta_occ + 1e-9
-            worst_slack = max(worst_slack, d - delta_occ)
-            checked += 1
-            if checked >= 200:
-                break
+    for path, part in surgery_paths(tag):
+        occ = ms.occupation_time(path, part.delta)
+        traced = ms.trace_path(path, part.delta) \
+            if occ > 0 else None
+        if traced is not None:
+            ok &= traced.horizon == occ
+        union = sorted(part.union())
+        occ_union = ms.occupation_time(path, union)
+        ok &= ms.trace_path(path, union).horizon == occ_union
+        coarse = ms.project(path, part, "phi")
+        lp = ms.last_passage_path(coarse)
+        psi_trace = ms.project(ms.trace_path(path, union), part, "psi")
+        d = ms.skorohod_distance(lp, psi_trace)
+        delta_occ = ms.occupation_time(coarse, {0})
+        ok &= d <= delta_occ + 1e-9
+        worst_slack = max(worst_slack, d - delta_occ)
     return ok, worst_slack
 
 

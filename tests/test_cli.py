@@ -35,6 +35,24 @@ C3 = {
 }
 
 
+BD4 = {
+    "states": ["1", "2", "3", "4"],
+    "rates": [[a, b, 1.0] for a, b in ("12", "21", "23", "32", "34", "43")],
+    "partition": {"valleys": [["1"], ["4"]], "delta": ["2", "3"]},
+}
+
+
+def _edited(spec, where, value):
+    """A deep copy of ``spec`` with the entry at the key path ``where`` set to ``value``."""
+    spec = json.loads(json.dumps(spec))
+    *path, last = where
+    obj = spec
+    for key in path:
+        obj = obj[key]
+    obj[last] = value
+    return spec
+
+
 @pytest.fixture
 def bd3_spec(tmp_path):
     p = tmp_path / "bd3.json"
@@ -170,6 +188,25 @@ class TestAnalyze:
         assert main(["analyze", "--spec", str(spec)]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "NonPositiveRate" and "('1', '2')" in err["message"]
+
+    @pytest.mark.parametrize("spec, partition, field", [
+        (_edited(BD3, ("rates", 0, 2), "abc"), None, "rates"),
+        (_edited(BD3, ("rates", 0, 2), None), None, "rates"),
+        (_edited(BD3, ("rates", 0, 2), True), None, "rates"),
+        (_edited(BD3, ("states", 0), ["1"]), None, "states"),
+        (BD3, {"valleys": [[["1"]], ["3"]], "delta": ["2"]}, "valleys"),
+        (_edited(BD4, ("partition", "delta"), "23"), None, "delta"),
+    ], ids=["string-rate", "null-rate", "boolean-rate", "list-label", "list-in-valley",
+            "string-delta"])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, spec, partition, field):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["analyze", "--spec", str(tmp_path / "spec.json")]
+        if partition is not None:
+            (tmp_path / "part.json").write_text(json.dumps(partition))
+            argv += ["--partition", str(tmp_path / "part.json")]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "BadSpec" and repr(field) in err["message"]
 
     def test_too_few_model_points_exits_2(self, capsys):
         assert main(["analyze", "--model", "potential_rw:N=8,points=-1"]) == 2

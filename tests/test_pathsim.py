@@ -1,5 +1,6 @@
 """Simulation, path surgeries, Skorohod distance, Monte-Carlo validators."""
 
+import itertools
 import math
 import re
 
@@ -12,12 +13,14 @@ from metastab.errors import BadPartition, BadSpec, StartsInDelta, TouchesDelta
 
 from conftest import (
     FixedDraws,
+    exact_candidate_objective,
     expm_law,
     occupation_integral,
     random_chain,
     random_partition,
     reference_trajectory,
     reference_zero_range,
+    surgery_paths,
 )
 
 
@@ -261,6 +264,49 @@ class TestSkorohodDistance:
         a = ms.project(ms.simulate(bd3, "1", 15.0, seed=11), bd3_partition, "phi")
         b = ms.project(ms.simulate(bd3, "3", 15.0, seed=12), bd3_partition, "phi")
         assert ms.skorohod_distance(a, b) == ms.skorohod_distance(b, a)
+
+
+    def test_candidates_match_exact_reference(self):
+        # every candidate of the first 25 criterion-11 pairs, against Fraction arithmetic
+        for path, part in itertools.islice(surgery_paths(111), 25):
+            lp = ms.last_passage_path(ms.project(path, part, "phi"))
+            psi = ms.project(ms.trace_path(path, sorted(part.union())), part, "psi")
+            expected = 0.0
+            for m in map(float, range(1, 9)):
+                dm = 1.0
+                for a, b in ((lp, psi), (psi, lp)):
+                    a_seg, b_seg = pathsim._segments_upto(a, m), pathsim._segments_upto(b, m)
+                    for anchors in ([(0.0, 0.0), (m, m)],
+                                    pathsim._alignment_anchors(a_seg, b_seg, m),
+                                    pathsim._in_order_anchors(a_seg, b_seg, m)):
+                        exact = exact_candidate_objective(anchors, a_seg, b_seg, m)
+                        assert pathsim._evaluate_candidate(anchors, a_seg, b_seg, m) == \
+                            pytest.approx(exact, abs=1e-12), (anchors, a_seg, b_seg, m)
+                        dm = min(dm, exact)
+                expected += 2.0 ** -m * dm
+            assert ms.skorohod_distance(lp, psi) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("anchors, a_seg, b_seg, expected", [
+        # alignment: a's jump at 2.9037969285672887 is an anchor's image
+        ([(0.0, 0.0), (0.2697890694654595, 0.2697890694654595),
+          (2.702259294243364, 2.9037969285672887), (3.0, 3.0)],
+         ([0.2697890694654595, 2.6378811926573964, 2.9037969285672887], [3, 2, 1, 2]),
+         ([0.2697890694654595, 2.702259294243364], [3, 2, 1]),
+         0.5433102501547612),
+        # identity: both paths jump at the same five times
+        ([(0.0, 0.0), (3.0, 3.0)],
+         ([0.17992360235355945, 0.30374467207235445, 0.3048527249263128,
+           0.4105138619587528, 0.710143730527198], [1, 3, 1, 3, 1, 2]),
+         ([0.17992360235355945, 0.30374467207235445, 0.3048527249263128,
+           0.4105138619587528, 0.710143730527198, 2.5466367715024525, 2.549711591372598],
+          [1, 3, 1, 3, 1, 2, 1, 2]),
+         0.4533632284975475),
+    ], ids=["alignment", "identity"])
+    def test_candidate_with_jumps_on_grid_points(self, anchors, a_seg, b_seg, expected):
+        got = pathsim._evaluate_candidate(anchors, a_seg, b_seg, 3.0)
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert exact_candidate_objective(anchors, a_seg, b_seg, 3.0) == \
+            pytest.approx(expected, abs=1e-12)
 
 
 def _times_91(theta, delta):

@@ -286,6 +286,13 @@ def test_check_conditions_rejects_a_model_of_another_partition(bd3, bd3_partitio
     other = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition)
     with pytest.raises(BadPartition, match="2 valleys"):
         ms.check_conditions(chain, pi, part, other)
+    # as many valleys, but not the same ones
+    same_count = ms.Partition((frozenset({"1", "2"}), frozenset({"3"}), frozenset({"4", "5"})))
+    with pytest.raises(BadPartition, match="valley 1: the reduced model's mass"):
+        ms.check_conditions(chain, pi, part, ms.coarse_rates(chain, pi, same_count))
+    report = ms.check_conditions(chain, pi, part, ms.coarse_rates(chain, pi, part))
+    assert report.theta == pytest.approx(1.0, rel=1e-12)
+    assert report.measure_ratio == pytest.approx((2.0, 2.0, 2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("entry, factor, error, phrase", [
