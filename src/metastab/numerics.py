@@ -4,6 +4,16 @@ Every linear system in the package goes through ``factor``: one LU
 factorization, by SuperLU (``splu``) if sparse and by LAPACK if dense (the
 trace chains on the valleys).  A chain keeps its latest killed-block
 factorization (``Chain.killed_solver``) for the next caller.
+
+Every sparse matrix the package factors is a nonsingular M-matrix (a killed
+generator K = diag(lambda) - R, its transpose, I - gamma L) or symmetric
+positive definite (the pinned quotient form of ``dirichlet_II``), and
+Gaussian elimination without pivoting is stable for both.  So SuperLU orders
+rows and columns alike by minimum degree on K^T + K and takes every pivot on
+the diagonal, which about halves the fill of its default column ordering
+with partial pivoting.  A matrix that would still need a row pivot raises
+``SolverFailure``; ``potential.poisson_solve`` grounds its system on a
+killed block so that it meets this contract too.
 """
 
 import warnings
@@ -35,20 +45,27 @@ def strong_connectivity_witness(adj_csr):
 def factor(a):
     """One LU factorization of the square matrix ``a``; returns its solve.
 
-    A sparse ``a`` is factored by ``splu``, a dense one by LAPACK.  The solve
-    takes ``b`` with one right-hand side per column; all share the factors.
-    A singular matrix raises ``SolverFailure``.
+    A sparse ``a`` is factored by ``splu`` under a symmetric minimum-degree
+    ordering with every pivot on the diagonal, a dense one by LAPACK with
+    partial pivoting.  The solve takes ``b`` with one right-hand side per
+    column; all share the factors.  A singular matrix, or a sparse one that
+    needs a row pivot, raises ``SolverFailure``.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
         try:
-            if sp.issparse(a):
-                lu = spla.splu(sp.csc_matrix(a))
-                return lambda b: lu.solve(np.asarray(b, dtype=float))
-            lu = scipy.linalg.lu_factor(a)
+            if not sp.issparse(a):
+                lu = scipy.linalg.lu_factor(a)
+                return lambda b: scipy.linalg.lu_solve(lu, b)
+            lu = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except (RuntimeError, ValueError, scipy.linalg.LinAlgWarning) as exc:
             raise SolverFailure(f"linear solve failed: {exc}") from exc
-    return lambda b: scipy.linalg.lu_solve(lu, b)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverFailure(
+            f"the {a.shape[0]}-state sparse system needed a row pivot; only a "
+            f"matrix that factors on its diagonal is supported")
+    return lambda b: lu.solve(np.asarray(b, dtype=float))
 
 
 def solve_linear(a, b):

@@ -445,14 +445,13 @@ def poisson_solve(chain: Chain, pi: ProbVector, g, theta: float) -> np.ndarray:
     mean = float(np.sum(pi.weights * g))
     if abs(mean) > config.DEFAULT.rel * max(1.0, float(np.abs(g).max())):
         raise NotZeroMean(f"E_pi[g] = {mean!r} is not zero")
-    n = chain.n
-    L = chain.generator_matrix()
-    # bordered system pins the pi-mean gauge and keeps L sparse
-    A = sp.bmat([[L, np.ones((n, 1))], [pi.weights[np.newaxis, :], None]],
-                format="csr")
-    rhs = np.concatenate([g / theta, [0.0]])
-    sol = numerics.solve_linear(A, rhs)
-    f = sol[:n]
+    # ground f(r) = 0 at the stickiest state, as ``stationary`` does: off r,
+    # theta L f = g reads K f = -g / theta with K the chain killed at r, and
+    # the equation at r follows from E_pi[g] = 0
+    r = int(np.argmin(chain.holding))
+    rest = np.flatnonzero(np.arange(chain.n) != r)
+    f = np.zeros(chain.n)
+    f[rest] = numerics.solve_linear(chain.killed(rest), -g[rest] / theta)
     f = f - float(np.sum(pi.weights * f))
     residual = float(np.abs(theta * apply_generator(chain, f) - g).max())
     if residual > config.DEFAULT.rel * max(1.0, float(np.abs(g).max())):

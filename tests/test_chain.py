@@ -1,6 +1,9 @@
-"""Chain construction, stationary laws, generator calculus, spectral gaps."""
+"""Chain construction, stationary laws, generator calculus, spectral gaps,
+and the one factorization every linear solve goes through."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +133,34 @@ class TestStationary:
         with pytest.raises(SolverFailure) as err:
             ms.stationary(chain)
         assert "np.float64" not in str(err.value)
+
+
+class TestFactor:
+    def test_sparse_row_pivot_is_a_solver_failure(self):
+        with pytest.raises(SolverFailure, match="row pivot"):
+            numerics.factor(sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_dense_takes_the_lapack_route(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense matrix went to splu")
+
+        monkeypatch.setattr(numerics.spla, "splu", forbidden)
+        solve = numerics.factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(solve(np.array([1.0, 2.0])), [2.0, 1.0])
+
+    def test_no_solver_outside_numerics(self):
+        """Every linear system goes through ``numerics.factor``."""
+        solvers = {"splu", "spsolve", "lu_factor", "lu_solve", "inv"}
+        found = []
+        for path in sorted(Path(ms.__file__).resolve().parent.glob("*.py")):
+            if path.name == "numerics.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    called = ast.unparse(node.func)
+                    if called.rsplit(".", 1)[-1] in solvers or called.endswith("linalg.solve"):
+                        found.append(f"{path.name}:{node.lineno}: {called}")
+        assert not found
 
 
 class TestGenerator:

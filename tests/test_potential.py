@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import metastab as ms
-from metastab import numerics
+from metastab import config, numerics
 from metastab.errors import (
     BadSpec,
     NotAdmissible,
@@ -438,6 +438,20 @@ class TestPoisson:
             f = ms.poisson_solve(chain, pi, g, theta)
             back = theta * ms.apply_generator(chain, f)
             assert np.abs(back - g).max() <= 1e-10 * max(1.0, np.abs(g).max())
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_random_nonreversible(self, seed):
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, 9)
+        pi = ms.stationary(chain)
+        assert not ms.is_reversible(chain, pi)
+        g = rng.standard_normal(chain.n)
+        g -= float(np.sum(pi.weights * g))
+        theta = 2.5
+        f = ms.poisson_solve(chain, pi, g, theta)
+        scale = max(1.0, float(np.abs(g).max()))
+        assert np.abs(theta * ms.apply_generator(chain, f) - g).max() <= config.DEFAULT.rel * scale
+        assert abs(float(np.sum(pi.weights * f))) <= 1e-14 * float(np.abs(f).max())
 
 
 class TestSectorRatio:

@@ -206,6 +206,28 @@ def test_capacity_ratio_matches_whole_chain_route(rung):
             model.capacities[j - 1] / point.min(), rel=1e-12, abs=0.0)
 
 
+def test_delta_factor_fill_under_symmetric_ordering(monkeypatch):
+    """Minimum degree on K^T + K with diagonal pivots keeps the fill of the
+    block off the valleys near half of SuperLU's default column ordering."""
+    spec = ms.build_from_string("zero_range:L=4,N=20,alpha=3,p=0.7")
+    chain, part = spec.chain, spec.partition
+    pi = ms.stationary(chain)
+    factor = spla.splu
+    factors = []
+
+    def recorded(a, *args, **kwargs):
+        lu = factor(a, *args, **kwargs)
+        factors.append(lu)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    ms.coarse_rates(chain, pi, part)
+    delta = [lu for lu in factors if lu.shape[0] == len(part.delta)]
+    assert len(part.delta) == 1631 and len(delta) == 1
+    assert delta[0].L.nnz + delta[0].U.nnz <= 180_000
+    assert factors and all(np.array_equal(lu.perm_r, lu.perm_c) for lu in factors)
+
+
 def _green_solves(monkeypatch, tamper=None):
     """Record the size of every solve whose right-hand side is an identity
     matrix: the Green-function solves of check_conditions.  ``tamper(b, x)``
