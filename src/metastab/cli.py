@@ -18,8 +18,6 @@ import math
 import sys
 from pathlib import Path as FsPath
 
-import numpy as np
-
 from . import __version__, config
 from .chain import stationarity_residual, stationary
 from .errors import InputError, MetastabError, NumericalError, TooLarge
@@ -225,6 +223,8 @@ def cmd_validate(args) -> int:
         raise InputError(f"--grid must be comma-separated numbers, got {args.grid!r}") from exc
     if not (all(map(math.isfinite, grid)) and min(grid) >= 0 and max(grid) > 0):
         raise InputError(f"--grid needs finite, nonnegative entries, one positive: {args.grid!r}")
+    if len(set(grid)) < len(grid):
+        raise InputError(f"--grid repeats an entry: {args.grid!r}")
     chain, partition, _, pi, model = _reduce(args)
     theta, refs = model.theta, partition.reference_states(chain, pi)
     start, times = args.start or refs[0], [t * theta for t in grid]
@@ -254,10 +254,8 @@ def cmd_validate(args) -> int:
 
 def cmd_cycles(args) -> int:
     chain, _, _ = _load_input(args)
-    pi = stationary(chain)
-    dec = cycle_decompose(chain, pi)
-    recon = dec.reconstructed_rates(chain)
-    residual = float(np.abs((recon - chain.rates).toarray()).max())
+    dec = cycle_decompose(chain, stationary(chain))
+    residual = float(abs(dec.reconstructed_rates(chain) - chain.rates).max())
     report = _report_skeleton("cycles", args)
     report["cycles"] = {
         "count": len(dec.cycles),

@@ -1,12 +1,13 @@
 """Numerical tolerances.
 
-Every bound in this package is a fixed multiple of one relative scale,
-``rel``, and each multiple is written once, below.  ``DEFAULT`` is the one
-tolerance object: each check reads its bound from ``config.DEFAULT`` when it
-runs, and no function takes a tolerance of its own.  The environment variable
-``METASTAB_TOL`` is read once, when ``DEFAULT`` is first used, and sets
-``rel``; a value that is not a finite positive number raises ``BadTolerance``
-there, not at import.  Replacing ``config.DEFAULT``, say by
+Every bound in this package is a fixed multiple of one relative scale, ``rel``,
+and each multiple is written once, below.  Each check reads its bound from the
+one tolerance object, ``config.DEFAULT``, when it runs; no function takes a
+tolerance of its own but ``is_reversible``, whose ``rel`` the derived chains
+set to ``input_stationary`` and ``thomson_function_bound`` to ``rel``.  The
+environment variable ``METASTAB_TOL`` is read once, when ``DEFAULT`` is first
+used, and sets ``rel``; a value that is not a finite positive number raises
+``BadTolerance`` there, not at import.  Replacing ``config.DEFAULT``, say by
 ``dataclasses.replace(config.DEFAULT, rel=...)``, moves every bound at once.
 """
 

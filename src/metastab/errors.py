@@ -93,7 +93,7 @@ class NotIrreducibleAfterReflection(InputError):
 
 
 class NonPositiveGamma(InputError):
-    """Enlargement parameter gamma must be > 0."""
+    """Enlargement parameter gamma must be finite and > 0."""
 
 
 class StartsInDelta(InputError):

@@ -613,6 +613,8 @@ def fdd_compare(sample: ValleySample, reduced: ReducedModel, time_grid, start) -
     charges the full mass sitting in the separating set.
     """
     times = sorted(float(t) for t in time_grid)
+    if len(set(times)) < len(times):
+        raise BadSpec(f"repeated times in {tuple(times)!r}")
     if start not in sample.starts:
         raise BadSpec(f"the sample has no start {start!r}")
     i, trials = sample.starts.index(start), sample.trials

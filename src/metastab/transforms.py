@@ -5,10 +5,12 @@ All constructions are linear algebra on the generator; simulation never
 enters here (it only validates these formulas elsewhere).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import config, numerics
 from .chain import (
@@ -185,8 +187,8 @@ def enlarge_chain(chain: Chain, pi: ProbVector, gamma: float) -> EnlargedChain:
     The stationary law of the enlarged chain halves pi onto each copy; it is
     verified stationary, and reversible whenever the base chain is.
     """
-    if not gamma > 0:
-        raise NonPositiveGamma(f"gamma must be > 0, got {gamma!r}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise NonPositiveGamma(f"gamma must be finite and > 0, got {gamma!r}")
     star_labels = tuple(f"{s}{STAR_SUFFIX}" for s in chain.states)
     if set(star_labels) & set(chain.states):
         raise BadSubset("state labels collide with star copies")
@@ -207,8 +209,8 @@ def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,
     The partition's valleys must cover the chain's states exactly.  The
     solution lies in [0, 1] and the solutions over k sum to one pointwise.
     """
-    if not gamma > 0:
-        raise NonPositiveGamma(f"gamma must be > 0, got {gamma!r}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise NonPositiveGamma(f"gamma must be finite and > 0, got {gamma!r}")
     owner = partition.validate_for(chain)
     if partition.delta:
         raise BadPartition(
@@ -262,10 +264,10 @@ class CycleDecomposition:
     residual: float
 
     def reconstructed_rates(self, chain: Chain) -> sp.csr_matrix:
-        src, dst, vals = [], [], []
-        for labels, rates in self.cycles:
-            idx = [chain.index[s] for s in labels]
-            src, dst, vals = src + idx, dst + idx[1:] + idx[:1], vals + list(rates)
+        index = chain.index
+        src = [index[s] for labels, _ in self.cycles for s in labels]
+        dst = [index[s] for labels, _ in self.cycles for s in labels[1:] + labels[:1]]
+        vals = [r for _, rates in self.cycles for r in rates]
         # duplicate (src, dst) entries are summed
         return sp.csr_matrix((vals, (src, dst)), shape=(chain.n, chain.n))
 
@@ -273,37 +275,27 @@ class CycleDecomposition:
         return max((len(labels) for labels, _ in self.cycles), default=0)
 
 
-def _lex_min_cycle(adj, length, n):
-    """Lexicographically smallest directed cycle of the given length.
+def _lex_min_cycle(succ, start, length):
+    """Lexicographically smallest directed cycle of the given length through
+    ``start`` whose other vertices are all larger than ``start``, or None.
 
-    ``adj`` maps i -> sorted list of successors.  The cycle is returned in
-    canonical form (smallest vertex first); intermediate vertices are larger
-    than the start so each cycle is produced exactly once.
+    ``succ[i]`` is the sorted list of i's successors.  The cycle is listed
+    from ``start``, so each cycle is found from its smallest vertex only.
     """
-    for start in range(n):
-        succ0 = adj.get(start)
-        if not succ0:
-            continue
-        path = [start]
-        used = {start}
+    path = [start]
 
-        def dfs():
-            if len(path) == length:
-                return start in adj.get(path[-1], ())
-            for nxt in adj.get(path[-1], ()):
-                if nxt <= start or nxt in used:
-                    continue
+    def dfs():
+        if len(path) == length:
+            return start in succ[path[-1]]
+        for nxt in succ[path[-1]]:
+            if nxt > start and nxt not in path:
                 path.append(nxt)
-                used.add(nxt)
                 if dfs():
                     return True
-                used.discard(nxt)
                 path.pop()
-            return False
+        return False
 
-        if dfs():
-            return list(path)
-    return None
+    return path if dfs() else None
 
 
 def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
@@ -312,6 +304,9 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
     Two-cycles are eliminated first, then three-cycles, and so on; each step
     extracts the minimal conductance along the lexicographically smallest
     cycle of the current minimal length, which zeroes at least one edge.
+    Extraction only removes edges, so a start with no cycle of the current
+    length never gets one: each length is one pass over the starts, and the
+    lengths end at the largest strongly connected set of the remaining edges.
     Reversible chains decompose into 2-cycles only.
     """
     require_stationary(chain, pi)
@@ -319,35 +314,36 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
     n = chain.n
     coo = chain.rates.tocoo()
     cond = {(int(i), int(j)): w[i] * float(r) for i, j, r in zip(coo.row, coo.col, coo.data)}
+    succ = [[] for _ in range(n)]
+    for i, j in sorted(cond):
+        succ[i].append(j)
     rate_cutoff = 32 * np.finfo(float).eps * chain.max_rate
     residual = 0.0
 
-    def prune():
+    def prune(edges):
         nonlocal residual
-        for edge in [e for e, c in cond.items() if c <= rate_cutoff * w[e[0]]]:
-            residual = max(residual, cond[edge] / w[edge[0]])
-            del cond[edge]
+        for i, j in edges:
+            if cond[(i, j)] <= rate_cutoff * w[i]:
+                residual = max(residual, cond.pop((i, j)) / w[i])
+                succ[i].remove(j)
 
-    prune()
+    prune(list(cond))
     cycles = []
     for length in range(2, n + 1):
-        while True:
-            adj = {}
-            for (i, j) in cond:
-                adj.setdefault(i, []).append(j)
-            for v in adj.values():
-                v.sort()
-            cyc = _lex_min_cycle(adj, length, n)
-            if cyc is None:
-                break
-            weight = min(cond[(cyc[p], cyc[(p + 1) % length])] for p in range(length))
-            rates = []
-            for p in range(length):
-                edge = (cyc[p], cyc[(p + 1) % length])
-                cond[edge] -= weight
-                rates.append(weight / w[cyc[p]])
-            cycles.append((tuple(chain.states[v] for v in cyc), tuple(rates)))
-            prune()
+        src, dst = np.array(list(cond), dtype=int).reshape(-1, 2).T
+        graph = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+        _, scc = connected_components(graph, connection="strong")
+        if np.bincount(scc).max() < length:
+            break
+        for start in range(n):
+            while (cyc := _lex_min_cycle(succ, start, length)) is not None:
+                edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+                weight = min(cond[e] for e in edges)
+                for e in edges:
+                    cond[e] -= weight
+                cycles.append((tuple(chain.states[v] for v in cyc),
+                               tuple(weight / w[v] for v in cyc)))
+                prune(edges)
     for (i, j), c in cond.items():
         residual = max(residual, c / w[i])
     return CycleDecomposition(chain.states, tuple(cycles), residual)

@@ -349,7 +349,7 @@ class TestValidate:
         ("--theta", "inf"), ("--trials", "0"), ("--trials", "-3"),
         ("--delta", "inf"), ("--delta", "nan"), ("--grid", "0.5,nan"),
         ("--grid", "1,inf"), ("--grid", "0.5,x"), ("--grid", ","), ("--grid", "0"),
-        ("--grid", "-0.5,1"),
+        ("--grid", "-0.5,1"), ("--grid", "1,1,2"),
         ("--jobs", "0"), ("--jobs", "-3"),
     ])
     def test_bad_flag_exits_2_before_simulating(self, bd3_spec, monkeypatch, capsys,

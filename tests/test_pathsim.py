@@ -645,6 +645,11 @@ class TestValidatorInputChecks:
         with pytest.raises(BadSpec, match="no start 'zz'"):
             ms.fdd_compare(_fixed_sample(), model, [0.5], "zz")
 
+    def test_fdd_compare_repeated_time(self, bd3, bd3_partition):
+        model = ms.coarse_rates(bd3, ms.stationary(bd3), bd3_partition, 2.0)
+        with pytest.raises(BadSpec, match=re.escape("repeated times in (0.5, 0.5)")):
+            ms.fdd_compare(_fixed_sample(), model, [0.5, 0.5], "1")
+
     @pytest.mark.parametrize("grid", [[1.0, math.nan, 0.5], [0.5, math.inf], [-1.0], []])
     def test_fdd_compare_bad_grid(self, bd3, bd3_partition, grid):
         with pytest.raises(BadSpec, match="sample times"):

@@ -1,5 +1,9 @@
 """Derived chains: trace, reflection, collapse, enlargement, resolvent, cycles."""
 
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -235,9 +239,15 @@ class TestEnlargedChain:
         assert ms.is_reversible(enl.combined, enl.pi_star, rel=1e-10)
 
     def test_rejects_nonpositive_gamma(self, b2):
+        # an infinite gamma is an input error, not an unreachable star copy
+        # or a singular resolvent
         pi = ms.stationary(b2)
-        with pytest.raises(NonPositiveGamma):
-            ms.enlarge_chain(b2, pi, 0.0)
+        part = ms.Partition((frozenset({"1"}), frozenset({"2"})))
+        for gamma in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(NonPositiveGamma, match="finite"):
+                ms.enlarge_chain(b2, pi, gamma)
+            with pytest.raises(NonPositiveGamma, match="finite"):
+                ms.resolvent_solve(b2, pi, gamma, 1, part)
 
 
 class TestResolvent:
@@ -358,6 +368,47 @@ class TestCycleDecomposition:
         bad = ms.ProbVector(np.array([0.5, 0.3, 0.2]))
         with pytest.raises(NotStationary):
             ms.cycle_decompose(c3, bad)
+
+    # SHA-256 and byte count of the cycles, the residual and the reconstruction
+    # error of the draws from seeds 0..9 (the JSON lines of ``_draws_text``)
+    PINNED = {
+        ("random_chain", 6): ("ef012df8155ddb6d62280e0218464961"
+                              "36857f5aa4f146b860a43f11724a2cf8", 9_061),
+        ("random_chain", 9): ("f23bc62296dcc2e8544f5750a1e29a07"
+                              "d212bec1a4b2aa2d553ce0058028d3bb", 15_547),
+        ("random_chain", 12): ("a7e29242be5182bc45f047a7eb6c0539"
+                               "0c82d6e41b1bfdac9c6bb56b46900eaa", 27_468),
+        ("random_chain", 16): ("cc113d090ffb89d8edb9e66899733a09"
+                               "69999efc199aab1c6370410138b141ec", 45_173),
+        ("random_reversible_chain", 6): ("16f6c95139e1da61dc34119e9f3ab222"
+                                         "1acadd0aadf2869090258d8d29a16eb6", 6_833),
+        ("random_reversible_chain", 9): ("65b3e1919a1219e261dcb1ef83d5d5b9"
+                                         "eec75468fa5abdaf307dab919af63124", 11_068),
+        ("random_reversible_chain", 12): ("37b8c9ae41a7853017f64f16ad37ef0b"
+                                          "b057adcba37e28a504cf42b25faa6966", 16_315),
+        ("random_reversible_chain", 16): ("29739347c3ccdb42fcf254647dc14af3"
+                                          "e2f8686f0b3b6a5a1161f2742635c9be", 22_643),
+    }
+
+    @staticmethod
+    def _draws_text(draw, n):
+        make = {"random_chain": random_chain,
+                "random_reversible_chain": random_reversible_chain}[draw]
+        lines = []
+        for seed in range(10):
+            chain = make(np.random.default_rng(seed), n)
+            dec = ms.cycle_decompose(chain, ms.stationary(chain))
+            error = abs(dec.reconstructed_rates(chain) - chain.rates).max()
+            lines.append(json.dumps({
+                "cycles": [[list(labels), [float(r) for r in rates]]
+                           for labels, rates in dec.cycles],
+                "residual": float(dec.residual), "reconstruction": float(error)}))
+        return "\n".join(lines).encode()
+
+    @pytest.mark.parametrize("draw, n", sorted(PINNED))
+    def test_pinned_random_decompositions(self, draw, n):
+        text = self._draws_text(draw, n)
+        assert (hashlib.sha256(text).hexdigest(), len(text)) == self.PINNED[(draw, n)]
 
     def test_reflection_of_whole_cycles_keeps_conditioned_measure(self):
         # two cycles sharing state 3; uniform pi is stationary for each;
