@@ -303,12 +303,14 @@ def stationary(chain: Chain) -> ProbVector:
     return pi
 
 
-def stationarity_residual(chain: Chain, pi: ProbVector) -> float:
-    return float(np.abs(pi.weights @ chain.generator_matrix()).max())
+def stationarity_residual(chain: Chain, pi: ProbVector, L=None) -> float:
+    """max |pi^T L|; ``L`` is the chain's generator if the caller has built it."""
+    L = chain.generator_matrix() if L is None else L
+    return float(np.abs(pi.weights @ L).max())
 
 
-def require_stationary(chain: Chain, pi: ProbVector):
-    residual = stationarity_residual(chain, pi)
+def require_stationary(chain: Chain, pi: ProbVector, L=None):
+    residual = stationarity_residual(chain, pi, L)
     bound = config.DEFAULT.input_stationary * max(chain.max_rate, 1e-300)
     if residual > bound:
         raise NotStationary(
@@ -393,18 +395,26 @@ class SpectralGap(NamedTuple):
 def spectral_gap(chain: Chain, pi: ProbVector) -> SpectralGap:
     """Smallest positive eigenvalue of -L^s in L2(pi), and its inverse.
 
-    The symmetric part is conjugated with diag(sqrt(pi)) into an ordinary
-    symmetric matrix and solved densely, guarded by ``spectral_guard``.
+    The dense generator, guarded by ``spectral_guard``, must pass
+    ``require_stationary``; ``generator_gap`` solves it.
     """
     guard = config.DEFAULT.spectral_guard
     if chain.n > guard:
         raise TooLarge(
             f"spectral gap needs a dense eigensolve; {chain.n} states exceed "
             f"the guard {guard}")
-    require_stationary(chain, pi)
-    w = pi.weights
-    sqrt_w = np.sqrt(w)
     L = chain.generator_matrix(dense=True)
+    require_stationary(chain, pi, L)
+    return generator_gap(L, pi.weights)
+
+
+def generator_gap(L: np.ndarray, w: np.ndarray) -> SpectralGap:
+    """Spectral gap of the dense generator ``L`` in L2(w), ``w`` its stationary law.
+
+    The symmetric part is conjugated with diag(sqrt(w)) into an ordinary
+    symmetric matrix and solved densely.  The package's one eigensolver.
+    """
+    sqrt_w = np.sqrt(w)
     # A = D^{1/2} (-L) D^{-1/2}; its symmetric part has the same form values
     A = -(sqrt_w[:, None] * L) / sqrt_w[None, :]
     S = 0.5 * (A + A.T)

@@ -2,7 +2,8 @@
 
 Every linear system in the package goes through ``factor``: one LU
 factorization, by SuperLU (``splu``) if sparse and by LAPACK if dense (the
-trace chains on the valleys).  A chain keeps its latest killed-block
+trace chains on the valleys and the reflected valleys' stationary laws).  A
+chain keeps its latest killed-block
 factorization (``Chain.killed_solver``) for the next caller.
 
 Every sparse matrix the package factors is a nonsingular M-matrix (a killed
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import SolverFailure
 
@@ -30,9 +31,12 @@ from .errors import SolverFailure
 def strong_connectivity_witness(adj_csr):
     """Return None if strongly connected, else a pair (a, b) with b unreachable from a.
 
-    Checks reachability from vertex 0 in the graph and its transpose, which is
-    equivalent to strong connectivity.
+    One count of the strongly connected components answers the question; a
+    graph with more than one is searched from vertex 0, in the graph and its
+    transpose, for the witness.
     """
+    if connected_components(adj_csr, connection="strong")[0] == 1:
+        return None
     for graph, reverse in ((adj_csr, False), (adj_csr.T, True)):
         seen = np.zeros(adj_csr.shape[0], dtype=bool)
         seen[breadth_first_order(graph, 0, return_predecessors=False)] = True

@@ -21,19 +21,21 @@ from .chain import (
     _chain_from_csr,
     apply_generator,
     dirichlet_form,
-    spectral_gap,
-    stationary,
+    generator_gap,
+    is_reversible,
+    spectral_gap,  # noqa: F401
+    stationary,  # noqa: F401
 )
 from .errors import (
     BadPartition,
     BadSpec,
-    NotIrreducibleAfterReflection,
     NotStationary,
     SolverFailure,
+    TooLarge,
     ToleranceViolation,
 )
-# capacity, trace_chain and collapse_chain are not called here; the traced
-# benchmark run looks them up on this module to report their time
+# capacity, spectral_gap, stationary and the three transforms are not called
+# here; the traced benchmark run looks them up on this module to report their time
 from .potential import _drop_dust, _harmonic_measure, _trace_rates, capacity  # noqa: F401
 from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
 
@@ -267,6 +269,51 @@ def _point_capacities(chain: Chain, weights, ref: int, where: str) -> np.ndarray
     return caps
 
 
+def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, where: str):
+    """Relaxation time of ``chain`` reflected at the states ``idx``, or None
+    if the reflection disconnects them.
+
+    One dense step on the rate block of ``idx``, with the checks of the
+    public route ``spectral_gap(reflected_chain(...), stationary(...))``: if
+    ``reversible``, pi restricted to ``idx`` keeps detailed balance within
+    ``input_stationary``; the reflected law is grounded at the block's
+    stickiest state as in ``stationary``, must be positive and finite and
+    balance within ``stationary_residual`` times the max rate; its gap comes
+    from ``generator_gap``.  A failure raises naming ``where``.
+    """
+    block = chain.rates[idx][:, idx]
+    if numerics.strong_connectivity_witness(block) is not None:
+        return None
+    rates = block.toarray()
+    if reversible:
+        flux = pi.weights[idx, np.newaxis] * rates
+        if np.abs(flux - flux.T).max() > config.DEFAULT.input_stationary * flux.max():
+            raise ToleranceViolation(
+                f"{where}: conditioned measure lost detailed balance under reflection")
+    holding = rates.sum(axis=1)
+    L = rates - np.diag(holding)
+    r = int(np.argmin(holding))
+    rest = np.flatnonzero(np.arange(len(idx)) != r)
+    w = np.ones(len(idx))
+    w[rest] = numerics.factor(-L[np.ix_(rest, rest)].T)(rates[r, rest])
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if len(bad):
+        s, top = chain.states[idx[bad[0]]], chain.states[idx[r]]
+        raise SolverFailure(
+            f"{where}: stationary solve gave pi({s!r}) / pi({top!r}) = "
+            f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
+    w /= w.sum()
+    residual = float(np.abs(w @ L).max())
+    bound = config.DEFAULT.stationary_residual * rates.max()
+    if residual > bound:
+        raise SolverFailure(
+            f"{where}: stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
+    try:
+        return generator_gap(L, w).relaxation_time
+    except SolverFailure as exc:
+        raise SolverFailure(f"{where}: {exc}") from exc
+
+
 def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
                      model: ReducedModel) -> ConditionReport:
     """Compute the metastability condition ratios for one chain and partition.
@@ -275,12 +322,15 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     capacity between a state and the valley's pi-maximal reference state
     (zero for singleton valleys, where the max is empty); the measure ratio
     pi(delta)/pi(valley); and relaxation times of the reflected chains
-    relative to theta.  The chain killed at ref spends as long at x as its
-    trace on the valley union F does, so Cap(x, ref) = pi(x) / G(x, x) is
-    read off the trace chain: ``potential._trace_rates`` builds it on F from
-    the factorization of Delta that ``coarse_rates`` left on the chain,
-    ``_valley_trace`` traces it onto each valley and ``_point_capacities``
-    reads the valley's capacities there.  Theta, the valley masses and
+    relative to theta, each from one dense step on the valley's rate block
+    (``_valley_relaxation``); a valley above ``spectral_guard`` states
+    raises ``TooLarge`` before anything is solved.  The chain killed at ref
+    spends as long at x as its trace on the valley union F does, so
+    Cap(x, ref) = pi(x) / G(x, x) is read off the trace chain:
+    ``potential._trace_rates`` builds it on F from the factorization of
+    Delta that ``coarse_rates`` left on the chain, ``_valley_trace`` traces
+    it onto each valley and ``_point_capacities`` reads the valley's
+    capacities there.  Theta, the valley masses and
     capacities and pi(delta) are read off ``model``, the ``coarse_rates``
     result for the same chain, pi and partition; a model whose valley count
     or valley masses differ from the partition's raises ``BadPartition``.
@@ -298,7 +348,15 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
         j = int(differ[0])
         raise BadPartition(f"valley {j + 1}: the reduced model's mass {float(masses[j])!r} "
                            f"is not the partition's {float(own[j])!r}")
+    sizes = np.bincount(owner, minlength=partition.n + 1)[1:]
+    guard = config.DEFAULT.spectral_guard
+    big = np.flatnonzero((sizes > guard) & (sizes > 1))
+    if len(big):
+        j = int(big[0])
+        raise TooLarge(f"check_conditions: valley {j + 1}: the relaxation time needs a dense "
+                       f"eigensolve; {sizes[j]} states exceed the guard {guard}")
     refs = partition.reference_states(chain, pi)
+    reversible = is_reversible(chain, pi)
     f = np.flatnonzero(owner > 0)
     rates_f = _trace_rates(chain, f)
     imbalance = float(masses.max() / masses.min())
@@ -315,16 +373,14 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
         point = _point_capacities(valley, pi.weights[f[e]], valley.index[ref],
                                   f"check_conditions: valley {j}, reference state {ref!r}")
         cap_ratios.append(float(caps[j - 1] / point.min()))
-        try:
-            refl = reflected_chain(chain, sorted(partition.valley(j)), pi)
-        except NotIrreducibleAfterReflection:
+        t_rel = _valley_relaxation(chain, pi, f[e], reversible, f"check_conditions: valley {j}")
+        if t_rel is None:
             relax.append(None)
             composite.append(None)
             notes.append(f"valley {j}: reflection disconnects; relaxation entry unavailable")
             continue
-        gap = spectral_gap(refl, stationary(refl))
-        relax.append(gap.relaxation_time / theta)
-        composite.append(imbalance * gap.relaxation_time / theta)
+        relax.append(t_rel / theta)
+        composite.append(imbalance * t_rel / theta)
 
     return ConditionReport(
         theta=theta,

@@ -281,21 +281,26 @@ def _lex_min_cycle(succ, start, length):
 
     ``succ[i]`` is the sorted list of i's successors.  The cycle is listed
     from ``start``, so each cycle is found from its smallest vertex only.
+    The depth-first search keeps one successor iterator per path vertex on
+    an explicit stack, so a cycle may be longer than the recursion limit.
     """
-    path = [start]
-
-    def dfs():
-        if len(path) == length:
-            return start in succ[path[-1]]
-        for nxt in succ[path[-1]]:
-            if nxt > start and nxt not in path:
-                path.append(nxt)
-                if dfs():
-                    return True
+    path, on_path = [start], {start}
+    branches = [iter(succ[start])]
+    while branches:
+        nxt = next(branches[-1], None)
+        if nxt is None:
+            branches.pop()
+            on_path.discard(path.pop())
+        elif nxt > start and nxt not in on_path:
+            path.append(nxt)
+            if len(path) < length:
+                on_path.add(nxt)
+                branches.append(iter(succ[nxt]))
+            elif start in succ[nxt]:
+                return path
+            else:
                 path.pop()
-        return False
-
-    return path if dfs() else None
+    return None
 
 
 def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:

@@ -151,16 +151,17 @@ class TestFactor:
     def test_no_solver_outside_numerics(self):
         """Every linear system goes through ``numerics.factor``."""
         solvers = {"splu", "spsolve", "lu_factor", "lu_solve", "inv"}
-        found = []
-        for path in sorted(Path(ms.__file__).resolve().parent.glob("*.py")):
-            if path.name == "numerics.py":
-                continue
+        assert not [f"{where}: {called}" for where, called in _package_calls("numerics.py")
+                    if called.rsplit(".", 1)[-1] in solvers or called.endswith("linalg.solve")]
+
+
+def _package_calls(skip):
+    """(file:line, called expression) of every call in the package's modules but ``skip``."""
+    for path in sorted(Path(ms.__file__).resolve().parent.glob("*.py")):
+        if path.name != skip:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
-                    called = ast.unparse(node.func)
-                    if called.rsplit(".", 1)[-1] in solvers or called.endswith("linalg.solve"):
-                        found.append(f"{path.name}:{node.lineno}: {called}")
-        assert not found
+                    yield f"{path.name}:{node.lineno}", ast.unparse(node.func)
 
 
 class TestGenerator:
@@ -322,6 +323,12 @@ class TestDirichletForm:
 
 
 class TestSpectralGap:
+    def test_no_eigensolver_outside_chain(self):
+        """Every spectral gap goes through ``chain.generator_gap``."""
+        eigensolvers = {"eigvalsh", "eigh", "eigvals", "eig"}
+        assert not [f"{where}: {called}" for where, called in _package_calls("chain.py")
+                    if called.rsplit(".", 1)[-1] in eigensolvers]
+
     def test_two_state(self, b2):
         pi = ms.stationary(b2)
         gap = ms.spectral_gap(b2, pi)

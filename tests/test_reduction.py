@@ -1,16 +1,19 @@
 """Coarse-grained rates, time scales, jump probabilities, condition ratios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import metastab as ms
-from metastab import potential, reduction
+from metastab import config, numerics, potential, reduction
 from metastab.errors import (
     BadPartition,
     BadSpec,
     NotIrreducibleAfterReflection,
     SolverFailure,
+    TooLarge,
     ToleranceViolation,
 )
 
@@ -251,15 +254,6 @@ def test_one_point_capacity_solve_per_valley(case, monkeypatch):
     chain, part, theta = REFERENCE_CASES[case]()
     pi = ms.stationary(chain)
     model = ms.coarse_rates(chain, pi, part, theta)
-    union = len(part.union())
-    reflected = 0
-    for v in part.valleys:
-        if len(v) > 1:
-            try:
-                ms.reflected_chain(chain, sorted(v))
-                reflected += 1
-            except NotIrreducibleAfterReflection:
-                pass
 
     def forbidden(*args, **kwargs):
         raise AssertionError("check_conditions called potential.capacity")
@@ -277,10 +271,9 @@ def test_one_point_capacity_solve_per_valley(case, monkeypatch):
     monkeypatch.setattr(spla, "splu", counted)
     ms.check_conditions(chain, pi, part, model)
     assert sorted(solves) == sorted(len(v) - 1 for v in part.valleys if len(v) > 1)
-    # the block off the valleys stays factored from coarse_rates; the only
-    # sparse factorizations left are the reflected valleys' stationary laws
-    assert max(sizes, default=0) <= union
-    assert len(sizes) == reflected
+    # the factorization of the block off the valleys that coarse_rates left on
+    # the chain is reused, and every valley step is dense
+    assert sizes == []
 
 
 @pytest.mark.parametrize("case", ["birth_death_5", "glued_2_6_1", "random_51_delta"])
@@ -364,6 +357,72 @@ def test_point_capacity_two_form_check_names_its_source():
     message = str(err.value)
     assert message.startswith(f"check_conditions: valley 1, reference state {ref!r}, state ")
     assert "not stationary" in message
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_relaxation_matches_reflected_chain_route(case):
+    """Each valley's relaxation time is that of the public route, the
+    reflected chain's spectral gap under its own stationary law; a valley
+    the reflection disconnects has a None entry and a note."""
+    chain, part, theta = REFERENCE_CASES[case]()
+    pi = ms.stationary(chain)
+    report = ms.check_conditions(chain, pi, part, ms.coarse_rates(chain, pi, part, theta))
+    for j, ratio in enumerate(report.relaxation_ratio, start=1):
+        valley = sorted(part.valley(j))
+        if len(valley) == 1:
+            assert ratio == 0.0
+            continue
+        try:
+            refl = ms.reflected_chain(chain, valley, pi)
+        except NotIrreducibleAfterReflection:
+            assert ratio is None and report.relaxation_composite[j - 1] is None
+            assert f"valley {j}: reflection disconnects; relaxation entry unavailable" \
+                in report.notes
+            continue
+        expected = ms.spectral_gap(refl, ms.stationary(refl)).relaxation_time
+        assert report.theta * ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _scale_first(x, factor):
+    x[0] *= factor
+    return x
+
+
+@pytest.mark.parametrize("factor, phrase", [
+    (-1.0, r"stationary solve gave pi\(.*\) / pi\(.*\) = -"),
+    (1.0 + 1e-6, "stationary residual"),
+])
+def test_relaxation_solve_failure_names_the_valley(factor, phrase, monkeypatch):
+    """A negative or unbalanced ratio from the reflected valley's stationary
+    solve (the one vector solve of check_conditions) raises naming the valley."""
+    chain, part, theta = REFERENCE_CASES["zero_range_p07"]()
+    pi = ms.stationary(chain)
+    model = ms.coarse_rates(chain, pi, part, theta)
+    tamper_solves(monkeypatch, lambda b, x: _scale_first(x, factor) if b.ndim == 1 else x)
+    with pytest.raises(SolverFailure, match=f"^check_conditions: valley 1: {phrase}"):
+        ms.check_conditions(chain, pi, part, model)
+
+
+def test_spectral_guard_bounds_the_valleys_before_any_dense_block(monkeypatch):
+    """A valley above ``spectral_guard`` raises naming it before T_F, the
+    valley traces or any valley step runs."""
+    chain, part, theta = REFERENCE_CASES["glued_2_6_1"]()
+    pi = ms.stationary(chain)
+    model = ms.coarse_rates(chain, pi, part, theta)
+    size = len(part.valley(1))
+    assert all(len(v) == size for v in part.valleys)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_conditions built a dense block")
+
+    monkeypatch.setattr(reduction, "_trace_rates", forbidden)
+    monkeypatch.setattr(reduction, "_valley_trace", forbidden)
+    monkeypatch.setattr(reduction, "_valley_relaxation", forbidden)
+    monkeypatch.setattr(numerics, "factor", forbidden)
+    monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=size - 1))
+    with pytest.raises(TooLarge, match=f"^check_conditions: valley 1: .*{size} states "
+                                       f"exceed the guard {size - 1}"):
+        ms.check_conditions(chain, pi, part, model)
 
 
 class TestTimescale:

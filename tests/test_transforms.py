@@ -16,7 +16,7 @@ from metastab.errors import (
     NotStationary,
     SolverFailure,
 )
-from metastab.transforms import COLLAPSED_LABEL, lift_from_collapsed
+from metastab.transforms import COLLAPSED_LABEL, _lex_min_cycle, lift_from_collapsed
 
 from conftest import (
     birth_death,
@@ -324,6 +324,15 @@ class TestCycleDecomposition:
         labels, rates = dec.cycles[0]
         assert labels == ("1", "2", "3")
         assert np.allclose(rates, 1.0, atol=1e-12)
+
+    def test_cycle_longer_than_the_recursion_limit(self):
+        n = 1200
+        ring = [[(i + 1) % n] for i in range(n)]
+        assert _lex_min_cycle(ring, 0, n) == list(range(n))
+        assert _lex_min_cycle(ring, 0, n - 1) is None
+        # a chord from 0 makes a shorter cycle, found first in successor order
+        ring[0] = [1, n // 2]
+        assert _lex_min_cycle(ring, 0, n // 2 + 1) == [0] + list(range(n // 2, n))
 
     def test_reversible_all_two_cycles(self):
         rng = np.random.default_rng(38)
