@@ -82,15 +82,22 @@ class Chain:
 
         The chain keeps the latest one, keyed by the sorted index array ``idx``.
         """
-        key = np.asarray(idx, dtype=np.int64).tobytes()
-        cached = self.__dict__.get("_killed_factor")
+        return self._kept("_killed_factor", np.asarray(idx, dtype=np.int64).tobytes(),
+                          lambda: numerics.factor(self.killed(idx)))
+
+    def _kept(self, name, key, build):
+        """``build()``, kept on the chain under ``name`` until a call with another ``key``."""
+        cached = self.__dict__.get(name)
         if cached is None or cached[0] != key:
-            cached = (key, numerics.factor(self.killed(idx)))
-            self.__dict__["_killed_factor"] = cached
+            cached = (key, build())
+            self.__dict__[name] = cached
         return cached[1]
 
-    def __getstate__(self):  # a factorization does not pickle; a copy refactors
-        return {k: v for k, v in self.__dict__.items() if k != "_killed_factor"}
+    def __getstate__(self):
+        # a factorization does not pickle, and the valley traces
+        # (``reduction._valley_traces``) go with it; a copy rebuilds both
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_killed_factor", "_valley_traces")}
 
     def rate(self, a, b) -> float:
         return float(self.rates[self.index[a], self.index[b]])
@@ -117,6 +124,8 @@ class ProbVector:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
+        if not np.isfinite(w).all():
+            raise BadSpec(f"probability vector has non-finite entry {w[~np.isfinite(w)][0]}")
         if (w < 0).any():
             worst = float(w.min())
             raise BadSpec(f"probability vector has negative entry {worst}")
@@ -270,37 +279,71 @@ def _chain_from_csr(states, csr) -> Chain:
     return Chain(tuple(states), csr)
 
 
-def stationary(chain: Chain) -> ProbVector:
-    """Unique stationary probability, from the chain killed at its stickiest state.
+def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
+    """Unique stationary probability.
 
-    Let r be the state with the smallest holding rate.  For y != r,
+    Without a partition, from the chain killed at its stickiest state.  Let
+    r be the state with the smallest holding rate.  For y != r,
     pi(y) / pi(r) is lambda(r) times the expected time spent at y during one
     excursion from r, so on U = S minus {r} these ratios x solve
     K^T x = R(r, U)^T with K = diag(lambda_U) - R_UU, the generator of the
     chain killed at r.  Then pi(r) = 1 and pi is normalized.  Grounding at
     the stickiest state keeps the unknowns of moderate size in deep wells.
-    An irreducible chain has pi > 0, so an entry <= 0 is a solver failure,
-    as is a residual |pi^T L| above ``stationary_residual`` times the
-    max rate.
+
+    With a partition of at least two valleys, from the trace chain on the
+    valley union and the factorization of Delta that ``coarse_rates`` uses
+    too (``reduction._trace_law``).  No system there spans two wells, so
+    this route stays right in deep wells, where the one through r does not.
+
+    An irreducible chain has pi > 0, so an entry that is not finite and
+    positive is a solver failure naming the state, as is a residual
+    |pi^T L| above ``stationary_residual`` times the max rate.
     """
-    r = int(np.argmin(chain.holding))
-    rest = np.flatnonzero(np.arange(chain.n) != r)
-    w = np.ones(chain.n)
-    w[rest] = numerics.solve_linear(chain.killed(rest).T,
-                                    chain.rates[r].toarray().ravel()[rest])
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
-    if len(bad):
-        s = chain.states[bad[0]]
-        raise SolverFailure(
-            f"stationary solve gave pi({s!r}) / pi({chain.states[r]!r}) = "
-            f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
-    pi = ProbVector(w / w.sum())
+    if partition is not None:
+        from .reduction import _trace_law  # reduction builds on this module
+        pi = ProbVector(_trace_law(chain, partition))
+    else:
+        r = int(np.argmin(chain.holding))
+        rest = np.flatnonzero(np.arange(chain.n) != r)
+        w = np.ones(chain.n)
+        w[rest] = numerics.solve_linear(chain.killed(rest).T,
+                                        chain.rates[r].toarray().ravel()[rest])
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+        if len(bad):
+            s = chain.states[bad[0]]
+            raise SolverFailure(
+                f"stationary solve gave pi({s!r}) / pi({chain.states[r]!r}) = "
+                f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
+        pi = ProbVector(w / w.sum())
     residual = stationarity_residual(chain, pi)
     bound = config.DEFAULT.stationary_residual * chain.max_rate
     if residual > bound:
         raise SolverFailure(
             f"stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
     return pi
+
+
+def _dense_stationary(rates: np.ndarray, labels, where: str) -> np.ndarray:
+    """Stationary law of the dense rate block ``rates`` (zero diagonal).
+
+    Grounded at the block's stickiest state r as in ``stationary``: one
+    dense solve with the block killed at r gives the ratios to pi(r), and
+    the law is normalized.  Every ratio must be finite and positive;
+    otherwise ``SolverFailure`` names ``where`` and the state, ``labels[i]``
+    for row i.
+    """
+    holding = rates.sum(axis=1)
+    r = int(np.argmin(holding))
+    rest = np.flatnonzero(np.arange(len(rates)) != r)
+    w = np.ones(len(rates))
+    killed = np.diag(holding[rest]) - rates[np.ix_(rest, rest)]
+    w[rest] = numerics.factor(killed.T)(rates[r, rest])
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if len(bad):
+        raise SolverFailure(
+            f"{where}: stationary solve gave pi({labels[bad[0]]!r}) / pi({labels[r]!r}) = "
+            f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
+    return w / w.sum()
 
 
 def stationarity_residual(chain: Chain, pi: ProbVector, L=None) -> float:

@@ -12,6 +12,7 @@ JSON schema (schema/report-v1.schema.json).
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -114,8 +115,7 @@ def _reduce(args):
     """Load the input and reduce it: (chain, partition, model_spec, pi, model)."""
     chain, partition, model_spec = _load_input(args)
     partition = _require_partition(partition)
-    partition.validate_for(chain, require_valleys=2)
-    pi = stationary(chain)
+    pi = stationary(chain, partition)
     return chain, partition, model_spec, pi, coarse_rates(chain, pi, partition, args.theta)
 
 
@@ -278,7 +278,9 @@ def _add_io_flags(p, partition_flag=True):
     p.add_argument("--out", help="output file (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="metastab",
         description="Metastable model reduction of finite-state CTMCs")

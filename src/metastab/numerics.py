@@ -2,7 +2,7 @@
 
 Every linear system in the package goes through ``factor``: one LU
 factorization, by SuperLU (``splu``) if sparse and by LAPACK if dense (the
-trace chains on the valleys and the reflected valleys' stationary laws).  A
+trace chains on the valleys and ``chain._dense_stationary``).  A
 chain keeps its latest killed-block
 factorization (``Chain.killed_solver``) for the next caller.
 
@@ -52,8 +52,9 @@ def factor(a):
     A sparse ``a`` is factored by ``splu`` under a symmetric minimum-degree
     ordering with every pivot on the diagonal, a dense one by LAPACK with
     partial pivoting.  The solve takes ``b`` with one right-hand side per
-    column; all share the factors.  A singular matrix, or a sparse one that
-    needs a row pivot, raises ``SolverFailure``.
+    column; all share the factors.  A sparse ``a``'s solve also takes
+    ``trans="T"``, to solve with its transpose.  A singular matrix, or a
+    sparse one that needs a row pivot, raises ``SolverFailure``.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
@@ -69,7 +70,7 @@ def factor(a):
         raise SolverFailure(
             f"the {a.shape[0]}-state sparse system needed a row pivot; only a "
             f"matrix that factors on its diagonal is supported")
-    return lambda b: lu.solve(np.asarray(b, dtype=float))
+    return lambda b, trans="N": lu.solve(np.asarray(b, dtype=float), trans=trans)
 
 
 def solve_linear(a, b):

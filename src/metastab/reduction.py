@@ -19,6 +19,7 @@ from .chain import (
     Partition,
     ProbVector,
     _chain_from_csr,
+    _dense_stationary,
     apply_generator,
     dirichlet_form,
     generator_gap,
@@ -190,6 +191,75 @@ class ConditionReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
+def _require_small_valleys(owner: np.ndarray, where: str):
+    """A valley above ``spectral_guard`` states raises ``TooLarge`` naming it:
+    its dense trace, Green function and relaxation step grow with its size."""
+    sizes = np.bincount(owner, minlength=int(owner.max()) + 1)[1:]
+    guard = config.DEFAULT.spectral_guard
+    big = np.flatnonzero((sizes > guard) & (sizes > 1))
+    if len(big):
+        j = int(big[0])
+        raise TooLarge(f"{where}: valley {j + 1}: its dense steps span the whole valley; "
+                       f"{sizes[j]} states exceed the guard {guard}")
+
+
+def _valley_traces(chain: Chain, owner: np.ndarray):
+    """(T_F, V) for the valley union F of ``owner``, kept on the chain.
+
+    T_F = ``_trace_rates`` on F, from the factorization of Delta the chain
+    keeps; ``V[j - 1]`` is T_F traced onto valley j (``_valley_trace``), or
+    None for a singleton valley.  Rows and columns follow the dense index.
+    """
+    def build():
+        f = np.flatnonzero(owner > 0)
+        rates_f = _trace_rates(chain, f)
+        valleys = (np.flatnonzero(owner[f] == j) for j in range(1, int(owner.max()) + 1))
+        return rates_f, tuple(_valley_trace(rates_f, e) if len(e) > 1 else None
+                              for e in valleys)
+    return chain._kept("_valley_traces", owner.tobytes(), build)
+
+
+def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
+    """pi by stochastic complementation on the valley union F (Meyer 1989).
+
+    pi restricted to F is the stationary law of T_F, and pi on valley j,
+    normalized, is mu_j, the law of V_j (``_valley_traces``).  The valleys'
+    coupling C(j, k) = sum_{x in E_j} mu_j(x) T_F(x, E_k) is a rate matrix
+    whose law xi_j is pi(E_j) / pi(F), so pi = xi_j mu_j on E_j.  Off F,
+    pi_D^T = pi_F^T R_FD K_D^-1 is one transposed solve with the factor of
+    Delta the chain keeps, which pivots only on the diagonal: with partial
+    pivoting this solve loses the deep wells' small entries.  A valley above
+    ``spectral_guard`` raises ``TooLarge`` first; an entry that is not finite
+    and positive raises ``SolverFailure`` naming the state.
+    """
+    owner = partition.validate_for(chain, require_valleys=2)
+    _require_small_valleys(owner, "stationary")
+    rates_f, traces = _valley_traces(chain, owner)
+    f = np.flatnonzero(owner > 0)
+    valley = owner[f] - 1
+    mu = np.ones(len(f))
+    for j, trace in enumerate(traces):
+        if trace is not None:
+            e = np.flatnonzero(valley == j)
+            mu[e] = _dense_stationary(trace, [chain.states[i] for i in f[e]],
+                                      f"stationary: valley {j + 1}")
+    member = np.eye(partition.n)[valley]
+    coupling = member.T @ (mu[:, np.newaxis] * rates_f) @ member
+    np.fill_diagonal(coupling, 0.0)
+    xi = _dense_stationary(coupling, range(1, partition.n + 1), "stationary: valley coupling")
+    w = np.zeros(chain.n)
+    w[f] = xi[valley] * mu
+    delta = np.flatnonzero(owner == 0)
+    if len(delta):
+        w[delta] = chain.killed_solver(delta)(chain.rates[f][:, delta].T @ w[f], trans="T")
+    w /= w.sum()
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if len(bad):
+        raise SolverFailure(f"stationary: pi({chain.states[bad[0]]!r}) = {float(w[bad[0]])!r} "
+                            f"off the trace chain; an irreducible chain has pi > 0")
+    return w
+
+
 def _valley_trace(rates, e) -> np.ndarray:
     """Dense rates of the trace onto ``e`` of the chain with dense ``rates``.
 
@@ -276,9 +346,8 @@ def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, wher
     One dense step on the rate block of ``idx``, with the checks of the
     public route ``spectral_gap(reflected_chain(...), stationary(...))``: if
     ``reversible``, pi restricted to ``idx`` keeps detailed balance within
-    ``input_stationary``; the reflected law is grounded at the block's
-    stickiest state as in ``stationary``, must be positive and finite and
-    balance within ``stationary_residual`` times the max rate; its gap comes
+    ``input_stationary``; the reflected law (``chain._dense_stationary``)
+    must balance within ``stationary_residual`` times the max rate; its gap comes
     from ``generator_gap``.  A failure raises naming ``where``.
     """
     block = chain.rates[idx][:, idx]
@@ -290,19 +359,8 @@ def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, wher
         if np.abs(flux - flux.T).max() > config.DEFAULT.input_stationary * flux.max():
             raise ToleranceViolation(
                 f"{where}: conditioned measure lost detailed balance under reflection")
-    holding = rates.sum(axis=1)
-    L = rates - np.diag(holding)
-    r = int(np.argmin(holding))
-    rest = np.flatnonzero(np.arange(len(idx)) != r)
-    w = np.ones(len(idx))
-    w[rest] = numerics.factor(-L[np.ix_(rest, rest)].T)(rates[r, rest])
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
-    if len(bad):
-        s, top = chain.states[idx[bad[0]]], chain.states[idx[r]]
-        raise SolverFailure(
-            f"{where}: stationary solve gave pi({s!r}) / pi({top!r}) = "
-            f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
-    w /= w.sum()
+    L = rates - np.diag(rates.sum(axis=1))
+    w = _dense_stationary(rates, [chain.states[i] for i in idx], where)
     residual = float(np.abs(w @ L).max())
     bound = config.DEFAULT.stationary_residual * rates.max()
     if residual > bound:
@@ -327,9 +385,9 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     raises ``TooLarge`` before anything is solved.  The chain killed at ref
     spends as long at x as its trace on the valley union F does, so
     Cap(x, ref) = pi(x) / G(x, x) is read off the trace chain:
-    ``potential._trace_rates`` builds it on F from the factorization of
-    Delta that ``coarse_rates`` left on the chain, ``_valley_trace`` traces
-    it onto each valley and ``_point_capacities`` reads the valley's
+    ``_valley_traces`` gives T_F and its trace onto each valley, as the
+    chain keeps them from ``stationary(chain, partition)`` or builds them
+    now, and ``_point_capacities`` reads the valley's
     capacities there.  Theta, the valley masses and
     capacities and pi(delta) are read off ``model``, the ``coarse_rates``
     result for the same chain, pi and partition; a model whose valley count
@@ -348,17 +406,11 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
         j = int(differ[0])
         raise BadPartition(f"valley {j + 1}: the reduced model's mass {float(masses[j])!r} "
                            f"is not the partition's {float(own[j])!r}")
-    sizes = np.bincount(owner, minlength=partition.n + 1)[1:]
-    guard = config.DEFAULT.spectral_guard
-    big = np.flatnonzero((sizes > guard) & (sizes > 1))
-    if len(big):
-        j = int(big[0])
-        raise TooLarge(f"check_conditions: valley {j + 1}: the relaxation time needs a dense "
-                       f"eigensolve; {sizes[j]} states exceed the guard {guard}")
+    _require_small_valleys(owner, "check_conditions")
     refs = partition.reference_states(chain, pi)
     reversible = is_reversible(chain, pi)
     f = np.flatnonzero(owner > 0)
-    rates_f = _trace_rates(chain, f)
+    traces = _valley_traces(chain, owner)[1]
     imbalance = float(masses.max() / masses.min())
     cap_ratios, relax, composite, notes = [], [], [], []
     for j, ref in enumerate(refs, start=1):
@@ -369,7 +421,7 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
             composite.append(0.0)
             continue
         valley = _chain_from_csr(tuple(chain.states[i] for i in f[e]),
-                                 sp.csr_matrix(_valley_trace(rates_f, e)))
+                                 sp.csr_matrix(traces[j - 1]))
         point = _point_capacities(valley, pi.weights[f[e]], valley.index[ref],
                                   f"check_conditions: valley {j}, reference state {ref!r}")
         cap_ratios.append(float(caps[j - 1] / point.min()))

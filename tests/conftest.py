@@ -269,7 +269,7 @@ def tamper_solves(monkeypatch, tamper):
 
     def tampered(a):
         solve = factor(a)
-        return lambda b: tamper(np.asarray(b), solve(b))
+        return lambda b, **kwargs: tamper(np.asarray(b), solve(b, **kwargs))
 
     monkeypatch.setattr(numerics, "factor", tampered)
 

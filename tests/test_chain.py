@@ -2,17 +2,20 @@
 and the one factorization every linear solve goes through."""
 
 import ast
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import metastab as ms
 from metastab import config, numerics
 from metastab.chain import _chain_from_csr
 from metastab.errors import (
+    BadPartition,
     BadSpec,
     DuplicateEdge,
     NonPositiveRate,
@@ -133,6 +136,67 @@ class TestStationary:
         with pytest.raises(SolverFailure) as err:
             ms.stationary(chain)
         assert "np.float64" not in str(err.value)
+
+
+class TestStationaryOnValleys:
+    """stationary(chain, partition): pi off the trace chain on the valleys."""
+
+    @pytest.mark.parametrize("model, bound", [
+        ("potential_rw:N=16,points=41", 1e-12),
+        ("potential_rw:N=32,points=41", 1e-12),
+        ("potential_rw:N=64,points=41", 1e-12),
+        ("potential_rw:N=16,points=81", 1e-9),
+        ("potential_rw:N=32,points=81", 1e-12),
+        ("potential_rw:N=64,points=81", 1e-12),
+        ("zero_range:L=4,N=28,alpha=3,p=0.7", 1e-12),
+        ("glued_cubes:d=3,N=12,ell=3", 1e-12),
+        ("zero_range:L=3,N=120,alpha=3,p=0.5", 1e-12),
+    ])
+    def test_deep_well_ladder(self, model, bound):
+        spec = ms.build_from_string(model)
+        pi = ms.stationary(spec.chain, spec.partition).weights
+        exact = spec.pi_formula.weights
+        assert np.max(np.abs(pi - exact) / exact) <= bound
+
+    def test_small_chains(self, b2, bd3, bd3_partition):
+        # no states off the valleys, then one
+        pi = ms.stationary(b2, ms.Partition(({"1"}, {"2"})))
+        assert pi.weights == pytest.approx([0.6, 0.4], rel=1e-15)
+        pi = ms.stationary(bd3, bd3_partition)
+        assert pi.weights == pytest.approx(ms.stationary(bd3).weights, rel=1e-15)
+
+    def test_needs_two_valleys(self, bd3):
+        with pytest.raises(BadPartition):
+            ms.stationary(bd3, ms.Partition(({"1"},), {"2", "3"}))
+
+    def test_underflow_names_the_state(self):
+        spec = ms.build_from_string("potential_rw:N=120,points=41")
+        with pytest.raises(SolverFailure, match=r"^stationary: pi\('.*'\) = 0\.0 "):
+            ms.stationary(spec.chain, spec.partition)
+
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_transposed_solve_needs_the_unpivoted_factor(self, N):
+        # pi_D^T = pi_F^T R_FD K_D^-1 from the exact pi on F: the kept factor,
+        # with every pivot on the diagonal, keeps the deep wells' small entries;
+        # SuperLU's default partial pivoting loses them
+        spec = ms.build_from_string(f"potential_rw:N={N},points=41")
+        chain, exact = spec.chain, spec.pi_formula.weights
+        f = chain.indices_of(spec.partition.union())
+        delta = chain.indices_of(spec.partition.delta)
+        b = chain.rates[f][:, delta].T @ exact[f]
+        kept = chain.killed_solver(delta)(b, trans="T")
+        assert np.max(np.abs(kept - exact[delta]) / exact[delta]) <= 1e-14
+        pivoted = spla.splu(sp.csc_matrix(chain.killed(delta))).solve(b, trans="T")
+        assert np.max(np.abs(pivoted - exact[delta]) / exact[delta]) >= 1.0
+
+    def test_pickle_drops_the_kept_trace_chain(self):
+        spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
+        chain = spec.chain
+        pi = ms.stationary(chain, spec.partition)
+        assert {"_killed_factor", "_valley_traces"} <= chain.__dict__.keys()
+        copy = pickle.loads(pickle.dumps(chain))
+        assert not {"_killed_factor", "_valley_traces"} & copy.__dict__.keys()
+        assert ms.stationary(copy, spec.partition).weights.tolist() == pi.weights.tolist()
 
 
 class TestFactor:
@@ -362,6 +426,11 @@ class TestProbVector:
     def test_rejects_bad_sum(self):
         with pytest.raises(BadSpec):
             ms.ProbVector(np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(BadSpec, match="non-finite"):
+            ms.ProbVector(np.array([bad, 1.0]))
 
     def test_immutable(self, b2):
         pi = ms.stationary(b2)

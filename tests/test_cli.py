@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 import scipy.sparse.linalg as spla
 
-from metastab import cli, pathsim, reduction
+from metastab import cli, config, pathsim, reduction
 from metastab.chain import stationary
 from metastab.cli import main
 from metastab.models import build_from_string
@@ -146,9 +147,9 @@ class TestAnalyze:
             for k, p in enumerate(row):
                 assert p == (0.0 if j == k else red["rates"][j][k] / red["holding_rates"][j])
 
-    def test_two_factorizations_larger_than_the_valleys(self, monkeypatch, tmp_path):
-        # the stationary solve and the block off the valleys; check_conditions
-        # reads its capacities off the trace chain on the valleys
+    def test_one_factorization_larger_than_the_valleys(self, monkeypatch, tmp_path):
+        # the block off the valleys: stationary reads pi off the trace chain
+        # on the valleys, coarse_rates and check_conditions reuse its factor
         model = "zero_range:L=3,N=30,alpha=3,p=0.5"
         union = len(build_from_string(model).partition.union())
         factor = spla.splu
@@ -159,8 +160,70 @@ class TestAnalyze:
             return factor(a, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", counted)
+        for args in (["analyze"], ["validate", "--trials", "2", "--grid", "0.5"]):
+            sizes.clear()
+            run_report(args + ["--model", model], tmp_path)
+            assert [m for m in sizes if m > union] == [433]
+
+    def test_one_trace_chain_per_analyze(self, monkeypatch, tmp_path):
+        # stationary builds T_F and the valley traces; check_conditions reads them
+        model = "glued_cubes:d=2,N=8,ell=2"
+        valleys = build_from_string(model).partition.valleys
+        traces = _count_calls(monkeypatch, reduction, "_trace_rates")
+        valley_traces = _count_calls(monkeypatch, reduction, "_valley_trace")
         run_report(["analyze", "--model", model], tmp_path)
-        assert len([m for m in sizes if m > union]) == 2
+        assert len(traces) == 1
+        assert len(valley_traces) == sum(len(v) > 1 for v in valleys) == 4
+
+    def test_spectral_guard_exits_3_before_the_trace_chain(self, monkeypatch, capsys):
+        model = "glued_cubes:d=2,N=8,ell=2"
+        size = len(build_from_string(model).partition.valley(1))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the trace chain was built")
+
+        monkeypatch.setattr(reduction, "_trace_rates", forbidden)
+        monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=size - 1))
+        assert main(["analyze", "--model", model]) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "TooLarge"
+        assert err["message"].startswith("stationary: valley 1: ")
+        assert err["message"].endswith(f"{size} states exceed the guard {size - 1}")
+
+    @pytest.mark.parametrize("model", [
+        "potential_rw:N=16,points=41", "potential_rw:N=32,points=41",
+        "potential_rw:N=64,points=41", "potential_rw:N=16,points=81",
+        "potential_rw:N=32,points=81",
+    ])
+    def test_deep_wells(self, model, tmp_path):
+        report, _ = run_report(["analyze", "--model", model], tmp_path)
+        pi = build_from_string(model).pi_formula.weights
+        assert report["stationary"]["min"] == pytest.approx(pi.min(), rel=1e-12)
+
+    def test_underflow_is_a_named_solver_failure(self, capsys):
+        # pi at the rim of the deepest wells is below the smallest double
+        assert main(["analyze", "--model", "potential_rw:N=120,points=41"]) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "SolverFailure"
+        assert err["message"].startswith("stationary: pi('")
+        assert "an irreducible chain has pi > 0" in err["message"]
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path):
+        # one process runs --theta 50 and then the default; each report
+        # matches the one a fresh process writes
+        model = "glued_cubes:d=2,N=4,ell=1"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        for extra in (["--theta", "50"], []):
+            args = ["analyze", "--model", model] + extra
+            _, here = run_report(args, tmp_path)
+            fresh = tmp_path / "fresh.json"
+            subprocess.run([sys.executable, "-m", "metastab.cli", *args, "--out", str(fresh)],
+                           env=env, check=True)
+            assert here == fresh.read_bytes()
 
     @pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
     def test_bad_theta_exits_2(self, bd3_spec, capsys, theta):
@@ -314,7 +377,7 @@ class TestValidate:
         model = "glued_cubes:d=2,N=4,ell=1"
         spec = build_from_string(model)
         chain, partition = spec.chain, spec.partition
-        pi = stationary(chain)
+        pi = stationary(chain, partition)
         start = min(partition.valley(1) - {partition.reference_states(chain, pi)[0]})
         args = ["validate", "--model", model, "--grid", "0.5,1", "--trials", "30",
                 "--seed", "4", "--jobs", jobs]
