@@ -9,6 +9,7 @@ so the matrix form has diagonal -lambda(i) with lambda(i) = sum_j R(i, j).
 All operations here are pure functions over immutable inputs.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -43,23 +44,15 @@ class Chain:
     def n(self) -> int:
         return len(self.states)
 
-    @property
+    @functools.cached_property
     def index(self) -> dict:
-        # cached label -> dense index map
-        cache = self.__dict__.get("_index")
-        if cache is None:
-            cache = {s: i for i, s in enumerate(self.states)}
-            self.__dict__["_index"] = cache
-        return cache
+        return {s: i for i, s in enumerate(self.states)}
 
-    @property
+    @functools.cached_property
     def holding(self) -> np.ndarray:
-        cache = self.__dict__.get("_holding")
-        if cache is None:
-            cache = np.asarray(self.rates.sum(axis=1)).ravel()
-            cache.flags.writeable = False
-            self.__dict__["_holding"] = cache
-        return cache
+        holding = np.asarray(self.rates.sum(axis=1)).ravel()
+        holding.flags.writeable = False
+        return holding
 
     @property
     def max_rate(self) -> float:
@@ -86,18 +79,16 @@ class Chain:
                           lambda: numerics.factor(self.killed(idx)))
 
     def _kept(self, name, key, build):
-        """``build()``, kept on the chain under ``name`` until a call with another ``key``."""
-        cached = self.__dict__.get(name)
+        """``build()``, kept on the chain under ``name`` until a call with another
+        ``key``, in the one dict ``_store``: a pickled copy drops it and rebuilds."""
+        store = self.__dict__.setdefault("_store", {})
+        cached = store.get(name)
         if cached is None or cached[0] != key:
-            cached = (key, build())
-            self.__dict__[name] = cached
+            cached = store[name] = (key, build())
         return cached[1]
 
     def __getstate__(self):
-        # a factorization does not pickle, and the valley traces
-        # (``reduction._valley_traces``) go with it; a copy rebuilds both
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("_killed_factor", "_valley_traces")}
+        return {k: v for k, v in self.__dict__.items() if k != "_store"}
 
     def rate(self, a, b) -> float:
         return float(self.rates[self.index[a], self.index[b]])
@@ -409,17 +400,21 @@ def dirichlet_form(chain: Chain, pi: ProbVector, f):
     """
     f = np.asarray(f, dtype=float)
     coo = chain.rates.tocoo()
-    weights = pi.weights[coo.row] * coo.data
-    diffs = f[coo.col] - f[coo.row]
-    pi_w = pi.weights
+    return _two_form(coo.row, coo.col, coo.data, pi.weights, f, apply_generator(chain, f))
+
+
+def _two_form(src, dst, rates, w, f, lf):
+    """``dirichlet_form`` on the edges ``src`` -> ``dst`` with ``rates``, the
+    measure ``w`` and ``lf`` = L f, which the caller has computed."""
+    weights, diffs, pi_w = w[src] * rates, f[dst] - f[src], w
     if f.ndim == 2:
         weights, pi_w = weights[:, np.newaxis], pi_w[:, np.newaxis]
     pair_sum = np.atleast_1d(0.5 * np.sum(weights * diffs ** 2, axis=0))
-    inner = np.atleast_1d(-np.sum(pi_w * f * apply_generator(chain, f), axis=0))
+    inner = np.atleast_1d(-np.sum(pi_w * f * lf, axis=0))
     scale = np.maximum(np.maximum(np.abs(pair_sum), np.abs(inner)), 1e-300)
     span = np.atleast_1d(np.abs(f).max(axis=0)) + 1.0
     bound = np.maximum(config.DEFAULT.rel * scale, 64 * np.finfo(float).eps
-                       * chain.max_rate * span * span * chain.n)
+                       * rates.max(initial=0.0) * span * span * len(w))
     bad = np.flatnonzero(np.abs(pair_sum - inner) > bound)
     if len(bad):
         k = int(bad[0])

@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 
 from . import __version__, config
 from .chain import stationarity_residual, stationary
-from .errors import InputError, MetastabError, NumericalError, TooLarge
+from .errors import InputError, MetastabError, NumericalError, ToleranceViolation, TooLarge
 from .models import build_from_string
 from .pathsim import (
     estimate_91,
@@ -256,6 +256,9 @@ def cmd_cycles(args) -> int:
     chain, _, _ = _load_input(args)
     dec = cycle_decompose(chain, stationary(chain))
     residual = float(abs(dec.reconstructed_rates(chain) - chain.rates).max())
+    if residual > (bound := config.DEFAULT.input_stationary * chain.max_rate):
+        raise ToleranceViolation(
+            f"cycles: reconstruction residual {residual:.3e} exceeds {bound:.3e}")
     report = _report_skeleton("cycles", args)
     report["cycles"] = {
         "count": len(dec.cycles),

@@ -2,9 +2,8 @@
 
 Every linear system in the package goes through ``factor``: one LU
 factorization, by SuperLU (``splu``) if sparse and by LAPACK if dense (the
-trace chains on the valleys and ``chain._dense_stationary``).  A
-chain keeps its latest killed-block
-factorization (``Chain.killed_solver``) for the next caller.
+valley steps and ``chain._dense_stationary``).  A chain keeps its latest
+killed-block factorization (``Chain.killed_solver``) for the next caller.
 
 Every sparse matrix the package factors is a nonsingular M-matrix (a killed
 generator K = diag(lambda) - R, its transpose, I - gamma L) or symmetric
@@ -28,13 +27,16 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .errors import SolverFailure
 
 
-def strong_connectivity_witness(adj_csr):
+def strong_connectivity_witness(adj):
     """Return None if strongly connected, else a pair (a, b) with b unreachable from a.
 
+    The nonzero entries of ``adj`` are the edges.  It is made sparse first:
+    scipy's graph routines take a dense entry within 1e-8 of zero for no edge.
     One count of the strongly connected components answers the question; a
     graph with more than one is searched from vertex 0, in the graph and its
     transpose, for the witness.
     """
+    adj_csr = sp.csr_matrix(adj)
     if connected_components(adj_csr, connection="strong")[0] == 1:
         return None
     for graph, reverse in ((adj_csr, False), (adj_csr.T, True)):

@@ -133,21 +133,20 @@ def _trajectory(tables, start, horizon, rng):
 
 
 def _chain_tables(chain: Chain):
-    """Sampling tables of a Chain by dense index, built once and cached on it.
+    """Sampling tables of a Chain by dense index, built once and kept on it.
 
     A pair: per state its targets and their cumulative jump probabilities,
     which end at exactly 1, and the array of mean holding times.
     """
-    tables = chain.__dict__.get("_jump_tables")
-    if tables is None:
+    def build():
         rates = chain.rates
         rows = []
         for i in range(chain.n):
             sl = slice(rates.indptr[i], rates.indptr[i + 1])
             cum = np.cumsum(rates.data[sl])
             rows.append((rates.indices[sl].tolist(), (cum / cum[-1]).tolist()))
-        tables = chain.__dict__["_jump_tables"] = (rows, 1.0 / chain.holding)
-    return tables
+        return rows, 1.0 / chain.holding
+    return chain._kept("_jump_tables", None, build)
 
 
 def _require_positive(name, value):

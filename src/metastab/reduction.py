@@ -11,17 +11,14 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import config, numerics
 from .chain import (
     Chain,
     Partition,
     ProbVector,
-    _chain_from_csr,
     _dense_stationary,
-    apply_generator,
-    dirichlet_form,
+    _two_form,
     generator_gap,
     is_reversible,
     spectral_gap,  # noqa: F401
@@ -203,19 +200,27 @@ def _require_small_valleys(owner: np.ndarray, where: str):
                        f"{sizes[j]} states exceed the guard {guard}")
 
 
-def _valley_traces(chain: Chain, owner: np.ndarray):
+def _valley_traces(chain: Chain, owner: np.ndarray, where: str):
     """(T_F, V) for the valley union F of ``owner``, kept on the chain.
 
     T_F = ``_trace_rates`` on F, from the factorization of Delta the chain
     keeps; ``V[j - 1]`` is T_F traced onto valley j (``_valley_trace``), or
     None for a singleton valley.  Rows and columns follow the dense index.
+    Each V_j must be irreducible: one that is not raises ``SolverFailure``
+    naming ``where``, the valley and a pair of states with no path between.
     """
     def build():
         f = np.flatnonzero(owner > 0)
         rates_f = _trace_rates(chain, f)
-        valleys = (np.flatnonzero(owner[f] == j) for j in range(1, int(owner.max()) + 1))
-        return rates_f, tuple(_valley_trace(rates_f, e) if len(e) > 1 else None
-                              for e in valleys)
+        valleys = [np.flatnonzero(owner[f] == j) for j in range(1, int(owner.max()) + 1)]
+        traces = tuple(_valley_trace(rates_f, e) if len(e) > 1 else None for e in valleys)
+        for j, e in enumerate(valleys, start=1):
+            witness = len(e) > 1 and numerics.strong_connectivity_witness(traces[j - 1])
+            if witness:
+                a, b = (chain.states[f[e[i]]] for i in witness)
+                raise SolverFailure(f"{where}: valley {j}: its trace chain is not "
+                                    f"irreducible: {b!r} is unreachable from {a!r}")
+        return rates_f, traces
     return chain._kept("_valley_traces", owner.tobytes(), build)
 
 
@@ -234,7 +239,7 @@ def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
     """
     owner = partition.validate_for(chain, require_valleys=2)
     _require_small_valleys(owner, "stationary")
-    rates_f, traces = _valley_traces(chain, owner)
+    rates_f, traces = _valley_traces(chain, owner, "stationary")
     f = np.flatnonzero(owner > 0)
     valley = owner[f] - 1
     mu = np.ones(len(f))
@@ -278,57 +283,61 @@ def _valley_trace(rates, e) -> np.ndarray:
 _TWO_FORM_BLOCK = 1 << 22
 
 
-def _point_capacities(chain: Chain, weights, ref: int, where: str) -> np.ndarray:
-    """Cap(x, ref) for every state x of ``chain`` other than ``ref``, from one solve.
+def _point_capacities(rates, weights, ref: int, labels, where: str) -> np.ndarray:
+    """Cap(x, ref) for every state x but ``ref`` of the dense rates V_j of a
+    valley's trace chain, from one solve.
 
-    ``chain`` is a valley's trace chain and ``weights`` pi on its states, not
-    normalised.  G = K^{-1}, with K = ``chain.killed`` off ref as a dense
-    block, is the Green function of the chain killed at ref, and
-    G(x, x) = 1 / (lambda(x) P_x[hit ref before returning to x]), so
-    Cap(x, ref) = pi(x) / G(x, x), reversible or not.  Column x of G over
-    G(x, x) is the equilibrium potential h_x = P[hit x before ref].  Each
-    capacity is checked as in ``equilibrium_potential``: an escape
-    probability above 1 is a solver failure, h_x must be harmonic off
-    {x, ref}, D(h_x) must pass the two-form check of ``dirichlet_form`` (on
-    pi conditioned to the valley, in column blocks), and pi(x) / G(x, x) and
+    ``weights`` is pi on the valley, not normalised; ``labels[i]`` names
+    state i.  G = K^{-1}, with K = diag(lambda) - R off ref, is the Green
+    function of the chain killed at ref, and G(x, x) = 1 / (lambda(x)
+    P_x[hit ref before returning to x]), so Cap(x, ref) = pi(x) / G(x, x),
+    reversible or not.  Column x of G over G(x, x) is the equilibrium
+    potential h_x = P[hit x before ref].  Each capacity is checked as in
+    ``equilibrium_potential``: an escape probability above 1 is a solver
+    failure, h_x must be harmonic off {x, ref}, D(h_x) must pass the
+    two-form check of ``dirichlet_form`` (on pi conditioned to the valley,
+    in column blocks, with the one product L h), and pi(x) / G(x, x) and
     D(h_x) must agree within ``capacity_rel``.  A failed check raises
     ``SolverFailure`` or ``ToleranceViolation`` naming ``where`` and the state.
     """
-    rest = np.flatnonzero(np.arange(chain.n) != ref)
-    cols = np.arange(len(rest))
-    G = numerics.factor(chain.killed(rest).toarray())(np.eye(len(rest)))
-    green = G[cols, cols]
+    n = len(rates)
+    src, dst = np.nonzero(rates)
+    edge_rates = rates[src, dst]
+    # lambda adds up each row's rates as a sparse row sum does; V_j is irreducible
+    holding = np.add.reduceat(edge_rates, np.searchsorted(src, np.arange(n)))
+    rest = np.flatnonzero(np.arange(n) != ref)
+    G = numerics.factor(np.diag(holding[rest]) - rates[np.ix_(rest, rest)])(np.eye(len(rest)))
+    green = np.diag(G)
 
     def state(k):
-        return f"{where}, state {chain.states[rest[k]]!r}"
+        return f"{where}, state {labels[rest[k]]!r}"
 
     rel = config.DEFAULT.rel
-    bad = np.flatnonzero(~np.isfinite(green) | (chain.holding[rest] * green < 1.0 - rel))
+    bad = np.flatnonzero(~np.isfinite(green) | (holding[rest] * green < 1.0 - rel))
     if len(bad):
         k = int(bad[0])
         raise SolverFailure(
             f"{state(k)}: Green function G(x, x) = {float(green[k])!r} gives escape "
             f"probability 1 / (lambda(x) G(x, x)) = "
-            f"{float(1.0 / (chain.holding[rest[k]] * green[k]))!r}, not in (0, 1]")
-    h = np.zeros((chain.n, len(rest)))
+            f"{float(1.0 / (holding[rest[k]] * green[k]))!r}, not in (0, 1]")
+    h = np.zeros((n, len(rest)))
     h[rest] = G / green
-    lh = apply_generator(chain, h)
-    lh[rest, cols] = 0.0
-    lh[ref] = 0.0
-    residual = np.abs(lh).max(axis=0)
+    lh = rates @ h - holding[:, np.newaxis] * h
+    off = lh[rest]  # a copy; its diagonal is (L h_x)(x), where h_x need not be harmonic
+    np.fill_diagonal(off, 0.0)
+    residual = np.abs(off).max(axis=0)
     k = int(np.argmax(residual))
-    if residual[k] > rel * max(chain.max_rate, 1.0):
+    if residual[k] > rel * max(edge_rates.max(), 1.0):
         raise SolverFailure(f"{state(k)}: harmonicity residual {residual[k]:.3e} too large")
     mass = float(weights.sum())
-    conditioned = ProbVector(weights / mass)
-    step = max(1, _TWO_FORM_BLOCK // chain.rates.nnz)
+    step = max(1, _TWO_FORM_BLOCK // len(edge_rates))
     dirichlet = np.empty(len(rest))
-    for start in range(0, len(rest), step):
+    for block in (slice(start, start + step) for start in range(0, len(rest), step)):
         try:
-            dirichlet[start:start + step] = mass * dirichlet_form(
-                chain, conditioned, h[:, start:start + step])
+            dirichlet[block] = mass * _two_form(src, dst, edge_rates, weights / mass,
+                                                h[:, block], lh[:, block])
         except NotStationary as exc:
-            raise ToleranceViolation(f"{state(start + exc.column)}: {exc}") from exc
+            raise ToleranceViolation(f"{state(block.start + exc.column)}: {exc}") from exc
     caps = weights[rest] / green
     reldev = np.abs(caps - dirichlet) / np.maximum(np.maximum(caps, dirichlet), 1e-300)
     k = int(np.argmax(reldev))
@@ -350,10 +359,9 @@ def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, wher
     must balance within ``stationary_residual`` times the max rate; its gap comes
     from ``generator_gap``.  A failure raises naming ``where``.
     """
-    block = chain.rates[idx][:, idx]
-    if numerics.strong_connectivity_witness(block) is not None:
+    rates = chain.rates[idx][:, idx].toarray()
+    if numerics.strong_connectivity_witness(rates) is not None:
         return None
-    rates = block.toarray()
     if reversible:
         flux = pi.weights[idx, np.newaxis] * rates
         if np.abs(flux - flux.T).max() > config.DEFAULT.input_stationary * flux.max():
@@ -384,15 +392,14 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     (``_valley_relaxation``); a valley above ``spectral_guard`` states
     raises ``TooLarge`` before anything is solved.  The chain killed at ref
     spends as long at x as its trace on the valley union F does, so
-    Cap(x, ref) = pi(x) / G(x, x) is read off the trace chain:
-    ``_valley_traces`` gives T_F and its trace onto each valley, as the
-    chain keeps them from ``stationary(chain, partition)`` or builds them
-    now, and ``_point_capacities`` reads the valley's
-    capacities there.  Theta, the valley masses and
-    capacities and pi(delta) are read off ``model``, the ``coarse_rates``
-    result for the same chain, pi and partition; a model whose valley count
-    or valley masses differ from the partition's raises ``BadPartition``.
-    Reflections that disconnect a valley leave a None entry with a note.
+    Cap(x, ref) = pi(x) / G(x, x) is read off the dense trace V_j of
+    ``_valley_traces``, as the chain keeps it from ``stationary(chain,
+    partition)`` or builds it now, by ``_point_capacities``.  Theta, the
+    valley masses and capacities and pi(delta) are read off ``model``, the
+    ``coarse_rates`` result for the same chain, pi and partition; a model
+    whose valley count or masses differ from the partition's raises
+    ``BadPartition``.  Reflections that disconnect a valley leave a None
+    entry with a note.
     """
     owner = partition.validate_for(chain, require_valleys=2)
     if model.valley_count != partition.n:
@@ -410,7 +417,7 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     refs = partition.reference_states(chain, pi)
     reversible = is_reversible(chain, pi)
     f = np.flatnonzero(owner > 0)
-    traces = _valley_traces(chain, owner)[1]
+    traces = _valley_traces(chain, owner, "check_conditions")[1]
     imbalance = float(masses.max() / masses.min())
     cap_ratios, relax, composite, notes = [], [], [], []
     for j, ref in enumerate(refs, start=1):
@@ -420,9 +427,8 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
             relax.append(0.0)
             composite.append(0.0)
             continue
-        valley = _chain_from_csr(tuple(chain.states[i] for i in f[e]),
-                                 sp.csr_matrix(traces[j - 1]))
-        point = _point_capacities(valley, pi.weights[f[e]], valley.index[ref],
+        labels = [chain.states[i] for i in f[e]]
+        point = _point_capacities(traces[j - 1], pi.weights[f[e]], labels.index(ref), labels,
                                   f"check_conditions: valley {j}, reference state {ref!r}")
         cap_ratios.append(float(caps[j - 1] / point.min()))
         t_rel = _valley_relaxation(chain, pi, f[e], reversible, f"check_conditions: valley {j}")

@@ -312,7 +312,9 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
     Extraction only removes edges, so a start with no cycle of the current
     length never gets one: each length is one pass over the starts, and the
     lengths end at the largest strongly connected set of the remaining edges.
-    Reversible chains decompose into 2-cycles only.
+    Nothing is pruned before the first extraction: a rate far below the max
+    rate is still a rate, and its cycle explains it.  Reversible chains
+    decompose into 2-cycles only.
     """
     require_stationary(chain, pi)
     w = pi.weights
@@ -324,15 +326,6 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
         succ[i].append(j)
     rate_cutoff = 32 * np.finfo(float).eps * chain.max_rate
     residual = 0.0
-
-    def prune(edges):
-        nonlocal residual
-        for i, j in edges:
-            if cond[(i, j)] <= rate_cutoff * w[i]:
-                residual = max(residual, cond.pop((i, j)) / w[i])
-                succ[i].remove(j)
-
-    prune(list(cond))
     cycles = []
     for length in range(2, n + 1):
         src, dst = np.array(list(cond), dtype=int).reshape(-1, 2).T
@@ -344,11 +337,13 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
             while (cyc := _lex_min_cycle(succ, start, length)) is not None:
                 edges = list(zip(cyc, cyc[1:] + cyc[:1]))
                 weight = min(cond[e] for e in edges)
-                for e in edges:
-                    cond[e] -= weight
                 cycles.append((tuple(chain.states[v] for v in cyc),
                                tuple(weight / w[v] for v in cyc)))
-                prune(edges)
+                for i, j in edges:
+                    cond[i, j] -= weight
+                    if cond[i, j] <= rate_cutoff * w[i]:
+                        residual = max(residual, cond.pop((i, j)) / w[i])
+                        succ[i].remove(j)
     for (i, j), c in cond.items():
         residual = max(residual, c / w[i])
     return CycleDecomposition(chain.states, tuple(cycles), residual)

@@ -193,9 +193,9 @@ class TestStationaryOnValleys:
         spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
         chain = spec.chain
         pi = ms.stationary(chain, spec.partition)
-        assert {"_killed_factor", "_valley_traces"} <= chain.__dict__.keys()
+        assert {"_killed_factor", "_valley_traces"} <= chain.__dict__["_store"].keys()
         copy = pickle.loads(pickle.dumps(chain))
-        assert not {"_killed_factor", "_valley_traces"} & copy.__dict__.keys()
+        assert "_store" not in copy.__dict__
         assert ms.stationary(copy, spec.partition).weights.tolist() == pi.weights.tolist()
 
 
@@ -217,6 +217,19 @@ class TestFactor:
         solvers = {"splu", "spsolve", "lu_factor", "lu_solve", "inv"}
         assert not [f"{where}: {called}" for where, called in _package_calls("numerics.py")
                     if called.rsplit(".", 1)[-1] in solvers or called.endswith("linalg.solve")]
+
+
+    def test_valley_steps_take_dense_arrays(self):
+        """``reduction`` builds no sparse matrix and no derived chain."""
+        path = Path(ms.__file__).resolve().parent / "reduction.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in imported if m and m.startswith("scipy.sparse")]
+        assert not [f"reduction.py:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rsplit(".", 1)[-1] in ("_chain_from_csr", "Chain")]
 
 
 def _package_calls(skip):

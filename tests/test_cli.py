@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -207,6 +208,25 @@ class TestAnalyze:
         assert err["type"] == "SolverFailure"
         assert err["message"].startswith("stationary: pi('")
         assert "an irreducible chain has pi > 0" in err["message"]
+
+    def test_disconnected_valley_trace_is_a_named_solver_failure(self, capsys, monkeypatch):
+        # valley 1's trace loses every rate out of one state
+        trace = reduction._valley_trace
+        calls = []
+
+        def cut(rates, e):
+            out = trace(rates, e)
+            calls.append(1)
+            if len(calls) == 1:
+                out[0] = 0.0
+            return out
+
+        monkeypatch.setattr(reduction, "_valley_trace", cut)
+        assert main(["analyze", "--model", "glued_cubes:d=2,N=6,ell=1"]) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "SolverFailure"
+        assert re.fullmatch(r"stationary: valley 1: its trace chain is not irreducible: "
+                            r"'.+' is unreachable from '.+'", err["message"])
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -454,6 +474,29 @@ class TestCycles:
         report, _ = run_report(["cycles", "--spec", bd3_spec], tmp_path)
         assert report["cycles"]["max_length"] == 2
         assert report["cycles"]["reconstruction_residual"] <= 1e-12
+
+    def test_steep_rates_are_explained(self, tmp_path):
+        # the rates span 6.5e60; every edge lies on one of the 40 two-cycles
+        model = "potential_rw:N=64,points=41"
+        report, _ = run_report(["cycles", "--model", model], tmp_path)
+        max_rate = build_from_string(model).chain.max_rate
+        assert report["cycles"]["count"] == 40
+        assert report["cycles"]["max_length"] == 2
+        assert report["cycles"]["reconstruction_residual"] <= \
+            config.DEFAULT.input_stationary * max_rate
+
+    def test_unexplained_rates_exit_4(self, c3_spec, capsys, monkeypatch):
+        decompose = cli.cycle_decompose
+
+        def dropped(chain, pi):
+            dec = decompose(chain, pi)
+            return replace(dec, cycles=dec.cycles[1:])
+
+        monkeypatch.setattr(cli, "cycle_decompose", dropped)
+        assert main(["cycles", "--spec", c3_spec]) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ToleranceViolation"
+        assert err["message"].startswith("cycles: reconstruction residual 1.000e+00 exceeds ")
 
     def test_byte_identical(self, c3_spec, tmp_path):
         _, a = run_report(["cycles", "--spec", c3_spec], tmp_path, "a.json")

@@ -569,3 +569,26 @@ class TestReducedGenerator:
             assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
             L = ms.reduced_generator(model)
             assert np.abs(L.sum(axis=1)).max() <= 1e-13
+
+
+def test_disconnected_valley_trace_names_the_valley(monkeypatch):
+    """With pi off the partition-free route, ``check_conditions`` builds the
+    valley traces itself; one cut in two is a solver failure naming the valley."""
+    spec = ms.glued_cubes(2, 6, 1)
+    chain, part = spec.chain, spec.partition
+    pi = ms.stationary(chain)
+    model = ms.coarse_rates(chain, pi, part, spec.suggested_theta)
+    trace = reduction._valley_trace
+    calls = []
+
+    def cut(rates, e):
+        out = trace(rates, e)
+        calls.append(1)
+        if len(calls) == 1:
+            out[0] = 0.0
+        return out
+
+    monkeypatch.setattr(reduction, "_valley_trace", cut)
+    with pytest.raises(SolverFailure, match=r"^check_conditions: valley 1: its trace chain "
+                                            r"is not irreducible: '.+' is unreachable from"):
+        ms.check_conditions(chain, pi, part, model)

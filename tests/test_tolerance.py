@@ -100,7 +100,8 @@ def _point_capacity_harmonicity(monkeypatch):
     bd5 = birth_death(5)
     pi = ms.stationary(bd5)
     _perturb_solves(monkeypatch, lambda X: X + 1e-8 * (1.0 - np.eye(*X.shape)))
-    return (lambda: reduction._point_capacities(bd5, pi.weights, 0, "test"),
+    return (lambda: reduction._point_capacities(bd5.rates.toarray(), pi.weights, 0, bd5.states,
+                                                "test"),
             SolverFailure, "harmonicity")
 
 
