@@ -63,20 +63,14 @@ class Chain:
         L = self.rates - sp.diags(self.holding)
         return L.toarray() if dense else sp.csr_matrix(L)
 
-    def killed(self, idx) -> sp.csr_matrix:
-        """K = diag(lambda) - R on the states ``idx``.
-
-        K is minus the generator of the chain killed when it leaves ``idx``.
-        """
-        return sp.csr_matrix(sp.diags(self.holding[idx]) - self.rates[idx][:, idx])
-
     def killed_solver(self, idx):
-        """Solve of K x = b for K = ``killed(idx)``, from one factorization.
+        """Solve of K x = b for K = ``numerics.killed(rates, idx)``, from one
+        factorization.
 
         The chain keeps the latest one, keyed by the sorted index array ``idx``.
         """
         return self._kept("_killed_factor", np.asarray(idx, dtype=np.int64).tobytes(),
-                          lambda: numerics.factor(self.killed(idx)))
+                          lambda: numerics.factor(numerics.killed(self.rates, idx)))
 
     def _kept(self, name, key, build):
         """``build()``, kept on the chain under ``name`` until a call with another
@@ -273,39 +267,20 @@ def _chain_from_csr(states, csr) -> Chain:
 def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
     """Unique stationary probability.
 
-    Without a partition, from the chain killed at its stickiest state.  Let
-    r be the state with the smallest holding rate.  For y != r,
-    pi(y) / pi(r) is lambda(r) times the expected time spent at y during one
-    excursion from r, so on U = S minus {r} these ratios x solve
-    K^T x = R(r, U)^T with K = diag(lambda_U) - R_UU, the generator of the
-    chain killed at r.  Then pi(r) = 1 and pi is normalized.  Grounding at
-    the stickiest state keeps the unknowns of moderate size in deep wells.
+    Without a partition, ``_grounded_law`` of the chain's rates: one solve
+    with the chain killed at its stickiest state.
 
     With a partition of at least two valleys, from the trace chain on the
     valley union and the factorization of Delta that ``coarse_rates`` uses
     too (``reduction._trace_law``).  No system there spans two wells, so
     this route stays right in deep wells, where the one through r does not.
-
-    An irreducible chain has pi > 0, so an entry that is not finite and
-    positive is a solver failure naming the state, as is a residual
-    |pi^T L| above ``stationary_residual`` times the max rate.
+    Its residual |pi^T L| must be at most ``stationary_residual`` times the
+    max rate, or ``SolverFailure`` is raised.
     """
-    if partition is not None:
-        from .reduction import _trace_law  # reduction builds on this module
-        pi = ProbVector(_trace_law(chain, partition))
-    else:
-        r = int(np.argmin(chain.holding))
-        rest = np.flatnonzero(np.arange(chain.n) != r)
-        w = np.ones(chain.n)
-        w[rest] = numerics.solve_linear(chain.killed(rest).T,
-                                        chain.rates[r].toarray().ravel()[rest])
-        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
-        if len(bad):
-            s = chain.states[bad[0]]
-            raise SolverFailure(
-                f"stationary solve gave pi({s!r}) / pi({chain.states[r]!r}) = "
-                f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
-        pi = ProbVector(w / w.sum())
+    if partition is None:
+        return ProbVector(_grounded_law(chain.rates, chain.states, "stationary"))
+    from .reduction import _trace_law  # reduction builds on this module
+    pi = ProbVector(_trace_law(chain, partition))
     residual = stationarity_residual(chain, pi)
     bound = config.DEFAULT.stationary_residual * chain.max_rate
     if residual > bound:
@@ -314,27 +289,40 @@ def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
     return pi
 
 
-def _dense_stationary(rates: np.ndarray, labels, where: str) -> np.ndarray:
-    """Stationary law of the dense rate block ``rates`` (zero diagonal).
+def _grounded_law(rates, labels, where: str) -> np.ndarray:
+    """Stationary law of the rate matrix ``rates`` (zero diagonal), a csr
+    matrix or a dense array, grounded at its stickiest state.
 
-    Grounded at the block's stickiest state r as in ``stationary``: one
-    dense solve with the block killed at r gives the ratios to pi(r), and
-    the law is normalized.  Every ratio must be finite and positive;
-    otherwise ``SolverFailure`` names ``where`` and the state, ``labels[i]``
-    for row i.
+    Let r be the state with the smallest holding rate.  For y != r,
+    pi(y) / pi(r) is lambda(r) times the expected time spent at y during one
+    excursion from r, so on U = S minus {r} these ratios x solve
+    K^T x = R(r, U)^T with K = ``numerics.killed(rates, U)``, the chain
+    killed at r.  Then pi(r) = 1 and pi is normalized.  Grounding at the
+    stickiest state keeps the unknowns of moderate size in deep wells.
+
+    An irreducible chain has pi > 0, so a ratio that is not finite and
+    positive is a ``SolverFailure`` naming ``where`` and the state,
+    ``labels[i]`` for row i, as is a residual |pi^T L| above
+    ``stationary_residual`` times the max rate.
     """
-    holding = rates.sum(axis=1)
+    holding = np.asarray(rates.sum(axis=1)).ravel()
     r = int(np.argmin(holding))
-    rest = np.flatnonzero(np.arange(len(rates)) != r)
-    w = np.ones(len(rates))
-    killed = np.diag(holding[rest]) - rates[np.ix_(rest, rest)]
-    w[rest] = numerics.factor(killed.T)(rates[r, rest])
+    rest = np.flatnonzero(np.arange(len(holding)) != r)
+    row = rates[r].toarray().ravel() if sp.issparse(rates) else rates[r]
+    w = np.ones(len(holding))
+    w[rest] = numerics.solve_linear(numerics.killed(rates, rest).T, row[rest])
     bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
     if len(bad):
         raise SolverFailure(
             f"{where}: stationary solve gave pi({labels[bad[0]]!r}) / pi({labels[r]!r}) = "
             f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
-    return w / w.sum()
+    w /= w.sum()
+    residual = float(np.abs(w @ rates - w * holding).max())
+    bound = config.DEFAULT.stationary_residual * rates.max()
+    if residual > bound:
+        raise SolverFailure(
+            f"{where}: stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
+    return w
 
 
 def stationarity_residual(chain: Chain, pi: ProbVector, L=None) -> float:

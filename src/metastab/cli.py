@@ -253,8 +253,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    chain, _, _ = _load_input(args)
-    dec = cycle_decompose(chain, stationary(chain))
+    chain, partition, _ = _load_input(args)
+    # a partition of at least two valleys gives the route that stays right in deep wells
+    routed = partition is not None and partition.n >= 2
+    dec = cycle_decompose(chain, stationary(chain, partition if routed else None))
     residual = float(abs(dec.reconstructed_rates(chain) - chain.rates).max())
     if residual > (bound := config.DEFAULT.input_stationary * chain.max_rate):
         raise ToleranceViolation(

@@ -1,9 +1,10 @@
-"""Shared numerical kernels: connectivity and linear solves.
+"""Shared numerical kernels: connectivity, killed blocks and linear solves.
 
-Every linear system in the package goes through ``factor``: one LU
-factorization, by SuperLU (``splu``) if sparse and by LAPACK if dense (the
-valley steps and ``chain._dense_stationary``).  A chain keeps its latest
-killed-block factorization (``Chain.killed_solver``) for the next caller.
+Every killed block K = diag(lambda) - R comes from ``killed`` and every
+linear system goes through ``factor``: one LU factorization, by SuperLU
+(``splu``) if sparse and by LAPACK if dense (the valley steps and the dense
+laws of ``chain._grounded_law``).  A chain keeps its latest killed-block
+factorization (``Chain.killed_solver``) for the next caller.
 
 Every sparse matrix the package factors is a nonsingular M-matrix (a killed
 generator K = diag(lambda) - R, its transpose, I - gamma L) or symmetric
@@ -46,6 +47,17 @@ def strong_connectivity_witness(adj):
             missed = int(np.flatnonzero(~seen)[0])
             return (missed, 0) if reverse else (0, missed)
     return None
+
+
+def killed(rates, keep):
+    """K = diag(lambda) - R on the states ``keep``, lambda the row sums of
+    ``rates`` over every column: minus the generator of the chain killed when
+    it leaves ``keep``.  Sparse (csr) if ``rates`` is, else dense.
+    """
+    block = rates[keep]
+    if sp.issparse(rates):
+        return sp.csr_matrix(sp.diags(np.asarray(block.sum(axis=1)).ravel()) - block[:, keep])
+    return np.diag(block.sum(axis=1)) - block[:, keep]
 
 
 def factor(a):

@@ -451,7 +451,7 @@ def poisson_solve(chain: Chain, pi: ProbVector, g, theta: float) -> np.ndarray:
     r = int(np.argmin(chain.holding))
     rest = np.flatnonzero(np.arange(chain.n) != r)
     f = np.zeros(chain.n)
-    f[rest] = numerics.solve_linear(chain.killed(rest), -g[rest] / theta)
+    f[rest] = numerics.solve_linear(numerics.killed(chain.rates, rest), -g[rest] / theta)
     f = f - float(np.sum(pi.weights * f))
     residual = float(np.abs(theta * apply_generator(chain, f) - g).max())
     if residual > config.DEFAULT.rel * max(1.0, float(np.abs(g).max())):

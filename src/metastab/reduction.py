@@ -17,7 +17,7 @@ from .chain import (
     Chain,
     Partition,
     ProbVector,
-    _dense_stationary,
+    _grounded_law,
     _two_form,
     generator_gap,
     is_reversible,
@@ -246,12 +246,12 @@ def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
     for j, trace in enumerate(traces):
         if trace is not None:
             e = np.flatnonzero(valley == j)
-            mu[e] = _dense_stationary(trace, [chain.states[i] for i in f[e]],
-                                      f"stationary: valley {j + 1}")
+            mu[e] = _grounded_law(trace, [chain.states[i] for i in f[e]],
+                                  f"stationary: valley {j + 1}")
     member = np.eye(partition.n)[valley]
     coupling = member.T @ (mu[:, np.newaxis] * rates_f) @ member
     np.fill_diagonal(coupling, 0.0)
-    xi = _dense_stationary(coupling, range(1, partition.n + 1), "stationary: valley coupling")
+    xi = _grounded_law(coupling, range(1, partition.n + 1), "stationary: valley coupling")
     w = np.zeros(chain.n)
     w[f] = xi[valley] * mu
     delta = np.flatnonzero(owner == 0)
@@ -274,8 +274,7 @@ def _valley_trace(rates, e) -> np.ndarray:
     than the error of the rates, which weigh it by those rare rates.
     """
     out = np.setdiff1d(np.arange(len(rates)), e)
-    killed = np.diag(rates[out].sum(axis=1)) - rates[np.ix_(out, out)]
-    harmonic = numerics.factor(killed)(rates[np.ix_(out, e)])
+    harmonic = numerics.factor(numerics.killed(rates, out))(rates[np.ix_(out, e)])
     return _drop_dust(rates[np.ix_(e, e)] + rates[np.ix_(e, out)] @ harmonic, rates.max())
 
 
@@ -303,10 +302,9 @@ def _point_capacities(rates, weights, ref: int, labels, where: str) -> np.ndarra
     n = len(rates)
     src, dst = np.nonzero(rates)
     edge_rates = rates[src, dst]
-    # lambda adds up each row's rates as a sparse row sum does; V_j is irreducible
-    holding = np.add.reduceat(edge_rates, np.searchsorted(src, np.arange(n)))
+    holding = rates.sum(axis=1)
     rest = np.flatnonzero(np.arange(n) != ref)
-    G = numerics.factor(np.diag(holding[rest]) - rates[np.ix_(rest, rest)])(np.eye(len(rest)))
+    G = numerics.factor(numerics.killed(rates, rest))(np.eye(len(rest)))
     green = np.diag(G)
 
     def state(k):
@@ -355,7 +353,7 @@ def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, wher
     One dense step on the rate block of ``idx``, with the checks of the
     public route ``spectral_gap(reflected_chain(...), stationary(...))``: if
     ``reversible``, pi restricted to ``idx`` keeps detailed balance within
-    ``input_stationary``; the reflected law (``chain._dense_stationary``)
+    ``input_stationary``; the reflected law (``chain._grounded_law``)
     must balance within ``stationary_residual`` times the max rate; its gap comes
     from ``generator_gap``.  A failure raises naming ``where``.
     """
@@ -368,12 +366,7 @@ def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, wher
             raise ToleranceViolation(
                 f"{where}: conditioned measure lost detailed balance under reflection")
     L = rates - np.diag(rates.sum(axis=1))
-    w = _dense_stationary(rates, [chain.states[i] for i in idx], where)
-    residual = float(np.abs(w @ L).max())
-    bound = config.DEFAULT.stationary_residual * rates.max()
-    if residual > bound:
-        raise SolverFailure(
-            f"{where}: stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
+    w = _grounded_law(rates, [chain.states[i] for i in idx], where)
     try:
         return generator_gap(L, w).relaxation_time
     except SolverFailure as exc:

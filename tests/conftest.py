@@ -274,6 +274,12 @@ def tamper_solves(monkeypatch, tamper):
     monkeypatch.setattr(numerics, "factor", tampered)
 
 
+def scale_first(x, factor):
+    """``x`` with its first entry scaled by ``factor``, in place: a ``tamper_solves`` fault."""
+    x[0] *= factor
+    return x
+
+
 class _InProcessPool:
     """Stands in for ProcessPoolExecutor: records each pool's size, maps in this process."""
 
@@ -305,7 +311,7 @@ def pools(monkeypatch):
 def reference_point_capacities(chain, pi, idx, ref, where):
     """Cap(x, ref) for every state x in ``idx`` other than ``ref``, on the whole chain.
 
-    G = K^{-1}, with K = ``chain.killed`` on S minus {ref}, is the Green
+    G = K^{-1}, with K = ``numerics.killed`` on S minus {ref}, is the Green
     function of the chain killed at ref, and Cap(x, ref) = pi(x) / G(x, x).
     One sparse solve with one unit column per x gives every G(x, x) and, as
     column x over G(x, x), the equilibrium potential h_x.  The checks are
@@ -319,7 +325,7 @@ def reference_point_capacities(chain, pi, idx, ref, where):
     rows = np.searchsorted(rest, xs)
     unit = np.zeros((len(rest), len(xs)))
     unit[rows, cols] = 1.0
-    X = numerics.solve_linear(chain.killed(rest), unit)
+    X = numerics.solve_linear(numerics.killed(chain.rates, rest), unit)
     green = X[rows, cols]
 
     def state(k):

@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 import metastab as ms
 from metastab import config, numerics
-from metastab.chain import _chain_from_csr
+from metastab.chain import _chain_from_csr, _grounded_law
 from metastab.errors import (
     BadPartition,
     BadSpec,
@@ -25,7 +25,7 @@ from metastab.errors import (
     TooLarge,
 )
 
-from conftest import random_chain, random_reversible_chain
+from conftest import random_chain, random_reversible_chain, scale_first, tamper_solves
 
 
 class TestBuildChain:
@@ -120,10 +120,7 @@ class TestStationary:
         assert np.max(np.abs(pi - exact) / exact) <= bound
 
     def test_nonpositive_entry_is_a_solver_failure(self, monkeypatch):
-        # steep birth-death chain: pi(i) is proportional to 100^-i
-        labels = [str(i) for i in range(10)]
-        chain = ms.build_chain(labels, [t for i in range(9) for t in (
-            (labels[i], labels[i + 1], 1.0), (labels[i + 1], labels[i], 100.0))])
+        chain = _steep_chain()
         assert ms.stationary(chain).weights.min() < 1e-14
         solve = numerics.solve_linear
 
@@ -133,9 +130,32 @@ class TestStationary:
             return x
 
         monkeypatch.setattr(numerics, "solve_linear", negate_smallest)
-        with pytest.raises(SolverFailure) as err:
+        with pytest.raises(SolverFailure, match=r"^stationary: stationary solve gave") as err:
             ms.stationary(chain)
         assert "np.float64" not in str(err.value)
+
+    def test_unbalanced_solve_is_a_residual_failure(self, monkeypatch):
+        chain = _steep_chain()
+        tamper_solves(monkeypatch, lambda b, x: scale_first(x, 1.0 + 1e-6) if b.ndim == 1 else x)
+        with pytest.raises(SolverFailure, match=r"^stationary: stationary residual"):
+            ms.stationary(chain)
+
+    @pytest.mark.parametrize("model", ["zero_range:L=3,N=10,alpha=3,p=0.7",
+                                       "glued_cubes:d=2,N=4,ell=1"])
+    def test_one_law_for_sparse_and_dense_rates(self, model):
+        chain = ms.build_from_string(model).chain
+        sparse = _grounded_law(chain.rates, chain.states, "sparse")
+        dense = _grounded_law(chain.rates.toarray(), chain.states, "dense")
+        assert (np.abs(sparse - dense) <= 1e-13 * sparse).all()
+        keep = np.arange(1, chain.n, 2)
+        assert np.array_equal(numerics.killed(chain.rates, keep).diagonal(), chain.holding[keep])
+
+
+def _steep_chain():
+    """Birth-death chain on 0..9 with pi(i) proportional to 100^-i."""
+    labels = [str(i) for i in range(10)]
+    return ms.build_chain(labels, [t for i in range(9) for t in (
+        (labels[i], labels[i + 1], 1.0), (labels[i + 1], labels[i], 100.0))])
 
 
 class TestStationaryOnValleys:
@@ -186,7 +206,8 @@ class TestStationaryOnValleys:
         b = chain.rates[f][:, delta].T @ exact[f]
         kept = chain.killed_solver(delta)(b, trans="T")
         assert np.max(np.abs(kept - exact[delta]) / exact[delta]) <= 1e-14
-        pivoted = spla.splu(sp.csc_matrix(chain.killed(delta))).solve(b, trans="T")
+        pivoted = spla.splu(sp.csc_matrix(numerics.killed(chain.rates, delta))).solve(
+            b, trans="T")
         assert np.max(np.abs(pivoted - exact[delta]) / exact[delta]) >= 1.0
 
     def test_pickle_drops_the_kept_trace_chain(self):
@@ -219,6 +240,13 @@ class TestFactor:
                     if called.rsplit(".", 1)[-1] in solvers or called.endswith("linalg.solve")]
 
 
+    def test_one_killed_block_builder(self):
+        """Every K = diag(lambda) - R comes from ``numerics.killed``."""
+        assert not [f"{path.name}:{node.lineno}" for path, node in _package_nodes("numerics.py")
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.left, ast.Call)
+                    and ast.unparse(node.left.func).rsplit(".", 1)[-1] in ("diag", "diags")]
+
     def test_valley_steps_take_dense_arrays(self):
         """``reduction`` builds no sparse matrix and no derived chain."""
         path = Path(ms.__file__).resolve().parent / "reduction.py"
@@ -232,13 +260,19 @@ class TestFactor:
                     and ast.unparse(node.func).rsplit(".", 1)[-1] in ("_chain_from_csr", "Chain")]
 
 
-def _package_calls(skip):
-    """(file:line, called expression) of every call in the package's modules but ``skip``."""
+def _package_nodes(skip):
+    """(path, node) of every syntax node in the package's modules but ``skip``."""
     for path in sorted(Path(ms.__file__).resolve().parent.glob("*.py")):
         if path.name != skip:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Call):
-                    yield f"{path.name}:{node.lineno}", ast.unparse(node.func)
+                yield path, node
+
+
+def _package_calls(skip):
+    """(file:line, called expression) of every call in the package's modules but ``skip``."""
+    for path, node in _package_nodes(skip):
+        if isinstance(node, ast.Call):
+            yield f"{path.name}:{node.lineno}", ast.unparse(node.func)
 
 
 class TestGenerator:

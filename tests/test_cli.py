@@ -476,14 +476,32 @@ class TestCycles:
         assert report["cycles"]["reconstruction_residual"] <= 1e-12
 
     def test_steep_rates_are_explained(self, tmp_path):
-        # the rates span 6.5e60; every edge lies on one of the 40 two-cycles
+        # the rates span 6.5e60; every edge lies on one of the 40 two-cycles,
+        # and the cycles through an edge add up to its rate, the smallest too
         model = "potential_rw:N=64,points=41"
         report, _ = run_report(["cycles", "--model", model], tmp_path)
-        max_rate = build_from_string(model).chain.max_rate
+        chain = build_from_string(model).chain
         assert report["cycles"]["count"] == 40
         assert report["cycles"]["max_length"] == 2
         assert report["cycles"]["reconstruction_residual"] <= \
-            config.DEFAULT.input_stationary * max_rate
+            config.DEFAULT.input_stationary * chain.max_rate
+        explained = {}
+        for cycle in report["cycles"]["cycles"]:
+            labels = cycle["vertices"]
+            for a, b, rate in zip(labels, labels[1:] + labels[:1], cycle["rates"]):
+                explained[a, b] = explained.get((a, b), 0.0) + rate
+        assert max(abs(explained.get((a, b), 0.0) - rate) / rate
+                   for a, b, rate in chain.edges()) <= 1e-12
+
+    def test_spectral_guard_exits_3(self, monkeypatch, capsys):
+        # a model's partition routes the decomposition through the valley traces
+        model = "glued_cubes:d=2,N=8,ell=2"
+        size = len(build_from_string(model).partition.valley(1))
+        monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=size - 1))
+        assert main(["cycles", "--model", model]) == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "TooLarge"
+        assert err["message"].startswith("stationary: valley 1: ")
 
     def test_unexplained_rates_exit_4(self, c3_spec, capsys, monkeypatch):
         decompose = cli.cycle_decompose

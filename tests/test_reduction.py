@@ -23,6 +23,7 @@ from conftest import (
     random_chain,
     random_partition,
     reference_point_capacities,
+    scale_first,
     tamper_solves,
 )
 
@@ -383,11 +384,6 @@ def test_relaxation_matches_reflected_chain_route(case):
         assert report.theta * ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def _scale_first(x, factor):
-    x[0] *= factor
-    return x
-
-
 @pytest.mark.parametrize("factor, phrase", [
     (-1.0, r"stationary solve gave pi\(.*\) / pi\(.*\) = -"),
     (1.0 + 1e-6, "stationary residual"),
@@ -398,7 +394,7 @@ def test_relaxation_solve_failure_names_the_valley(factor, phrase, monkeypatch):
     chain, part, theta = REFERENCE_CASES["zero_range_p07"]()
     pi = ms.stationary(chain)
     model = ms.coarse_rates(chain, pi, part, theta)
-    tamper_solves(monkeypatch, lambda b, x: _scale_first(x, factor) if b.ndim == 1 else x)
+    tamper_solves(monkeypatch, lambda b, x: scale_first(x, factor) if b.ndim == 1 else x)
     with pytest.raises(SolverFailure, match=f"^check_conditions: valley 1: {phrase}"):
         ms.check_conditions(chain, pi, part, model)
 
