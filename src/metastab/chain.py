@@ -30,6 +30,11 @@ from .errors import (
 )
 
 
+def label_key(label):
+    """Sort key for state labels: numbers first, then strings, each in order."""
+    return (isinstance(label, str), label)
+
+
 @dataclass(frozen=True)
 class Chain:
     """Irreducible CTMC: state labels and positive off-diagonal rates."""
@@ -178,7 +183,7 @@ class Partition:
             idx = chain.indices_of(v)
             weights = pi.weights[idx]
             top = idx[weights >= (1.0 - config.DEFAULT.rel) * weights.max()]
-            refs.append(min(chain.states[i] for i in top))
+            refs.append(min((chain.states[i] for i in top), key=label_key))
         return tuple(refs)
 
     def label_map(self) -> dict:
@@ -198,11 +203,9 @@ class Partition:
         states = set(chain.states)
         covered = self.union() | self.delta
         if covered != states:
-            missing = states - covered
-            extra = covered - states
-            if missing:
-                raise BadPartition(f"partition misses states {sorted(missing)[:4]}")
-            raise BadPartition(f"partition references unknown states {sorted(extra)[:4]}")
+            missing, extra = states - covered, covered - states
+            which, odd = ("misses", missing) if missing else ("references unknown", extra)
+            raise BadPartition(f"partition {which} states {sorted(odd, key=label_key)[:4]}")
         if self.n < require_valleys:
             raise BadPartition(f"need at least {require_valleys} valleys, got {self.n}")
         owner = np.zeros(chain.n, dtype=int)
@@ -285,7 +288,7 @@ def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
     bound = config.DEFAULT.stationary_residual * chain.max_rate
     if residual > bound:
         raise SolverFailure(
-            f"stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
+            f"stationary: stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
     return pi
 
 
@@ -297,8 +300,8 @@ def _grounded_law(rates, labels, where: str) -> np.ndarray:
     pi(y) / pi(r) is lambda(r) times the expected time spent at y during one
     excursion from r, so on U = S minus {r} these ratios x solve
     K^T x = R(r, U)^T with K = ``numerics.killed(rates, U)``, the chain
-    killed at r.  Then pi(r) = 1 and pi is normalized.  Grounding at the
-    stickiest state keeps the unknowns of moderate size in deep wells.
+    killed at r, solved with K's factor transposed.  Then pi(r) = 1 and pi
+    is normalized.  Grounding there keeps the unknowns moderate in deep wells.
 
     An irreducible chain has pi > 0, so a ratio that is not finite and
     positive is a ``SolverFailure`` naming ``where`` and the state,
@@ -310,7 +313,7 @@ def _grounded_law(rates, labels, where: str) -> np.ndarray:
     rest = np.flatnonzero(np.arange(len(holding)) != r)
     row = rates[r].toarray().ravel() if sp.issparse(rates) else rates[r]
     w = np.ones(len(holding))
-    w[rest] = numerics.solve_linear(numerics.killed(rates, rest).T, row[rest])
+    w[rest] = numerics.factor(numerics.killed(rates, rest))(row[rest], trans="T")
     bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
     if len(bad):
         raise SolverFailure(

@@ -134,7 +134,8 @@ def cmd_analyze(args) -> int:
     reduced = model.to_dict()
     reduced["jump_probabilities"] = model.jump_probabilities.tolist()
     report["reduced_model"] = reduced
-    report["conditions"] = conditions.to_dict()
+    report["conditions"] = {**conditions.to_dict(),
+                            "reference_states": [str(s) for s in conditions.reference_states]}
     _emit(report, args.out)
     return 0
 
@@ -173,7 +174,7 @@ def cmd_simulate(args) -> int:
         if args.surgery == "none":
             out_path = raw
         elif args.surgery == "trace":
-            traced = trace_path(raw, sorted(partition.union()))
+            traced = trace_path(raw, partition.union())
             out_path = project(traced, partition, "psi")
         else:
             out_path = last_passage_path(project(raw, partition, "phi"))
@@ -267,7 +268,7 @@ def cmd_cycles(args) -> int:
         "max_length": dec.max_cycle_length(),
         "reconstruction_residual": residual,
         "cycles": [
-            {"vertices": list(labels), "rates": [float(r) for r in rates]}
+            {"vertices": [str(s) for s in labels], "rates": [float(r) for r in rates]}
             for labels, rates in dec.cycles
         ],
     }

@@ -6,15 +6,15 @@ linear system goes through ``factor``: one LU factorization, by SuperLU
 laws of ``chain._grounded_law``).  A chain keeps its latest killed-block
 factorization (``Chain.killed_solver``) for the next caller.
 
-Every sparse matrix the package factors is a nonsingular M-matrix (a killed
-generator K = diag(lambda) - R, its transpose, I - gamma L) or symmetric
-positive definite (the pinned quotient form of ``dirichlet_II``), and
-Gaussian elimination without pivoting is stable for both.  So SuperLU orders
-rows and columns alike by minimum degree on K^T + K and takes every pivot on
-the diagonal, which about halves the fill of its default column ordering
-with partial pivoting.  A matrix that would still need a row pivot raises
-``SolverFailure``; ``potential.poisson_solve`` grounds its system on a
-killed block so that it meets this contract too.
+Every matrix the package factors is a nonsingular M-matrix (a killed
+generator K = diag(lambda) - R, I - gamma L) or symmetric positive definite
+(the pinned quotient form of ``dirichlet_II``), and Gaussian elimination
+without pivoting is stable for both.  ``factor`` alone sets the pivots; a
+caller passes K and solves with K^T by ``trans="T"``.  SuperLU orders rows
+and columns alike by minimum degree on K^T + K, every pivot on the diagonal,
+and raises ``SolverFailure`` where it would need a row pivot.  LAPACK factors
+the transpose, whose diagonally dominant columns keep its partial pivoting
+on the diagonal but for rounding ties (Wilkinson 1961).
 """
 
 import warnings
@@ -64,18 +64,18 @@ def factor(a):
     """One LU factorization of the square matrix ``a``; returns its solve.
 
     A sparse ``a`` is factored by ``splu`` under a symmetric minimum-degree
-    ordering with every pivot on the diagonal, a dense one by LAPACK with
-    partial pivoting.  The solve takes ``b`` with one right-hand side per
-    column; all share the factors.  A sparse ``a``'s solve also takes
-    ``trans="T"``, to solve with its transpose.  A singular matrix, or a
-    sparse one that needs a row pivot, raises ``SolverFailure``.
+    ordering with every pivot on the diagonal, a dense one transposed by
+    LAPACK, so that partial pivoting keeps to a killed block's diagonal.  The
+    solve takes ``b`` with one right-hand side per column, all sharing the
+    factors, and ``trans="T"`` to solve with ``a``'s transpose.  A singular
+    matrix, or a sparse one that needs a row pivot, raises ``SolverFailure``.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
         try:
             if not sp.issparse(a):
-                lu = scipy.linalg.lu_factor(a)
-                return lambda b: scipy.linalg.lu_solve(lu, b)
+                lu = scipy.linalg.lu_factor(a.T)
+                return lambda b, trans="N": scipy.linalg.lu_solve(lu, b, trans=int(trans == "N"))
             lu = spla.splu(sp.csc_matrix(a), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except (RuntimeError, ValueError, scipy.linalg.LinAlgWarning) as exc:

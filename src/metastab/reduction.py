@@ -232,8 +232,8 @@ def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
     coupling C(j, k) = sum_{x in E_j} mu_j(x) T_F(x, E_k) is a rate matrix
     whose law xi_j is pi(E_j) / pi(F), so pi = xi_j mu_j on E_j.  Off F,
     pi_D^T = pi_F^T R_FD K_D^-1 is one transposed solve with the factor of
-    Delta the chain keeps, which pivots only on the diagonal: with partial
-    pivoting this solve loses the deep wells' small entries.  A valley above
+    Delta the chain keeps.  All factors pivot on K's diagonal: partial
+    pivoting on K would lose the deep wells' small entries.  A valley above
     ``spectral_guard`` raises ``TooLarge`` first; an entry that is not finite
     and positive raises ``SolverFailure`` naming the state.
     """

@@ -12,7 +12,7 @@ The partition block is optional.  Serialization round-trips rates exactly
 
 import json
 
-from .chain import Chain, Partition, build_chain
+from .chain import Chain, Partition, build_chain, label_key
 from .errors import BadSpec
 
 
@@ -81,8 +81,8 @@ def chain_to_dict(chain: Chain, partition: Partition = None) -> dict:
 
 def partition_to_dict(partition: Partition) -> dict:
     return {
-        "valleys": [sorted(v) for v in partition.valleys],
-        "delta": sorted(partition.delta),
+        "valleys": [sorted(v, key=label_key) for v in partition.valleys],
+        "delta": sorted(partition.delta, key=label_key),
     }
 
 

@@ -20,6 +20,7 @@ from .chain import (
     _chain_from_csr,
     apply_generator,
     is_reversible,
+    label_key,
     require_stationary,
     stationarity_residual,
 )
@@ -215,7 +216,7 @@ def resolvent_solve(chain: Chain, pi: ProbVector, gamma: float, k: int,
     if partition.delta:
         raise BadPartition(
             f"the valleys must cover the chain's states; delta holds "
-            f"{sorted(partition.delta)[:4]}")
+            f"{sorted(partition.delta, key=label_key)[:4]}")
     if not 1 <= k <= partition.n:
         raise BadPartition(f"valley index {k} out of range 1..{partition.n}")
     A = sp.identity(chain.n, format="csr") - gamma * chain.generator_matrix()
@@ -236,10 +237,8 @@ def resolvent_vs_enlarged_gap(chain: Chain, pi: ProbVector, gamma: float, k: int
     """
     u = resolvent_solve(chain, pi, gamma, k, partition)
     enlarged = enlarge_chain(chain, pi, gamma)
-    target = sorted(partition.valley(k))
-    others = sorted(partition.others(k))
-    A = [enlarged.star(s) for s in target]
-    B = [enlarged.star(s) for s in others]
+    A = [enlarged.star(s) for s in partition.valley(k)]
+    B = [enlarged.star(s) for s in partition.others(k)]
     h = hitting_probability(enlarged.combined, A, B)
     restricted = np.array([h[enlarged.combined.index[s]] for s in chain.states])
     return float(np.abs(u - restricted).max())

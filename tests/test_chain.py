@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import metastab as ms
 from metastab import config, numerics
 from metastab.chain import _chain_from_csr, _grounded_law
+from metastab.cli import main
 from metastab.errors import (
     BadPartition,
     BadSpec,
@@ -122,14 +124,13 @@ class TestStationary:
     def test_nonpositive_entry_is_a_solver_failure(self, monkeypatch):
         chain = _steep_chain()
         assert ms.stationary(chain).weights.min() < 1e-14
-        solve = numerics.solve_linear
 
-        def negate_smallest(a, b):
-            x = solve(a, b)
-            x[np.argmin(x)] *= -1.0
+        def negate_smallest(b, x):
+            if b.ndim == 1:
+                x[np.argmin(x)] *= -1.0
             return x
 
-        monkeypatch.setattr(numerics, "solve_linear", negate_smallest)
+        tamper_solves(monkeypatch, negate_smallest)
         with pytest.raises(SolverFailure, match=r"^stationary: stationary solve gave") as err:
             ms.stationary(chain)
         assert "np.float64" not in str(err.value)
@@ -168,9 +169,9 @@ class TestStationaryOnValleys:
         ("potential_rw:N=16,points=81", 1e-9),
         ("potential_rw:N=32,points=81", 1e-12),
         ("potential_rw:N=64,points=81", 1e-12),
-        ("zero_range:L=4,N=28,alpha=3,p=0.7", 1e-12),
-        ("glued_cubes:d=3,N=12,ell=3", 1e-12),
-        ("zero_range:L=3,N=120,alpha=3,p=0.5", 1e-12),
+        ("zero_range:L=4,N=28,alpha=3,p=0.7", 1e-13),
+        ("glued_cubes:d=3,N=12,ell=3", 1e-13),
+        ("zero_range:L=3,N=120,alpha=3,p=0.5", 1e-13),
     ])
     def test_deep_well_ladder(self, model, bound):
         spec = ms.build_from_string(model)
@@ -188,6 +189,15 @@ class TestStationaryOnValleys:
     def test_needs_two_valleys(self, bd3):
         with pytest.raises(BadPartition):
             ms.stationary(bd3, ms.Partition(({"1"},), {"2", "3"}))
+
+    def test_unbalanced_delta_solve_is_a_residual_failure(self, monkeypatch):
+        # pi on Delta, one column of length |Delta|, is off by 1e-6 in one entry
+        spec = ms.build_from_string("zero_range:L=3,N=30,alpha=3,p=0.5")
+        size = len(spec.partition.delta)
+        tamper_solves(monkeypatch, lambda b, x: scale_first(x, 1.0 + 1e-6)
+                      if b.ndim == 1 and len(b) == size else x)
+        with pytest.raises(SolverFailure, match=r"^stationary: stationary residual"):
+            ms.stationary(spec.chain, spec.partition)
 
     def test_underflow_names_the_state(self):
         spec = ms.build_from_string("potential_rw:N=120,points=41")
@@ -246,6 +256,30 @@ class TestFactor:
                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
                     and isinstance(node.left, ast.Call)
                     and ast.unparse(node.left.func).rsplit(".", 1)[-1] in ("diag", "diags")]
+
+    def test_no_caller_transposes_a_block(self):
+        """``numerics.factor`` alone sets the pivots: a caller passes K, not K^T."""
+        assert not [f"{path.name}:{node.lineno}" for path, node in _package_nodes("numerics.py")
+                    if isinstance(node, ast.Call) and node.args
+                    and ast.unparse(node.func).rsplit(".", 1)[-1] in ("factor", "solve_linear")
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == "T"
+                            for sub in ast.walk(node.args[0]))]
+
+    def test_dense_factors_keep_to_the_diagonal(self, monkeypatch, tmp_path):
+        # LAPACK factors each dense killed block transposed, so partial
+        # pivoting swaps no row anywhere in analyze
+        lu_factor, pivots = scipy.linalg.lu_factor, []
+
+        def recorded(a, *args, **kwargs):
+            lu, piv = lu_factor(a, *args, **kwargs)
+            pivots.append(piv)
+            return lu, piv
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", recorded)
+        assert main(["analyze", "--model", "zero_range:L=4,N=28,alpha=3,p=0.7",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert pivots
+        assert not [p for p in pivots if not np.array_equal(p, np.arange(len(p)))]
 
     def test_valley_steps_take_dense_arrays(self):
         """``reduction`` builds no sparse matrix and no derived chain."""

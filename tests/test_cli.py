@@ -43,6 +43,15 @@ BD4 = {
     "partition": {"valleys": [["1"], ["4"]], "delta": ["2", "3"]},
 }
 
+# a path a - 1 - m - c - 2, its labels strings and JSON numbers
+MIXED_PATH = ["a", 1, "m", "c", 2]
+MIXED = {
+    "states": MIXED_PATH,
+    "rates": [[s, t, 1.0] for a, b in zip(MIXED_PATH, MIXED_PATH[1:])
+              for s, t in ((a, b), (b, a))],
+    "partition": {"valleys": [["a", 1], ["c", 2]], "delta": ["m"]},
+}
+
 
 def _edited(spec, where, value):
     """A deep copy of ``spec`` with the entry at the key path ``where`` set to ``value``."""
@@ -194,7 +203,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("model", [
         "potential_rw:N=16,points=41", "potential_rw:N=32,points=41",
         "potential_rw:N=64,points=41", "potential_rw:N=16,points=81",
-        "potential_rw:N=32,points=81",
+        "potential_rw:N=32,points=81", "potential_rw:N=64,points=81",
     ])
     def test_deep_wells(self, model, tmp_path):
         report, _ = run_report(["analyze", "--model", model], tmp_path)
@@ -520,6 +529,34 @@ class TestCycles:
         _, a = run_report(["cycles", "--spec", c3_spec], tmp_path, "a.json")
         _, b = run_report(["cycles", "--spec", c3_spec], tmp_path, "b.json")
         assert a == b
+
+
+class TestMixedLabels:
+    """State labels that are strings and JSON numbers in one spec."""
+
+    @pytest.fixture
+    def mixed_spec(self, tmp_path):
+        p = tmp_path / "mixed.json"
+        p.write_text(json.dumps(MIXED))
+        return str(p)
+
+    @pytest.mark.parametrize("args", [["analyze"], ["cycles"],
+                                      ["validate", "--trials", "5", "--grid", "0.5,1"]])
+    def test_reports_follow_the_schema(self, args, mixed_spec, tmp_path):
+        report, _ = run_report(args + ["--spec", mixed_spec], tmp_path)
+        jsonschema.validate(report, SCHEMA)
+
+    def test_trace_surgery(self, mixed_spec, tmp_path):
+        assert main(["simulate", "--spec", mixed_spec, "--start", "a", "--horizon", "5",
+                     "--surgery", "trace", "--out", str(tmp_path / "sim")]) == 0
+
+    def test_partition_that_misses_both_kinds(self, mixed_spec, tmp_path, capsys):
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"valleys": [["c", 2]], "delta": ["m"]}))
+        assert main(["analyze", "--spec", mixed_spec, "--partition", str(partition)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "BadPartition"
+        assert err["message"] == "partition misses states [1, 'a']"
 
 
 class TestEnvTolerance:

@@ -6,15 +6,23 @@ prints the JSON path and relative drift of every float that moved; the
 change lists that drift in CHANGES.md.  A report too large to commit (over
 about 100 KB) is stored as ``<stem>.sha256``, its SHA-256 hex digest and its
 byte count; for those the script prints the old and the new digest.
+
+Reports are byte-identical only for a fixed BLAS thread count: threaded
+LAPACK factorizations round differently.  So both the tests and the script
+render every case in one child interpreter with one BLAS thread
+(``render_all``).
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import metastab
 from metastab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -80,21 +88,38 @@ def stored(name, report):
 
 
 def render(name, workdir):
-    """Run the CLI for one case in ``workdir`` and return the report bytes."""
+    """Run the CLI for one case in ``workdir``, writing the report to ``workdir / name``."""
     spec, args = CASES[name]
     args = list(args)
     if spec is not None:
         spec_path = Path(workdir) / f"{spec}.json"
         spec_path.write_text(json.dumps(SPECS[spec]))
         args += ["--spec", str(spec_path)]
-    out = Path(workdir) / name
-    assert main(args + ["--out", str(out)]) == 0
-    return out.read_bytes()
+    main(args + ["--out", str(Path(workdir) / name)])
+
+
+def render_all(workdir):
+    """Render every case into ``workdir`` in one child interpreter that runs
+    this package with one BLAS thread; returns what the child printed."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(metastab.__file__).parent.parent),
+                                           os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, __file__, "--render", str(workdir)], env=env,
+                           capture_output=True, text=True)
+    return child.stdout + child.stderr
+
+
+@pytest.fixture(scope="session")
+def rendered(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    return workdir, render_all(workdir)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, tmp_path):
-    assert stored(name, render(name, tmp_path)) == golden_path(name).read_bytes()
+def test_report_matches_golden(name, rendered):
+    workdir, printed = rendered
+    assert (workdir / name).exists(), f"{name} was not rendered:\n{printed}"
+    assert stored(name, (workdir / name).read_bytes()) == golden_path(name).read_bytes()
 
 
 def float_drift(old, new, path=""):
@@ -116,11 +141,16 @@ def float_drift(old, new, path=""):
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:2] == ["--render"]:
+        for case in sorted(CASES):
+            render(case, sys.argv[2])
+        sys.exit(0)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
+        print(render_all(tmp), end="", file=sys.stderr)
         for case in sorted(CASES):
             target = golden_path(case)
-            fresh = stored(case, render(case, tmp))
+            fresh = stored(case, (Path(tmp) / case).read_bytes())
             old = target.read_bytes() if target.exists() else None
             if old == fresh:
                 continue

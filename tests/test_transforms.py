@@ -381,22 +381,22 @@ class TestCycleDecomposition:
     # SHA-256 and byte count of the cycles, the residual and the reconstruction
     # error of the draws from seeds 0..9 (the JSON lines of ``_draws_text``)
     PINNED = {
-        ("random_chain", 6): ("ef012df8155ddb6d62280e0218464961"
-                              "36857f5aa4f146b860a43f11724a2cf8", 9_061),
-        ("random_chain", 9): ("f23bc62296dcc2e8544f5750a1e29a07"
-                              "d212bec1a4b2aa2d553ce0058028d3bb", 15_547),
-        ("random_chain", 12): ("a7e29242be5182bc45f047a7eb6c0539"
-                               "0c82d6e41b1bfdac9c6bb56b46900eaa", 27_468),
-        ("random_chain", 16): ("cc113d090ffb89d8edb9e66899733a09"
-                               "69999efc199aab1c6370410138b141ec", 45_173),
-        ("random_reversible_chain", 6): ("16f6c95139e1da61dc34119e9f3ab222"
-                                         "1acadd0aadf2869090258d8d29a16eb6", 6_833),
-        ("random_reversible_chain", 9): ("65b3e1919a1219e261dcb1ef83d5d5b9"
-                                         "eec75468fa5abdaf307dab919af63124", 11_068),
-        ("random_reversible_chain", 12): ("37b8c9ae41a7853017f64f16ad37ef0b"
-                                          "b057adcba37e28a504cf42b25faa6966", 16_315),
-        ("random_reversible_chain", 16): ("29739347c3ccdb42fcf254647dc14af3"
-                                          "e2f8686f0b3b6a5a1161f2742635c9be", 22_643),
+        ("random_chain", 6): ("9f4c318ba72e750430ca98ed29c9faf4"
+                              "e2ac7e4531613a3a51efdbfff9406cff", 9_044),
+        ("random_chain", 9): ("98220fe8eabd35c0b57d32de9f04605f"
+                              "8d4ce18021b9565808af6325a7a999d0", 15_555),
+        ("random_chain", 12): ("7bfe2fe695b3be02c667937ed4cb3ac0"
+                               "02b896239056dc56e1c0c3d7a7f7093a", 27_481),
+        ("random_chain", 16): ("acc1a1e8df8090731b122a62f03d219c"
+                               "05a2b49d38adf1b76d5e66821636745f", 45_165),
+        ("random_reversible_chain", 6): ("4d2cbfc11e436891b5fb4ea29c00f4af"
+                                         "7f91c38035b6eebf2990dba95e9364aa", 6_831),
+        ("random_reversible_chain", 9): ("6d5082b5e0ad6eda8826bab00d58335d"
+                                         "01f99610eb52fe9bb37ec7dc23d2c5e0", 11_087),
+        ("random_reversible_chain", 12): ("677c2ec5d0d2468afeb48b20ee74900e"
+                                          "f9ff05027ad80d04770c4b7daa35d7c8", 16_338),
+        ("random_reversible_chain", 16): ("21d576a8a24f4295faffa4d015d0be47"
+                                          "e858d2f3426b8716f984ee739dd2e134", 22_637),
     }
 
     @staticmethod
