@@ -21,7 +21,8 @@ from pathlib import Path as FsPath
 
 from . import __version__, config
 from .chain import stationarity_residual, stationary
-from .errors import InputError, MetastabError, NumericalError, ToleranceViolation, TooLarge
+from .errors import (BadSpec, InputError, MetastabError, NumericalError, ToleranceViolation,
+                     TooLarge)
 from .models import build_from_string
 from .pathsim import (
     estimate_91,
@@ -72,6 +73,16 @@ def _load_input(args):
         partition = load_partition(args.partition)
         partition.validate_for(chain)
     return chain, partition, model_spec
+
+
+def _start_state(chain, text):
+    """The state whose label reads ``text`` (``--start``), a number label too."""
+    matches = [s for s in chain.states if str(s) == text]
+    if not matches:
+        raise BadSpec(f"unknown start state {text!r}")
+    if len(matches) > 1:
+        raise BadSpec(f"start state {text!r} matches the labels {matches[0]!r} and {matches[1]!r}")
+    return matches[0]
 
 
 def _require_partition(partition):
@@ -151,12 +162,9 @@ def _write_trajectory(path, fs_path):
 
 def cmd_simulate(args) -> int:
     chain, partition, _ = _load_input(args)
-    if args.surgery not in _SURGERIES:
-        raise InputError(f"--surgery must be one of {_SURGERIES}")
     if args.start is None:
         raise InputError("--start is required for simulate")
-    if args.start not in chain.index:
-        raise InputError(f"unknown start state {args.start!r}")
+    start = _start_state(chain, args.start)
     if args.horizon is None or not (math.isfinite(args.horizon) and args.horizon > 0):
         raise InputError(f"--horizon must be finite and positive, got {args.horizon!r}")
     if args.trials < 1:
@@ -170,7 +178,7 @@ def cmd_simulate(args) -> int:
     files = []
     total_time = 0.0
     for trial in range(args.trials):
-        raw = simulate(chain, args.start, args.horizon, (args.seed, trial))
+        raw = simulate(chain, start, args.horizon, (args.seed, trial))
         if args.surgery == "none":
             out_path = raw
         elif args.surgery == "trace":
@@ -228,7 +236,8 @@ def cmd_validate(args) -> int:
         raise InputError(f"--grid repeats an entry: {args.grid!r}")
     chain, partition, _, pi, model = _reduce(args)
     theta, refs = model.theta, partition.reference_states(chain, pi)
-    start, times = args.start or refs[0], [t * theta for t in grid]
+    start = _start_state(chain, args.start) if args.start else refs[0]
+    times = [t * theta for t in grid]
     # a start that is not a reference state gets a sample of its own, drawn first
     own = None if start in refs else sample_valleys(
         chain, partition, times, args.trials, args.seed, [start], args.jobs)

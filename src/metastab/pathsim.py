@@ -30,7 +30,7 @@ from .errors import (
     StartsInDelta,
     TouchesDelta,
 )
-from .reduction import ReducedModel, reduced_transition
+from .reduction import ReducedModel, _layout, reduced_transition
 
 DELTA_SYMBOL = 0
 
@@ -489,8 +489,8 @@ def sample_valleys(chain: Chain, partition: Partition, times, trials: int, seed:
     draws from the stream (seed + 1000 i, k).  All trials run in this process at
     ``jobs <= 1``, else in one pool of at most ``jobs`` workers, trials or CPUs.
     """
-    owner = partition.validate_for(chain, require_valleys=2)
-    starts = tuple(partition.reference_states(chain, stationary(chain))
+    owner = _layout(chain, partition)[0]
+    starts = tuple(partition.reference_states(chain, stationary(chain, partition))
                    if starts is None else starts)
     index = [_start_index(chain, start) for start in starts]
     valleys = tuple(int(owner[i]) for i in index)

@@ -28,6 +28,7 @@ from .errors import (
     BadPartition,
     BadSpec,
     NotStationary,
+    NumericalError,
     SolverFailure,
     TooLarge,
     ToleranceViolation,
@@ -38,18 +39,30 @@ from .potential import _drop_dust, _harmonic_measure, _trace_rates, capacity  # 
 from .transforms import collapse_chain, reflected_chain, trace_chain  # noqa: F401
 
 
-def _valley_flux(chain: Chain, pi: ProbVector, owner: np.ndarray):
+def _layout(chain: Chain, partition: Partition):
+    """(owner, f, E) for ``partition``, at least two valleys, kept on the chain.
+
+    ``owner`` is ``Partition.validate_for``'s owner array, ``f`` the valley
+    union F in dense order and ``E[j - 1]`` valley j's positions in ``f``.
+    """
+    def build():
+        owner = partition.validate_for(chain, require_valleys=2)
+        f = np.flatnonzero(owner > 0)
+        return owner, f, [np.flatnonzero(owner[f] == j) for j in range(1, partition.n + 1)]
+    return chain._kept("_layout", partition, build)
+
+
+def _valley_flux(chain: Chain, pi: ProbVector, owner: np.ndarray, f: np.ndarray):
     """One factorization of -L on Delta gives every valley-to-valley flux.
 
     G[y, k] = P_y[enter F in valley k+1] is the harmonic measure of the
     valleys (``potential._harmonic_measure``), one solve with one right-hand
-    side per valley; ``owner`` is ``Partition.validate_for``'s owner array.
-    Returns flux = G_F^T diag(pi_F) R_F G, the pi-weighted rates of the trace
+    side per valley; ``owner`` and ``f`` are ``_layout``'s.  Returns
+    flux = G_F^T diag(pi_F) R_F G, the pi-weighted rates of the trace
     process on F between valleys, and its off-diagonal row sums
     Cap(valley j, others).  A valley whose escape flux out and in differ
     means pi is not stationary on F.
     """
-    f = np.flatnonzero(owner > 0)
     G = _harmonic_measure(chain, owner - 1)
     flux = G[f].T @ (pi.weights[f, np.newaxis] * (chain.rates[f] @ G))
     escape = flux - np.diag(np.diag(flux))
@@ -113,11 +126,6 @@ class ReducedModel:
         }
 
 
-def _valley_masses(pi: ProbVector, owner, n) -> np.ndarray:
-    """pi(valley k) for k = 1..n; ``owner`` maps each state to its valley, 0 for Delta."""
-    return np.array([pi.mass(np.flatnonzero(owner == k)) for k in range(1, n + 1)])
-
-
 def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
                  theta: float | None = None) -> ReducedModel:
     """The reduced model, from one run of the valley-flux kernel.
@@ -130,9 +138,9 @@ def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
     """
     if theta is not None and not (np.isfinite(theta) and theta > 0):
         raise BadSpec(f"theta must be finite and positive, got {theta!r}")
-    owner = partition.validate_for(chain, require_valleys=2)
-    flux, caps = _valley_flux(chain, pi, owner)
-    masses = _valley_masses(pi, owner, partition.n)
+    owner, f, E = _layout(chain, partition)
+    flux, caps = _valley_flux(chain, pi, owner, f)
+    masses = np.array([pi.mass(f[e]) for e in E])
     if theta is None:
         theta = (masses / caps).min()
     rates = theta * flux / masses[:, np.newaxis]
@@ -188,40 +196,39 @@ class ConditionReport:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
-def _require_small_valleys(owner: np.ndarray, where: str):
-    """A valley above ``spectral_guard`` states raises ``TooLarge`` naming it:
-    its dense trace, Green function and relaxation step grow with its size."""
-    sizes = np.bincount(owner, minlength=int(owner.max()) + 1)[1:]
-    guard = config.DEFAULT.spectral_guard
-    big = np.flatnonzero((sizes > guard) & (sizes > 1))
-    if len(big):
-        j = int(big[0])
-        raise TooLarge(f"{where}: valley {j + 1}: its dense steps span the whole valley; "
-                       f"{sizes[j]} states exceed the guard {guard}")
+def _valley_traces(chain: Chain, partition: Partition, where: str):
+    """(T_F, V) for the valley union F of ``partition``, kept on the chain.
 
-
-def _valley_traces(chain: Chain, owner: np.ndarray, where: str):
-    """(T_F, V) for the valley union F of ``owner``, kept on the chain.
-
+    A valley above ``spectral_guard`` states raises ``TooLarge`` first: its
+    dense trace, Green function and relaxation step grow with its size.
     T_F = ``_trace_rates`` on F, from the factorization of Delta the chain
     keeps; ``V[j - 1]`` is T_F traced onto valley j (``_valley_trace``), or
     None for a singleton valley.  Rows and columns follow the dense index.
-    Each V_j must be irreducible: one that is not raises ``SolverFailure``
+    A ``NumericalError`` on the way is raised again naming ``where``.  Each
+    V_j must be irreducible: one that is not raises ``SolverFailure``
     naming ``where``, the valley and a pair of states with no path between.
     """
+    _, f, E = _layout(chain, partition)
+    guard = config.DEFAULT.spectral_guard
+    for j, e in enumerate(E, start=1):
+        if len(e) > max(guard, 1):
+            raise TooLarge(f"{where}: valley {j}: its dense steps span the whole valley; "
+                           f"{len(e)} states exceed the guard {guard}")
+
     def build():
-        f = np.flatnonzero(owner > 0)
-        rates_f = _trace_rates(chain, f)
-        valleys = [np.flatnonzero(owner[f] == j) for j in range(1, int(owner.max()) + 1)]
-        traces = tuple(_valley_trace(rates_f, e) if len(e) > 1 else None for e in valleys)
-        for j, e in enumerate(valleys, start=1):
+        try:
+            rates_f = _trace_rates(chain, f)
+            traces = tuple(_valley_trace(rates_f, e) if len(e) > 1 else None for e in E)
+        except NumericalError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+        for j, e in enumerate(E, start=1):
             witness = len(e) > 1 and numerics.strong_connectivity_witness(traces[j - 1])
             if witness:
                 a, b = (chain.states[f[e[i]]] for i in witness)
                 raise SolverFailure(f"{where}: valley {j}: its trace chain is not "
                                     f"irreducible: {b!r} is unreachable from {a!r}")
         return rates_f, traces
-    return chain._kept("_valley_traces", owner.tobytes(), build)
+    return chain._kept("_valley_traces", partition, build)
 
 
 def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
@@ -237,17 +244,14 @@ def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
     ``spectral_guard`` raises ``TooLarge`` first; an entry that is not finite
     and positive raises ``SolverFailure`` naming the state.
     """
-    owner = partition.validate_for(chain, require_valleys=2)
-    _require_small_valleys(owner, "stationary")
-    rates_f, traces = _valley_traces(chain, owner, "stationary")
-    f = np.flatnonzero(owner > 0)
+    owner, f, E = _layout(chain, partition)
+    rates_f, traces = _valley_traces(chain, partition, "stationary")
     valley = owner[f] - 1
     mu = np.ones(len(f))
-    for j, trace in enumerate(traces):
+    for j, (e, trace) in enumerate(zip(E, traces), start=1):
         if trace is not None:
-            e = np.flatnonzero(valley == j)
             mu[e] = _grounded_law(trace, [chain.states[i] for i in f[e]],
-                                  f"stationary: valley {j + 1}")
+                                  f"stationary: valley {j}")
     member = np.eye(partition.n)[valley]
     coupling = member.T @ (mu[:, np.newaxis] * rates_f) @ member
     np.fill_diagonal(coupling, 0.0)
@@ -394,34 +398,31 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     ``BadPartition``.  Reflections that disconnect a valley leave a None
     entry with a note.
     """
-    owner = partition.validate_for(chain, require_valleys=2)
+    _, f, E = _layout(chain, partition)
     if model.valley_count != partition.n:
         raise BadPartition(f"the reduced model has {model.valley_count} valleys, "
                            f"the partition {partition.n}")
     theta, masses, caps, delta_mass = (
         model.theta, model.masses, model.capacities, model.delta_mass)
-    own = _valley_masses(pi, owner, partition.n)
+    own = np.array([pi.mass(f[e]) for e in E])
     differ = np.flatnonzero(own != masses)
     if len(differ):
         j = int(differ[0])
         raise BadPartition(f"valley {j + 1}: the reduced model's mass {float(masses[j])!r} "
                            f"is not the partition's {float(own[j])!r}")
-    _require_small_valleys(owner, "check_conditions")
+    traces = _valley_traces(chain, partition, "check_conditions")[1]
     refs = partition.reference_states(chain, pi)
     reversible = is_reversible(chain, pi)
-    f = np.flatnonzero(owner > 0)
-    traces = _valley_traces(chain, owner, "check_conditions")[1]
     imbalance = float(masses.max() / masses.min())
     cap_ratios, relax, composite, notes = [], [], [], []
-    for j, ref in enumerate(refs, start=1):
-        e = np.flatnonzero(owner[f] == j)
+    for j, (ref, e, trace) in enumerate(zip(refs, E, traces), start=1):
         if len(e) == 1:
             cap_ratios.append(0.0)
             relax.append(0.0)
             composite.append(0.0)
             continue
         labels = [chain.states[i] for i in f[e]]
-        point = _point_capacities(traces[j - 1], pi.weights[f[e]], labels.index(ref), labels,
+        point = _point_capacities(trace, pi.weights[f[e]], labels.index(ref), labels,
                                   f"check_conditions: valley {j}, reference state {ref!r}")
         cap_ratios.append(float(caps[j - 1] / point.min()))
         t_rel = _valley_relaxation(chain, pi, f[e], reversible, f"check_conditions: valley {j}")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.special
 
 from metastab import (Partition, build_chain, collapse_chain, config, numerics, pathsim,
                       simulate)
@@ -53,6 +54,29 @@ def bd3_partition():
 @pytest.fixture
 def bd4():
     return birth_death(4)
+
+
+def log_series_capacity(log_c, a, b):
+    """log Cap({a}, {b}) of a birth-death chain on 0, 1, ..., n - 1.
+
+    ``log_c[x]`` is log c(x, x+1) = log pi(x) + log r(x, x+1).  The edges
+    between a and b are in series, so Cap = [sum 1/c(x, x+1)]^-1 over
+    min(a, b) <= x < max(a, b), a logsumexp here: exact where pi underflows.
+    """
+    lo, hi = sorted((a, b))
+    return -scipy.special.logsumexp(-log_c[lo:hi])
+
+
+def double_well_log_conductances(points, N):
+    """(log pi, log c) of ``potential_rw:N=<N>,points=<points>`` on its exact grid.
+
+    F = (x^2 - 1)^2 on linspace(-2, 2, points), log pi = -N F - log Z and
+    log r(x, x+1) = -(N/2) (F(x+1) - F(x)), each taken in log space.
+    """
+    x = np.linspace(-2.0, 2.0, points)
+    F = (x * x - 1.0) ** 2
+    log_pi = -N * F - scipy.special.logsumexp(-N * F)
+    return log_pi, log_pi[:-1] - 0.5 * N * (F[1:] - F[:-1])
 
 
 def expm_law(chain, start, t):

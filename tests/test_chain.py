@@ -224,7 +224,7 @@ class TestStationaryOnValleys:
         spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
         chain = spec.chain
         pi = ms.stationary(chain, spec.partition)
-        assert {"_killed_factor", "_valley_traces"} <= chain.__dict__["_store"].keys()
+        assert {"_killed_factor", "_layout", "_valley_traces"} <= chain.__dict__["_store"].keys()
         copy = pickle.loads(pickle.dumps(chain))
         assert "_store" not in copy.__dict__
         assert ms.stationary(copy, spec.partition).weights.tolist() == pi.weights.tolist()

@@ -9,17 +9,20 @@ from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from metastab import cli, config, pathsim, reduction
-from metastab.chain import stationary
+from metastab.chain import Partition, stationary
 from metastab.cli import main
 from metastab.models import build_from_string
 from metastab.pathsim import fdd_compare, sample_valleys
 from metastab.potential import capacity
 from metastab.reduction import coarse_rates
 from metastab.specio import load_chain_spec
+
+from conftest import double_well_log_conductances, log_series_capacity, tamper_solves
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "metastab" / "schema"
@@ -43,14 +46,18 @@ BD4 = {
     "partition": {"valleys": [["1"], ["4"]], "delta": ["2", "3"]},
 }
 
+
+def _path_spec(labels):
+    """The path labels[0] - ... - labels[4], every rate 1.0, its middle state Delta."""
+    return {
+        "states": labels,
+        "rates": [[s, t, 1.0] for a, b in zip(labels, labels[1:]) for s, t in ((a, b), (b, a))],
+        "partition": {"valleys": [labels[:2], labels[3:]], "delta": [labels[2]]},
+    }
+
+
 # a path a - 1 - m - c - 2, its labels strings and JSON numbers
-MIXED_PATH = ["a", 1, "m", "c", 2]
-MIXED = {
-    "states": MIXED_PATH,
-    "rates": [[s, t, 1.0] for a, b in zip(MIXED_PATH, MIXED_PATH[1:])
-              for s, t in ((a, b), (b, a))],
-    "partition": {"valleys": [["a", 1], ["c", 2]], "delta": ["m"]},
-}
+MIXED = _path_spec(["a", 1, "m", "c", 2])
 
 
 def _edited(spec, where, value):
@@ -157,6 +164,14 @@ class TestAnalyze:
             for k, p in enumerate(row):
                 assert p == (0.0 if j == k else red["rates"][j][k] / red["holding_rates"][j])
 
+    @pytest.mark.parametrize("command", [["analyze"], ["validate", "--trials", "3"]],
+                             ids=["analyze", "validate"])
+    def test_partition_validated_once(self, monkeypatch, tmp_path, command):
+        # stationary, coarse_rates, check_conditions and the sampler read one layout
+        calls = _count_calls(monkeypatch, Partition, "validate_for")
+        run_report(command + ["--model", "zero_range:L=3,N=30,alpha=3,p=0.5"], tmp_path)
+        assert len(calls) == 1
+
     def test_one_factorization_larger_than_the_valleys(self, monkeypatch, tmp_path):
         # the block off the valleys: stationary reads pi off the trace chain
         # on the valleys, coarse_rates and check_conditions reuse its factor
@@ -210,6 +225,36 @@ class TestAnalyze:
         pi = build_from_string(model).pi_formula.weights
         assert report["stationary"]["min"] == pytest.approx(pi.min(), rel=1e-12)
 
+    @pytest.mark.parametrize("points, N", [
+        (41, 8), (41, 16), (41, 32), (41, 64), (81, 8),
+        # the dense valley trace (_valley_trace) leaves 6.8e-10 on theta here
+        pytest.param(81, 16, marks=pytest.mark.xfail(
+            strict=True, reason="theta is 6.8e-10 off the series oracle")),
+        (81, 32), (81, 64),
+    ])
+    def test_deep_wells_against_the_series_oracle(self, tmp_path, points, N):
+        # a 1-D walk is a birth-death chain: each capacity is a series conductance
+        model = f"potential_rw:N={N},points={points}"
+        report, _ = run_report(["analyze", "--model", model], tmp_path)
+        spec = build_from_string(model)
+        chain, valleys = spec.chain, [spec.chain.indices_of(v) for v in spec.partition.valleys]
+        log_pi, log_c = double_well_log_conductances(points, N)
+        assert valleys[0].max() < valleys[1].min()
+        log_cap = log_series_capacity(log_c, valleys[0].max(), valleys[1].min())
+        log_theta = np.array([np.logaddexp.reduce(log_pi[e]) - log_cap for e in valleys])
+        log_point = [max(-log_series_capacity(log_c, x, chain.index[ref]) for x in e
+                         if x != chain.index[ref])
+                     for e, ref in zip(valleys, report["conditions"]["reference_states"])]
+
+        def relerr(value, log_exact):
+            return np.abs(np.expm1(np.log(value) - log_exact))
+
+        rates = np.array(report["reduced_model"]["rates"])
+        assert relerr(report["capacities"]["timescales"], log_theta).max() <= 1e-12
+        assert relerr([rates[0, 1], rates[1, 0]], log_theta.min() - log_theta).max() <= 1e-12
+        assert relerr(report["conditions"]["capacity_ratio"],
+                      log_cap + np.array(log_point)).max() <= 1e-12
+
     def test_underflow_is_a_named_solver_failure(self, capsys):
         # pi at the rim of the deepest wells is below the smallest double
         assert main(["analyze", "--model", "potential_rw:N=120,points=41"]) == 4
@@ -236,6 +281,15 @@ class TestAnalyze:
         assert err["type"] == "SolverFailure"
         assert re.fullmatch(r"stationary: valley 1: its trace chain is not irreducible: "
                             r"'.+' is unreachable from '.+'", err["message"])
+
+    @pytest.mark.parametrize("command", ["analyze", "cycles"])
+    def test_trace_chain_errors_name_their_stage(self, capsys, monkeypatch, command):
+        # every solve with many right-hand sides is off by 1e-6
+        tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6) if b.ndim == 2 else x)
+        assert main([command, "--model", "glued_cubes:d=2,N=8,ell=2"]) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "SolverFailure"
+        assert err["message"].startswith("stationary: harmonic measure off the boundary")
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -549,6 +603,25 @@ class TestMixedLabels:
     def test_trace_surgery(self, mixed_spec, tmp_path):
         assert main(["simulate", "--spec", mixed_spec, "--start", "a", "--horizon", "5",
                      "--surgery", "trace", "--out", str(tmp_path / "sim")]) == 0
+
+    def test_number_label_starts(self, mixed_spec, tmp_path):
+        assert main(["simulate", "--spec", mixed_spec, "--start", "1", "--horizon", "5",
+                     "--out", str(tmp_path / "sim")]) == 0
+        report, _ = run_report(["validate", "--spec", mixed_spec, "--start", "1",
+                                "--trials", "3"], tmp_path)
+        assert report["validation"]["fdd"]["start"] == "1"
+
+    @pytest.mark.parametrize("command", [["simulate", "--horizon", "5"],
+                                         ["validate", "--trials", "3"]],
+                             ids=["simulate", "validate"])
+    def test_start_naming_two_labels_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(_path_spec(["a", 1, "m", "c", "1"])))
+        assert main(command + ["--spec", str(path), "--start", "1",
+                               "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == (
+            "BadSpec", "start state '1' matches the labels 1 and '1'")
 
     def test_partition_that_misses_both_kinds(self, mixed_spec, tmp_path, capsys):
         partition = tmp_path / "partition.json"

@@ -363,6 +363,13 @@ class TestEstimateT2:
         est = ms.estimate_T2(ms.sample_valleys(bd3, part, [2.0], 5, 5, starts=("3",)), 2.0, 1.0)
         assert est.per_valley[0].valley == 2
 
+    def test_default_starts_in_deep_wells(self):
+        # the reference states come off the partition route's pi; the
+        # partition-free route gives a negative pi at the outer wall here
+        spec = ms.build_from_string("potential_rw:N=64,points=81")
+        sample = ms.sample_valleys(spec.chain, spec.partition, [1.0], 2, 0)
+        assert sample.starts == ("(-1)", "(1)")
+
     # delta None samples at the T2 horizon, delta 0.5 on the short-time grid of 9.1
     @pytest.mark.parametrize("delta", [None, 0.5])
     def test_unknown_start(self, bd3, bd3_partition, delta):

@@ -25,6 +25,8 @@ from metastab.potential import (
 )
 
 from conftest import (
+    double_well_log_conductances,
+    log_series_capacity,
     random_chain,
     random_disjoint_sets,
     random_reversible_chain,
@@ -125,6 +127,26 @@ class TestEquilibriumPotential:
         d = ms.equilibrium_potential(b2, pi, ["1"], ["2"]).to_dict(b2)
         assert set(d) == {"capacity", "dirichlet_value", "potential"}
         assert d["potential"] == {"1": 1.0, "2": 0.0}
+
+
+class TestSeriesOracle:
+    """``conftest.log_series_capacity``, the deep-well ladder's capacity oracle."""
+
+    def test_series_conductance(self, bd4):
+        pi = ms.stationary(bd4)
+        log_c = np.log(pi.weights[:-1] * [bd4.rate(str(x), str(x + 1)) for x in (1, 2, 3)])
+        for a in range(4):
+            for b in range(a + 1, 4):
+                labels = [str(x + 1) for x in range(a, b + 1)]
+                assert np.exp(log_series_capacity(log_c, b, a)) == pytest.approx(
+                    series_conductance(bd4, pi, labels), rel=1e-14)
+
+    def test_double_well_grid_is_the_model(self):
+        spec = ms.build_from_string("potential_rw:N=8,points=41")
+        log_pi, log_c = double_well_log_conductances(41, 8)
+        pi, up = spec.pi_formula.weights, spec.chain.rates.diagonal(1)
+        assert np.exp(log_pi) == pytest.approx(pi, rel=1e-13)
+        assert np.exp(log_c) == pytest.approx(pi[:-1] * up, rel=1e-13)
 
 
 class TestCapacity:
