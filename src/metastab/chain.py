@@ -274,8 +274,8 @@ def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
     with the chain killed at its stickiest state.
 
     With a partition of at least two valleys, from the trace chain on the
-    valley union and the factorization of Delta that ``coarse_rates`` uses
-    too (``reduction._trace_law``).  No system there spans two wells, so
+    valley union and the valley-flux solve that ``coarse_rates`` reads too
+    (``reduction._trace_law``).  No system there spans two wells, so
     this route stays right in deep wells, where the one through r does not.
     Its residual |pi^T L| must be at most ``stationary_residual`` times the
     max rate, or ``SolverFailure`` is raised.
@@ -328,14 +328,14 @@ def _grounded_law(rates, labels, where: str) -> np.ndarray:
     return w
 
 
-def stationarity_residual(chain: Chain, pi: ProbVector, L=None) -> float:
-    """max |pi^T L|; ``L`` is the chain's generator if the caller has built it."""
-    L = chain.generator_matrix() if L is None else L
-    return float(np.abs(pi.weights @ L).max())
+def stationarity_residual(chain: Chain, pi: ProbVector) -> float:
+    """max |pi^T L| = max |pi^T R - pi lambda|, as ``_grounded_law`` reads it."""
+    w = pi.weights
+    return float(np.abs(w @ chain.rates - w * chain.holding).max())
 
 
-def require_stationary(chain: Chain, pi: ProbVector, L=None):
-    residual = stationarity_residual(chain, pi, L)
+def require_stationary(chain: Chain, pi: ProbVector):
+    residual = stationarity_residual(chain, pi)
     bound = config.DEFAULT.input_stationary * max(chain.max_rate, 1e-300)
     if residual > bound:
         raise NotStationary(
@@ -432,9 +432,8 @@ def spectral_gap(chain: Chain, pi: ProbVector) -> SpectralGap:
         raise TooLarge(
             f"spectral gap needs a dense eigensolve; {chain.n} states exceed "
             f"the guard {guard}")
-    L = chain.generator_matrix(dense=True)
-    require_stationary(chain, pi, L)
-    return generator_gap(L, pi.weights)
+    require_stationary(chain, pi)
+    return generator_gap(chain.generator_matrix(dense=True), pi.weights)
 
 
 def generator_gap(L: np.ndarray, w: np.ndarray) -> SpectralGap:

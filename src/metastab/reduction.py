@@ -52,29 +52,26 @@ def _layout(chain: Chain, partition: Partition):
     return chain._kept("_layout", partition, build)
 
 
-def _valley_flux(chain: Chain, pi: ProbVector, owner: np.ndarray, f: np.ndarray):
-    """One factorization of -L on Delta gives every valley-to-valley flux.
-
-    G[y, k] = P_y[enter F in valley k+1] is the harmonic measure of the
-    valleys (``potential._harmonic_measure``), one solve with one right-hand
-    side per valley; ``owner`` and ``f`` are ``_layout``'s.  Returns
-    flux = G_F^T diag(pi_F) R_F G, the pi-weighted rates of the trace
-    process on F between valleys, and its off-diagonal row sums
-    Cap(valley j, others).  A valley whose escape flux out and in differ
-    means pi is not stationary on F.
+def _valley_flux(chain: Chain, partition: Partition, weights: np.ndarray, where: str):
+    """Phi(j, k) = sum_{x in E_j} weights(x) T_F(x, E_k), 0 for j = k: the
+    weighted rates of the trace process on the valley union F; ``weights``
+    follows ``_layout``'s ``f``.  T_F(x, E_k) = X[x, k-1] for X = R_F G, G the
+    valleys' harmonic measure (``_harmonic_measure``): one solve with one
+    right-hand side per valley, by the Delta factor the chain keeps.  X is kept
+    for pi's valley coupling and ``coarse_rates``; a ``NumericalError`` is
+    raised again naming ``where``.
     """
-    G = _harmonic_measure(chain, owner - 1)
-    flux = G[f].T @ (pi.weights[f, np.newaxis] * (chain.rates[f] @ G))
-    escape = flux - np.diag(np.diag(flux))
-    outflow, inflow = escape.sum(axis=1), escape.sum(axis=0)
-    reldev = np.abs(outflow - inflow) / np.maximum(outflow, inflow)
-    worst = int(np.argmax(reldev))
-    if reldev[worst] > config.DEFAULT.capacity_rel:
-        raise ToleranceViolation(
-            f"valley {worst + 1}: escape flux out {outflow[worst]:.10e} and in "
-            f"{inflow[worst]:.10e} of the trace process differ by "
-            f"{reldev[worst]:.3e} relative; pi is not stationary on the valleys")
-    return flux, outflow
+    owner, f, _ = _layout(chain, partition)
+    def build():
+        try:
+            return chain.rates[f] @ _harmonic_measure(chain, owner - 1)
+        except NumericalError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+    exits = chain._kept("_valley_exits", partition, build)
+    member = np.eye(partition.n)[owner[f] - 1]
+    flux = member.T @ (weights[:, np.newaxis] * exits)
+    np.fill_diagonal(flux, 0.0)
+    return flux
 
 
 @dataclass(frozen=True)
@@ -135,11 +132,20 @@ def coarse_rates(chain: Chain, pi: ProbVector, partition: Partition,
     pi-averaged rate at which the trace process on the valley union jumps
     from valley j into valley k, so that
     pi(valley j) * holding(j) = theta * Cap(valley j, other valleys).
+    Escape fluxes out of and into a valley that differ raise naming the valley.
     """
     if theta is not None and not (np.isfinite(theta) and theta > 0):
         raise BadSpec(f"theta must be finite and positive, got {theta!r}")
     owner, f, E = _layout(chain, partition)
-    flux, caps = _valley_flux(chain, pi, owner, f)
+    flux = _valley_flux(chain, partition, pi.weights[f], "coarse_rates")
+    caps, inflow = flux.sum(axis=1), flux.sum(axis=0)
+    reldev = np.abs(caps - inflow) / np.maximum(caps, inflow)
+    worst = int(np.argmax(reldev))
+    if reldev[worst] > config.DEFAULT.capacity_rel:
+        raise ToleranceViolation(
+            f"coarse_rates: valley {worst + 1}: escape flux out {caps[worst]:.10e} and in "
+            f"{inflow[worst]:.10e} of the trace process differ by "
+            f"{reldev[worst]:.3e} relative; pi is not stationary on the valleys")
     masses = np.array([pi.mass(f[e]) for e in E])
     if theta is None:
         theta = (masses / caps).min()
@@ -197,16 +203,17 @@ class ConditionReport:
 
 
 def _valley_traces(chain: Chain, partition: Partition, where: str):
-    """(T_F, V) for the valley union F of ``partition``, kept on the chain.
+    """V for the valleys of ``partition``, kept on the chain.
 
     A valley above ``spectral_guard`` states raises ``TooLarge`` first: its
     dense trace, Green function and relaxation step grow with its size.
-    T_F = ``_trace_rates`` on F, from the factorization of Delta the chain
-    keeps; ``V[j - 1]`` is T_F traced onto valley j (``_valley_trace``), or
-    None for a singleton valley.  Rows and columns follow the dense index.
-    A ``NumericalError`` on the way is raised again naming ``where``.  Each
-    V_j must be irreducible: one that is not raises ``SolverFailure``
-    naming ``where``, the valley and a pair of states with no path between.
+    ``V[j - 1]`` is T_F traced onto valley j (``_valley_trace``), or None
+    for a singleton valley; T_F = ``_trace_rates`` on the valley union, from
+    the factorization of Delta the chain keeps, is built for them and dropped.
+    Rows and columns follow the dense index.  A ``NumericalError`` on the way
+    is raised again naming ``where``.  Each V_j must be irreducible: one that
+    is not raises ``SolverFailure`` naming ``where``, the valley and a pair of
+    states with no path between.
     """
     _, f, E = _layout(chain, partition)
     guard = config.DEFAULT.spectral_guard
@@ -227,7 +234,7 @@ def _valley_traces(chain: Chain, partition: Partition, where: str):
                 a, b = (chain.states[f[e[i]]] for i in witness)
                 raise SolverFailure(f"{where}: valley {j}: its trace chain is not "
                                     f"irreducible: {b!r} is unreachable from {a!r}")
-        return rates_f, traces
+        return traces
     return chain._kept("_valley_traces", partition, build)
 
 
@@ -236,28 +243,25 @@ def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
 
     pi restricted to F is the stationary law of T_F, and pi on valley j,
     normalized, is mu_j, the law of V_j (``_valley_traces``).  The valleys'
-    coupling C(j, k) = sum_{x in E_j} mu_j(x) T_F(x, E_k) is a rate matrix
-    whose law xi_j is pi(E_j) / pi(F), so pi = xi_j mu_j on E_j.  Off F,
-    pi_D^T = pi_F^T R_FD K_D^-1 is one transposed solve with the factor of
-    Delta the chain keeps.  All factors pivot on K's diagonal: partial
-    pivoting on K would lose the deep wells' small entries.  A valley above
-    ``spectral_guard`` raises ``TooLarge`` first; an entry that is not finite
-    and positive raises ``SolverFailure`` naming the state.
+    coupling C(j, k) = sum_{x in E_j} mu_j(x) T_F(x, E_k) (``_valley_flux``)
+    is a rate matrix whose law xi_j is pi(E_j) / pi(F), so pi = xi_j mu_j on
+    E_j.  Off F, pi_D^T = pi_F^T R_FD K_D^-1 is one transposed solve with the
+    factor of Delta the chain keeps.  All factors pivot on K's diagonal:
+    partial pivoting on K would lose the deep wells' small entries.  A valley
+    above ``spectral_guard`` raises ``TooLarge`` first; an entry that is not
+    finite and positive raises ``SolverFailure`` naming the state.
     """
     owner, f, E = _layout(chain, partition)
-    rates_f, traces = _valley_traces(chain, partition, "stationary")
-    valley = owner[f] - 1
+    traces = _valley_traces(chain, partition, "stationary")
     mu = np.ones(len(f))
     for j, (e, trace) in enumerate(zip(E, traces), start=1):
         if trace is not None:
             mu[e] = _grounded_law(trace, [chain.states[i] for i in f[e]],
                                   f"stationary: valley {j}")
-    member = np.eye(partition.n)[valley]
-    coupling = member.T @ (mu[:, np.newaxis] * rates_f) @ member
-    np.fill_diagonal(coupling, 0.0)
+    coupling = _valley_flux(chain, partition, mu, "stationary")
     xi = _grounded_law(coupling, range(1, partition.n + 1), "stationary: valley coupling")
     w = np.zeros(chain.n)
-    w[f] = xi[valley] * mu
+    w[f] = xi[owner[f] - 1] * mu
     delta = np.flatnonzero(owner == 0)
     if len(delta):
         w[delta] = chain.killed_solver(delta)(chain.rates[f][:, delta].T @ w[f], trans="T")
@@ -410,7 +414,7 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
         j = int(differ[0])
         raise BadPartition(f"valley {j + 1}: the reduced model's mass {float(masses[j])!r} "
                            f"is not the partition's {float(own[j])!r}")
-    traces = _valley_traces(chain, partition, "check_conditions")[1]
+    traces = _valley_traces(chain, partition, "check_conditions")
     refs = partition.reference_states(chain, pi)
     reversible = is_reversible(chain, pi)
     imbalance = float(masses.max() / masses.min())

@@ -220,11 +220,23 @@ class TestStationaryOnValleys:
             b, trans="T")
         assert np.max(np.abs(pivoted - exact[delta]) / exact[delta]) >= 1.0
 
+    def test_kept_valley_traces_hold_only_the_valleys(self):
+        # T_F on the valley union is built for the valley traces and dropped;
+        # the valley coupling keeps one column per valley
+        spec = ms.build_from_string("glued_cubes:d=2,N=8,ell=2")
+        chain, part = spec.chain, spec.partition
+        ms.stationary(chain, part)
+        store = chain.__dict__["_store"]
+        assert [t.shape for t in store["_valley_traces"][1]] == \
+            [(len(v), len(v)) for v in part.valleys]
+        assert store["_valley_exits"][1].shape == (len(part.union()), part.n)
+
     def test_pickle_drops_the_kept_trace_chain(self):
         spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
         chain = spec.chain
         pi = ms.stationary(chain, spec.partition)
-        assert {"_killed_factor", "_layout", "_valley_traces"} <= chain.__dict__["_store"].keys()
+        assert {"_killed_factor", "_layout", "_valley_exits", "_valley_traces"} <= \
+            chain.__dict__["_store"].keys()
         copy = pickle.loads(pickle.dumps(chain))
         assert "_store" not in copy.__dict__
         assert ms.stationary(copy, spec.partition).weights.tolist() == pi.weights.tolist()

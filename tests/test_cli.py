@@ -143,11 +143,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("extra", [[], ["--theta", "50"]])
     def test_one_flux_kernel_per_result(self, monkeypatch, tmp_path, extra):
-        # coarse_rates runs the kernel; the default theta, the time scales,
-        # the jump probabilities and check_conditions read its result
+        # stationary's valley coupling makes the valleys' one harmonic-measure
+        # solve; coarse_rates reads it, and the default theta, the time scales,
+        # the jump probabilities and check_conditions read coarse_rates' result
         model = "glued_cubes:d=2,N=8,ell=2"
         delta = len(build_from_string(model).partition.delta)
-        calls = _count_calls(monkeypatch, reduction, "_valley_flux")
+        calls = _count_calls(monkeypatch, reduction, "_harmonic_measure")
         factor = spla.splu
         sizes = []
 
@@ -287,6 +288,14 @@ class TestAnalyze:
         # every solve with many right-hand sides is off by 1e-6
         tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6) if b.ndim == 2 else x)
         assert main([command, "--model", "glued_cubes:d=2,N=8,ell=2"]) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "SolverFailure"
+        assert err["message"].startswith("stationary: harmonic measure off the boundary")
+
+    def test_valley_flux_solve_errors_name_stationary(self, capsys, monkeypatch):
+        # only the valleys' harmonic-measure solve, one column per valley, is off
+        tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6) if b.shape[1:] == (4,) else x)
+        assert main(["analyze", "--model", "glued_cubes:d=2,N=8,ell=2"]) == 4
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "SolverFailure"
         assert err["message"].startswith("stationary: harmonic measure off the boundary")
@@ -486,7 +495,7 @@ class TestValidate:
         assert b1 == b2
 
     def test_one_flux_kernel(self, bd3_spec, monkeypatch, tmp_path):
-        calls = _count_calls(monkeypatch, reduction, "_valley_flux")
+        calls = _count_calls(monkeypatch, reduction, "_harmonic_measure")
         run_report(["validate", "--spec", bd3_spec, "--grid", "0.5", "--trials", "20",
                     "--seed", "5"], tmp_path)
         assert len(calls) == 1

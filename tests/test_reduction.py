@@ -16,6 +16,7 @@ from metastab.errors import (
     TooLarge,
     ToleranceViolation,
 )
+from metastab.specio import chain_from_dict
 
 from conftest import (
     birth_death,
@@ -26,6 +27,7 @@ from conftest import (
     scale_first,
     tamper_solves,
 )
+from test_golden import CASES as GOLDEN_CASES, SPECS as GOLDEN_SPECS
 
 
 class TestCoarseRates:
@@ -81,6 +83,26 @@ class TestCoarseRates:
         skewed = ms.ProbVector(np.array([0.5, 0.25, 0.25]))
         with pytest.raises(ToleranceViolation):
             ms.coarse_rates(bd3, skewed, bd3_partition, 1.0)
+
+    def test_harmonic_measure_error_names_the_stage(self, monkeypatch):
+        # only the valleys' harmonic-measure solve, one column per valley, is off
+        spec = ms.build_from_string("glued_cubes:d=2,N=8,ell=2")
+        tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6) if b.shape[1:] == (4,) else x)
+        with pytest.raises(SolverFailure, match=r"^coarse_rates: harmonic measure off the "
+                                                r"boundary \(188 states\)"):
+            ms.coarse_rates(spec.chain, ms.stationary(spec.chain), spec.partition)
+
+    def test_flux_balance_error_names_the_stage(self):
+        # pi on one state of valley 1 next to Delta is off by 1e-6
+        spec = ms.build_from_string("glued_cubes:d=2,N=8,ell=2")
+        chain, part = spec.chain, spec.partition
+        w = ms.stationary(chain).weights.copy()
+        delta = chain.indices_of(part.delta)
+        x = next(i for i in chain.indices_of(part.valley(1)) if chain.rates[i][:, delta].nnz)
+        w[x] *= 1.0 + 1e-6
+        with pytest.raises(ToleranceViolation, match=r"^coarse_rates: valley 1: escape flux "
+                                                     r"out .* differ by .* relative"):
+            ms.coarse_rates(chain, ms.ProbVector(w / w.sum()), part)
 
     def test_default_theta_is_smallest_timescale(self):
         spec = ms.zero_range(3, 10, 3.0, 0.7)
@@ -182,6 +204,54 @@ def test_reduction_matches_reference_routes(case):
             assert model.rate(j, k) == pytest.approx(via_trace, rel=1e-9)
             assert probs[k] == pytest.approx(
                 collapsed_jump_probability(chain, pi, part, j, k), rel=1e-9)
+
+
+# every analyze input of the golden reports: a spec name or a model string
+GOLDEN_ANALYZE = sorted({spec or args[args.index("--model") + 1]
+                         for spec, args in GOLDEN_CASES.values() if args[0] == "analyze"})
+
+
+@pytest.mark.parametrize("source", GOLDEN_ANALYZE + ["potential_rw:N=16,points=81",
+                                                     "potential_rw:N=64,points=81"])
+def test_valley_flux_matches_the_trace_chain_route(source):
+    """Phi(j, k) = sum_{x in E_j} pi(x) T_F(x, E_k), read off the dense trace
+    chain T_F on the valley union, gives coarse_rates' capacities and rates."""
+    if source in GOLDEN_SPECS:
+        chain, part = chain_from_dict(GOLDEN_SPECS[source])
+    else:
+        spec = ms.build_from_string(source)
+        chain, part = spec.chain, spec.partition
+    pi = ms.stationary(chain, part)
+    model = ms.coarse_rates(chain, pi, part)
+    f = chain.indices_of(part.union())
+    member = np.eye(part.n)[part.validate_for(chain)[f] - 1]
+    flux = member.T @ (pi.weights[f, np.newaxis] * potential._trace_rates(chain, f)) @ member
+    np.fill_diagonal(flux, 0.0)
+    np.testing.assert_allclose(model.capacities, flux.sum(axis=1), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(model.rates, model.theta * flux / model.masses[:, np.newaxis],
+                               rtol=1e-14, atol=0.0)
+
+
+def test_library_pipeline_makes_one_valley_solve(monkeypatch):
+    """timescales, coarse_rates and jump_probabilities for every valley read
+    the valleys' one harmonic-measure solve, which the chain keeps."""
+    spec = ms.build_from_string("glued_cubes:d=2,N=8,ell=2")
+    chain, part = spec.chain, spec.partition
+    pi = ms.stationary(chain)
+    solve = reduction._harmonic_measure
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(reduction, "_harmonic_measure", counted)
+    theta = float(ms.timescales(chain, pi, part).values.min())
+    ms.coarse_rates(chain, pi, part, theta)
+    for j in range(1, part.n + 1):
+        ms.jump_probabilities(chain, pi, part, j)
+    assert part.n == 4
+    assert len(calls) == 1
 
 
 # the analyze rungs of the benchmark's reduce-sweep workload
