@@ -391,21 +391,22 @@ def dirichlet_form(chain: Chain, pi: ProbVector, f):
     """
     f = np.asarray(f, dtype=float)
     coo = chain.rates.tocoo()
-    return _two_form(coo.row, coo.col, coo.data, pi.weights, f, apply_generator(chain, f))
-
-
-def _two_form(src, dst, rates, w, f, lf):
-    """``dirichlet_form`` on the edges ``src`` -> ``dst`` with ``rates``, the
-    measure ``w`` and ``lf`` = L f, which the caller has computed."""
-    weights, diffs, pi_w = w[src] * rates, f[dst] - f[src], w
+    weights, diffs, w = pi.weights[coo.row] * coo.data, f[coo.col] - f[coo.row], pi.weights
     if f.ndim == 2:
-        weights, pi_w = weights[:, np.newaxis], pi_w[:, np.newaxis]
-    pair_sum = np.atleast_1d(0.5 * np.sum(weights * diffs ** 2, axis=0))
-    inner = np.atleast_1d(-np.sum(pi_w * f * lf, axis=0))
+        weights, w = weights[:, np.newaxis], w[:, np.newaxis]
+    pair_sum = 0.5 * np.sum(weights * diffs ** 2, axis=0)
+    inner = -np.sum(w * f * apply_generator(chain, f), axis=0)
+    return _two_form(pair_sum, inner, f, chain.max_rate)
+
+
+def _two_form(pair_sum, inner, f, max_rate):
+    """``dirichlet_form``'s check that the pair sum and the inner form of ``f``
+    agree, per column, on ``len(f)`` states whose largest rate is ``max_rate``."""
+    pair_sum, inner = np.atleast_1d(pair_sum), np.atleast_1d(inner)
     scale = np.maximum(np.maximum(np.abs(pair_sum), np.abs(inner)), 1e-300)
     span = np.atleast_1d(np.abs(f).max(axis=0)) + 1.0
     bound = np.maximum(config.DEFAULT.rel * scale, 64 * np.finfo(float).eps
-                       * rates.max(initial=0.0) * span * span * len(w))
+                       * max_rate * span * span * len(f))
     bad = np.flatnonzero(np.abs(pair_sum - inner) > bound)
     if len(bad):
         k = int(bad[0])

@@ -286,10 +286,6 @@ def _valley_trace(rates, e) -> np.ndarray:
     return _drop_dust(rates[np.ix_(e, e)] + rates[np.ix_(e, out)] @ harmonic, rates.max())
 
 
-# the two-form check's (edges x columns) arrays stay near this many entries
-_TWO_FORM_BLOCK = 1 << 22
-
-
 def _point_capacities(rates, weights, ref: int, labels, where: str) -> np.ndarray:
     """Cap(x, ref) for every state x but ``ref`` of the dense rates V_j of a
     valley's trace chain, from one solve.
@@ -302,14 +298,14 @@ def _point_capacities(rates, weights, ref: int, labels, where: str) -> np.ndarra
     potential h_x = P[hit x before ref].  Each capacity is checked as in
     ``equilibrium_potential``: an escape probability above 1 is a solver
     failure, h_x must be harmonic off {x, ref}, D(h_x) must pass the
-    two-form check of ``dirichlet_form`` (on pi conditioned to the valley,
-    in column blocks, with the one product L h), and pi(x) / G(x, x) and
-    D(h_x) must agree within ``capacity_rel``.  A failed check raises
+    two-form check of ``dirichlet_form`` (on pi conditioned to the valley),
+    and pi(x) / G(x, x) and D(h_x) must agree within ``capacity_rel``.  Both
+    forms come from the one product L h, with no sum over edges: the inner
+    form is -sum_i pi(i) h_x(i) (L h_x)(i), and the pair sum is that plus
+    (1/2) sum_y h_x(y)^2 (pi L)(y).  A failed check raises
     ``SolverFailure`` or ``ToleranceViolation`` naming ``where`` and the state.
     """
     n = len(rates)
-    src, dst = np.nonzero(rates)
-    edge_rates = rates[src, dst]
     holding = rates.sum(axis=1)
     rest = np.flatnonzero(np.arange(n) != ref)
     G = numerics.factor(numerics.killed(rates, rest))(np.eye(len(rest)))
@@ -333,17 +329,16 @@ def _point_capacities(rates, weights, ref: int, labels, where: str) -> np.ndarra
     np.fill_diagonal(off, 0.0)
     residual = np.abs(off).max(axis=0)
     k = int(np.argmax(residual))
-    if residual[k] > rel * max(edge_rates.max(), 1.0):
+    if residual[k] > rel * max(rates.max(), 1.0):
         raise SolverFailure(f"{state(k)}: harmonicity residual {residual[k]:.3e} too large")
     mass = float(weights.sum())
-    step = max(1, _TWO_FORM_BLOCK // len(edge_rates))
-    dirichlet = np.empty(len(rest))
-    for block in (slice(start, start + step) for start in range(0, len(rest), step)):
-        try:
-            dirichlet[block] = mass * _two_form(src, dst, edge_rates, weights / mass,
-                                                h[:, block], lh[:, block])
-        except NotStationary as exc:
-            raise ToleranceViolation(f"{state(block.start + exc.column)}: {exc}") from exc
+    w = weights / mass
+    inner = -(w @ (h * lh))
+    pair_sum = inner + 0.5 * ((w @ rates - w * holding) @ (h * h))
+    try:
+        dirichlet = mass * _two_form(pair_sum, inner, h, rates.max())
+    except NotStationary as exc:
+        raise ToleranceViolation(f"{state(exc.column)}: {exc}") from exc
     caps = weights[rest] / green
     reldev = np.abs(caps - dirichlet) / np.maximum(np.maximum(caps, dirichlet), 1e-300)
     k = int(np.argmax(reldev))

@@ -430,6 +430,52 @@ def test_point_capacity_two_form_check_names_its_source():
     assert "not stationary" in message
 
 
+@pytest.mark.parametrize("source, two_form_down_to, disagree_at", [
+    ("glued_cubes:d=2,N=6,ell=1", 9, None),
+    ("zero_range:L=3,N=30,alpha=3,p=0.5", 9, None),
+    ("potential_rw:N=16,points=41", 7, 8),
+])
+def test_point_capacity_two_form_check_keeps_its_reach(source, two_form_down_to, disagree_at):
+    """pi scaled by 1 - 10^-p at one inner state of valley 1: the two-form
+    check fires for p <= ``two_form_down_to``, the capacity routes disagree
+    at p = ``disagree_at``, and nothing fires for smaller faults."""
+    spec = ms.build_from_string(source)
+    chain, part = spec.chain, spec.partition
+    exact = ms.stationary(chain, part)
+    ix = chain.indices_of(part.valley(1))
+    ref = part.reference_states(chain, exact)[0]
+    inner = next(i for i in ix if chain.states[i] != ref
+                 and set(chain.rates[i].indices) <= set(ix)
+                 and set(chain.rates[:, [i]].tocoo().row) <= set(ix))
+    for p in range(5, 13):
+        weights = exact.weights.copy()
+        weights[inner] *= 1.0 - 10.0 ** -p
+        pi = ms.ProbVector(weights / weights.sum())
+        model = ms.coarse_rates(chain, pi, part, spec.suggested_theta)
+        if p <= two_form_down_to or p == disagree_at:
+            phrase = "not stationary" if p <= two_form_down_to else "capacity routes disagree"
+            with pytest.raises(ToleranceViolation, match=phrase):
+                ms.check_conditions(chain, pi, part, model)
+        else:
+            ms.check_conditions(chain, pi, part, model)
+
+
+def test_two_form_gap_is_half_the_squares_against_pi_l():
+    """D(f) - <(-L) f, f>_w = (1/2) sum_y f(y)^2 (w L)(y) for any weights w,
+    the identity by which ``_point_capacities`` forms D(h_x) from L h."""
+    rng = np.random.default_rng(28)
+    rates = rng.uniform(0.1, 2.0, (12, 12))
+    np.fill_diagonal(rates, 0.0)
+    L = rates - np.diag(rates.sum(axis=1))
+    w = rng.uniform(0.5, 1.5, 12)
+    assert np.abs(w @ L).max() > 0.1  # w is far from stationary
+    f = rng.standard_normal((12, 5))
+    edge_sum = 0.5 * np.einsum("i,ij,ijk->k", w, rates, (f[None, :] - f[:, None]) ** 2)
+    inner = -np.sum(w[:, None] * f * (L @ f), axis=0)
+    half_squares = 0.5 * (w @ L) @ (f * f)
+    assert edge_sum - inner == pytest.approx(half_squares, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_relaxation_matches_reflected_chain_route(case):
     """Each valley's relaxation time is that of the public route, the
