@@ -32,7 +32,7 @@ from .pathsim import (
     project,
     sample_valleys,
     short_time_grid,
-    simulate,
+    simulate_paths,
     trace_path,
 )
 from .reduction import check_conditions, coarse_rates
@@ -177,8 +177,8 @@ def cmd_simulate(args) -> int:
     jump_counts = {}
     files = []
     total_time = 0.0
-    for trial in range(args.trials):
-        raw = simulate(chain, start, args.horizon, (args.seed, trial))
+    seeds = [(args.seed, trial) for trial in range(args.trials)]
+    for trial, raw in enumerate(simulate_paths(chain, start, args.horizon, seeds)):
         if args.surgery == "none":
             out_path = raw
         elif args.surgery == "trace":

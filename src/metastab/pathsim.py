@@ -5,12 +5,23 @@ ordered jump times with their post-jump states, and a horizon.  Coarse paths
 use the integer alphabet {0, 1, ..., n}: valley j maps to j, the separating
 set maps to 0.
 
+Every path is sampled by one kernel (``_trajectories``) that moves a group of
+paths in lockstep.  Each path draws from its own stream in blocks of at most
+``_BLOCK`` exponentials, then as many uniforms, sized as if it ran alone, so a
+path does not depend on the group it is drawn in.  One jump of the whole group
+is one add and one gather from the chain's guide table (the cutpoint method of
+Chen and Asau, 1974): a state's row of G cells maps each uniform's cell,
+floor(u G), to its target, and a cell that a cumulative jump probability falls
+in marks a fallback to bisection.  A round holds per path one block of
+exponentials and of states, 16 bytes a draw, and ``_UNIFORMS`` uniforms.
+
 Sojourn sums are accumulated left to right everywhere, so the total length of
 a trace path equals the occupation time of its set bit for bit.  The three
 validators read one sample (``sample_valleys``): per start and trial, the
-valley at each time and the time in the separating set up to it.  Trial k of
-the i-th start draws from the stream (seed + 1000 i, k), so every estimate is
-reproducible and independent of worker count.
+valley at each time and the time in the separating set up to it, recorded
+block by block.  Trial k of the i-th start draws from the stream
+(seed + 1000 i, k), so every estimate is reproducible and independent of
+worker count and group split.
 """
 
 import bisect
@@ -93,50 +104,104 @@ def _build_path(initial, events, horizon):
 # that go unused past the horizon.
 _BLOCK = 8192
 
+# Cells per state of the guide table, a power of two so that floor(u * cells) is
+# exact: 3.9 MiB for 496 states.  Halved while a chain's table would hold more
+# than _GUIDE_CELLS cells (32 MiB), so large chains trade fallbacks for memory.
+_GUIDE = 1024
+_GUIDE_CELLS = 1 << 22
 
-def _trajectory(tables, start, horizon, rng):
-    """Jump times and post-jump states (arrays) of one path from ``start`` on [0, horizon].
+# Most paths moved in lockstep.  A round holds per path one block of
+# exponentials and states (16 bytes a draw) and _UNIFORMS uniforms: at most
+# 8.9 MB for 64 paths.  Narrower groups pay the per-step numpy calls for fewer
+# paths; about 15 paths break even with drawing each path jump by jump.
+_GROUP = 64
+_UNIFORMS = 1024
 
-    ``tables`` is ``_chain_tables``' pair.  Exponentials and uniforms come
-    from ``rng`` in blocks: only the embedded jump chain runs per jump, one
-    uniform bisected into the state's cumulative jump probabilities, and each
-    block's jump times are its exponentials scaled by the mean holding time,
-    summed left to right from the last time.  A block holds about 1.25 times
-    the jumps expected before the horizon at the rate seen so far (at first
-    the start state's), at most ``_BLOCK``; draws past the horizon are unused.
+_FALLBACK = -1  # guide cell with a cumulative jump probability inside it
+
+
+def _trajectories(tables, guide, starts, horizon, rngs):
+    """Jump times and post-jump states of one path per start on [0, horizon], in lockstep.
+
+    ``tables`` is ``_chain_tables``' pair and ``guide`` the chain's ``_guide_table``;
+    path k starts at ``starts[k]`` and draws from ``rngs[k]``.  Each path draws its
+    exponentials and uniforms in blocks as if alone: a block holds about 1.25 times
+    the jumps expected before the horizon at the rate seen so far (at first the start
+    state's), at most ``_BLOCK``, and its jump times are its exponentials scaled by
+    the mean holding time, summed left to right from the last time.  A round moves
+    every unfinished path through its next block: one jump of all of them is one add
+    of the uniforms' guide cells to their states' row offsets and one gather from the
+    guide table.  A path that lands on a ``_FALLBACK`` cell bisects its uniform into
+    the state's cumulative jump probabilities instead, so every jump is the one
+    ``bisect_left`` would pick.
+
+    Yields (k, times, states, ended) per unfinished path per round, path by path: the
+    block's jumps up to the horizon, and whether the path ended in it.
     """
     rows, mean_holding = tables
-    bl = bisect.bisect_left
-    t, state, jumps = 0.0, start, 0
-    rate = 1.0 / mean_holding[start]
-    time_blocks, state_blocks = [], []
-    while True:
-        want = 1.25 * (horizon - t) * rate
-        size = _BLOCK if want >= _BLOCK else int(want) + 1
-        holds = rng.standard_exponential(size)
-        visited = [state]
-        for u in rng.random(size).tolist():
-            targets, cumprob = rows[state]
-            state = targets[bl(cumprob, u)]
-            visited.append(state)
-        visited = np.fromiter(visited, dtype=np.intp, count=size + 1)
-        steps = holds * mean_holding[visited[:-1]]
-        steps[0] += t
-        times = np.cumsum(steps)
-        cut = int(np.searchsorted(times, horizon, side="right"))
-        time_blocks.append(times[:cut])
-        state_blocks.append(visited[1:cut + 1])
-        if cut < size:
-            return np.concatenate(time_blocks), np.concatenate(state_blocks)
-        t, jumps = float(times[-1]), jumps + size
-        rate = jumps / t
+    cells = guide.shape[1]
+    shift = cells.bit_length() - 1
+    add, take, bl = np.add, guide.reshape(-1).take, bisect.bisect_left
+    t = [0.0] * len(starts)
+    state = list(starts)
+    jumps = [0] * len(starts)
+    rate = [1.0 / mean_holding[s] for s in starts]
+    live = list(range(len(starts)))
+    # column j walks path live[j] through a round: row 0 holds its state's row
+    # offset and row i + 1 its i-th uniform's cell until the i-th jump overwrites
+    # it with the next state's; rows past a block's end hold cell 0, a valid one
+    walks = np.empty((_BLOCK + 1, len(starts)), dtype=np.intp)
+    while live:
+        holds = []
+        for k in live:
+            want = 1.25 * (horizon - t[k]) * rate[k]
+            holds.append(rngs[k].standard_exponential(_BLOCK if want >= _BLOCK
+                                                      else int(want) + 1))
+        sizes = [len(h) for h in holds]
+        walk = walks[:max(sizes) + 1, :len(live)]
+        walk[0] = [state[k] << shift for k in live]
+        walk[1:] = 0
+        pos = np.empty(len(live), dtype=np.intp)
+        for first in range(0, len(walk) - 1, _UNIFORMS):
+            # the block's uniforms, _UNIFORMS at a time: the draws of one call
+            uniforms = [rngs[k].random(min(max(size - first, 0), _UNIFORMS))
+                        for k, size in zip(live, sizes)]
+            for j, u in enumerate(uniforms):
+                walk[first + 1:first + 1 + len(u), j] = u * cells
+            for i in range(first, min(first + _UNIFORMS, len(walk) - 1)):
+                here, there = walk[i], walk[i + 1]
+                add(here, there, pos)
+                take(pos, None, there, "clip")
+                j = there.argmin()
+                while there[j] < 0:
+                    if i < sizes[j]:
+                        targets, cumprob = rows[int(here[j]) >> shift]
+                        there[j] = targets[bl(cumprob, uniforms[j][i - first])] << shift
+                    else:
+                        there[j] = 0
+                    j = there.argmin()
+        running = []
+        for j, k in enumerate(live):
+            path = walk[:sizes[j] + 1, j] >> shift
+            times = holds[j] * mean_holding[path[:-1]]
+            times[0] += t[k]
+            np.cumsum(times, out=times)
+            cut = int(np.searchsorted(times, horizon, side="right"))
+            yield k, times[:cut], path[1:cut + 1], cut < sizes[j]
+            if cut == sizes[j]:
+                running.append(k)
+                t[k], state[k], jumps[k] = float(times[-1]), int(path[-1]), jumps[k] + sizes[j]
+                rate[k] = jumps[k] / t[k]
+        live = running
 
 
 def _chain_tables(chain: Chain):
     """Sampling tables of a Chain by dense index, built once and kept on it.
 
     A pair: per state its targets and their cumulative jump probabilities,
-    which end at exactly 1, and the array of mean holding times.
+    which end at exactly 1, and the array of mean holding times.  The guide
+    table (``_guide_table``) is kept beside it and read off the same
+    probabilities; ``_trajectories`` bisects them only on its fallback cells.
     """
     def build():
         rates = chain.rates
@@ -147,6 +212,37 @@ def _chain_tables(chain: Chain):
             rows.append((rates.indices[sl].tolist(), (cum / cum[-1]).tolist()))
         return rows, 1.0 / chain.holding
     return chain._kept("_jump_tables", None, build)
+
+
+def _guide_table(chain: Chain):
+    """The guide table of a Chain's jump chain, built once and kept on it.
+
+    An array of n rows of G cells, G a power of two: cell c of state i covers the
+    uniforms u with floor(u G) = c, that is [c / G, (c + 1) / G).  Where none of
+    the state's cumulative jump probabilities lies in that interval, every such u
+    jumps to one target, and the cell holds that target's row offset, G times its
+    index; otherwise it holds ``_FALLBACK``.  Built from ``_chain_tables``' rows, so
+    both read the same cumulative probabilities.
+    """
+    def build():
+        rates, n = chain.rates, chain.n
+        cells = _GUIDE
+        while cells > 1 and n * cells > _GUIDE_CELLS:
+            cells //= 2
+        # the cell of each cumulative probability, and of the one before it in its
+        # row (-1 before the first); the final 1 falls in cell G, past the row
+        cumprob = np.concatenate([cum for _, cum in _chain_tables(chain)[0]])
+        cell = (cumprob * cells).astype(np.intp)
+        prev = np.concatenate(([-1], cell[:-1]))
+        prev[rates.indptr[:-1]] = -1
+        # per probability, in row order: the cells after prev's and before its own
+        # jump to its target, and its own cell, unless prev's, falls back
+        values = np.stack((rates.indices.astype(np.intp) << (cells.bit_length() - 1),
+                           np.full(len(cell), _FALLBACK)), axis=1)
+        counts = np.stack((np.maximum(cell - prev - 1, 0), (prev < cell) & (cell < cells)),
+                          axis=1)
+        return np.repeat(values.ravel(), counts.ravel()).reshape(n, cells)
+    return chain._kept("_guide_table", None, build)
 
 
 def _require_positive(name, value):
@@ -166,14 +262,32 @@ def simulate(chain: Chain, start, horizon, seed) -> Path:
     ``start`` is a state label or a ProbVector to draw it from.  ``seed`` may
     be an int or a sequence of ints; given the same seed the path is identical.
     """
+    return next(simulate_paths(chain, start, horizon, [seed]))
+
+
+def simulate_paths(chain: Chain, start, horizon, seeds):
+    """``simulate``'s path for each seed, in order, drawn in lockstep groups.
+
+    Every path is the one ``simulate`` draws from its seed.  Up to ``_GROUP`` paths
+    are drawn together, and a group's jump times and states are held until its last
+    path ends; each Path is built as it is yielded.
+    """
     _require_positive("horizon", horizon)
-    rng = np.random.default_rng(seed)
-    start_idx = (int(rng.choice(chain.n, p=start.weights))
-                 if isinstance(start, ProbVector) else _start_index(chain, start))
-    times, states = _trajectory(_chain_tables(chain), start_idx, horizon, rng)
-    labels = chain.states
-    return Path(labels[start_idx],
-                tuple(zip(times.tolist(), [labels[s] for s in states.tolist()])), horizon)
+    tables, guide, labels = _chain_tables(chain), _guide_table(chain), chain.states
+    seeds = list(seeds)
+    for first in range(0, len(seeds), _GROUP):
+        rngs = [np.random.default_rng(seed) for seed in seeds[first:first + _GROUP]]
+        starts = [int(rng.choice(chain.n, p=start.weights)) if isinstance(start, ProbVector)
+                  else _start_index(chain, start) for rng in rngs]
+        blocks = [([], []) for _ in starts]
+        for k, times, states, _ in _trajectories(tables, guide, starts, horizon, rngs):
+            blocks[k][0].append(times)
+            blocks[k][1].append(states)
+        for start_idx, (times, states) in zip(starts, blocks):
+            yield Path(labels[start_idx],
+                       tuple(zip(np.concatenate(times).tolist(),
+                                 [labels[s] for s in np.concatenate(states).tolist()])),
+                       horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -441,26 +555,52 @@ def skorohod_distance(p1: Path, p2: Path) -> float:
 # Monte-Carlo validators
 
 
-def _record_trial(payload):
-    """One trial: the valley (0 for Delta) at ``times`` and the time in Delta up to each.
+class _TrialRecord:
+    """One path's valley (0 for Delta) at ``times`` and its time in Delta up to each.
 
-    The path runs to the last time.  Both equal ``state_at`` and ``occupation_time`` of
-    the path cut at each time bit for bit: maximal Delta-runs are summed left to right.
+    Fed the path block by block (``add``), it keeps only the valley, the time in
+    Delta over the runs that ended, and the start of a run still open; a time is
+    recorded once no later block can hold a jump at or before it.  Both records equal
+    ``state_at`` and ``occupation_time`` of the path cut at each time bit for bit:
+    maximal Delta-runs are summed left to right.
     """
-    tables, owner, start, times, seed_pair = payload
-    jump_times, states = _trajectory(tables, start, float(times[-1]),
-                                     np.random.default_rng(seed_pair))
-    valleys = owner[np.concatenate(([start], states))]
-    bounds = np.concatenate(([0.0], jump_times, times[-1:]))
-    edges = np.diff((valleys == 0).astype(np.int8), prepend=0, append=0)
-    run_starts, run_ends = bounds[edges == 1], bounds[edges == -1]
-    done = np.concatenate(([0.0], np.cumsum(run_ends - run_starts)))
-    at = valleys[np.searchsorted(jump_times, times, side="right")]
-    begun = np.searchsorted(run_starts, times, side="right")  # runs begun by each time
-    occupation, inside = done[begun], at == 0
-    k = begun[inside] - 1                                     # the run each time is inside
-    occupation[inside] = done[k] + (times[inside] - run_starts[k])
-    return at, occupation
+
+    def __init__(self, owner, start, times):
+        self.owner, self.times = owner, times
+        self.at = np.empty(len(times), dtype=owner.dtype)
+        self.occupation = np.empty(len(times))
+        self.valley, self.done, self.recorded = owner[start], 0.0, 0
+        self.entered = np.array([0.0] if self.valley == 0 else [])
+
+    def add(self, jump_times, states, ended):
+        valleys = np.concatenate(([self.valley], self.owner[states]))
+        edges = np.diff((valleys == 0).astype(np.int8))
+        run_starts = np.concatenate((self.entered, jump_times[edges == 1]))
+        run_ends = jump_times[edges == -1]
+        done = np.cumsum(np.concatenate(([self.done], run_ends - run_starts[:len(run_ends)])))
+        last = (len(self.times) if ended
+                else int(np.searchsorted(self.times, jump_times[-1], side="left")))
+        times = self.times[self.recorded:last]
+        at = valleys[np.searchsorted(jump_times, times, side="right")]
+        begun = np.searchsorted(run_starts, times, side="right")  # runs begun by each time
+        inside = at == 0
+        occupation = done[begun - inside]                         # runs ended by each time
+        occupation[inside] += times[inside] - run_starts[begun[inside] - 1]
+        self.at[self.recorded:last], self.occupation[self.recorded:last] = at, occupation
+        self.valley, self.done, self.recorded = valleys[-1], done[-1], last
+        self.entered = run_starts[len(run_ends):]
+
+
+def _record_group(payload):
+    """The records of a group of trials, (valleys, occupations) per trial, in order."""
+    tables, guide, owner, times, group = payload
+    starts = [start for start, _ in group]
+    rngs = [np.random.default_rng(seed_pair) for _, seed_pair in group]
+    records = [_TrialRecord(owner, start, times) for start in starts]
+    for k, jump_times, states, ended in _trajectories(tables, guide, starts, float(times[-1]),
+                                                     rngs):
+        records[k].add(jump_times, states, ended)
+    return [(r.at, r.occupation) for r in records]
 
 
 def _cpus():
@@ -486,8 +626,9 @@ def sample_valleys(chain: Chain, partition: Partition, times, trials: int, seed:
 
     ``starts`` defaults to the partition's reference states; each must be a known state
     inside a valley, and none may repeat.  Trial k of the i-th start (i = 1, 2, ...)
-    draws from the stream (seed + 1000 i, k).  All trials run in this process at
-    ``jobs <= 1``, else in one pool of at most ``jobs`` workers, trials or CPUs.
+    draws from the stream (seed + 1000 i, k).  The paths run in order in lockstep
+    groups of at most ``_GROUP``: all in this process at ``jobs <= 1``, else split
+    evenly over one pool of at most ``jobs`` workers, trials or CPUs.
     """
     owner = _layout(chain, partition)[0]
     starts = tuple(partition.reference_states(chain, stationary(chain, partition))
@@ -503,16 +644,19 @@ def sample_valleys(chain: Chain, partition: Partition, times, trials: int, seed:
         raise BadSpec(f"sample times must be finite, >= 0 and end at a positive horizon: {times}")
     if trials < 1:
         raise BadSpec(f"trials must be at least 1, got {trials!r}")
-    tables, grid = _chain_tables(chain), np.array(times)
-    payloads = [(tables, owner, start_idx, grid, (seed + 1000 * i, k))
-                for i, start_idx in enumerate(index, start=1) for k in range(trials)]
+    paths = [(start_idx, (seed + 1000 * i, k))
+             for i, start_idx in enumerate(index, start=1) for k in range(trials)]
+    workers = min(jobs, len(paths), _cpus())
+    width = _GROUP if jobs <= 1 else min(_GROUP, -(-len(paths) // workers))
+    tables, guide, grid = _chain_tables(chain), _guide_table(chain), np.array(times)
+    payloads = [(tables, guide, owner, grid, paths[first:first + width])
+                for first in range(0, len(paths), width)]
     if jobs <= 1:
-        records = [_record_trial(p) for p in payloads]
+        groups = [_record_group(p) for p in payloads]
     else:
-        workers = min(jobs, len(payloads), _cpus())
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_record_trial, payloads,
-                                    chunksize=max(1, len(payloads) // (4 * workers))))
+            groups = list(pool.map(_record_group, payloads))
+    records = [r for group in groups for r in group]
     shape = (len(starts), trials, len(times))
     return ValleySample(tuple(times), starts, valleys, trials,
                         np.array([r[0] for r in records]).reshape(shape),

@@ -383,6 +383,25 @@ class TestSimulate:
         for name in ("trajectory_0000.csv", "trajectory_0001.csv", "summary.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_trials_drawn_together_match_single_paths(self, bd3_spec, monkeypatch, tmp_path):
+        sampler, widths = pathsim._trajectories, []
+
+        def recorded(tables, guide, starts, *args):
+            widths.append(len(starts))
+            return sampler(tables, guide, starts, *args)
+
+        monkeypatch.setattr(pathsim, "_trajectories", recorded)
+        d = tmp_path / "sim"
+        assert main(["simulate", "--spec", bd3_spec, "--start", "1", "--horizon", "300",
+                     "--trials", "3", "--seed", "7", "--out", str(d)]) == 0
+        assert widths == [3]
+        chain, _ = load_chain_spec(bd3_spec)
+        for trial in range(3):
+            one = tmp_path / "one.csv"
+            cli._write_trajectory(pathsim.simulate(chain, "1", 300.0, (7, trial)), one)
+            assert (d / f"trajectory_{trial:04d}.csv").read_bytes() == one.read_bytes()
+        assert widths == [3, 1, 1, 1]
+
     def test_trace_surgery_valley_alphabet(self, bd3_spec, tmp_path):
         d = tmp_path / "sim"
         code = main(["simulate", "--spec", bd3_spec, "--start", "1",
@@ -414,7 +433,7 @@ class TestSimulate:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulate ran with a bad flag")
 
-        monkeypatch.setattr(cli, "simulate", forbidden)
+        monkeypatch.setattr(pathsim, "_trajectories", forbidden)
         args = {"--horizon": "10", "--trials": "1", flag: value}
         code = main(["simulate", "--spec", bd3_spec, "--start", "1",
                      "--out", str(tmp_path / "z")]
@@ -443,19 +462,19 @@ class TestValidate:
 
     def test_jump_tables_built_once(self, bd3_spec, monkeypatch, tmp_path):
         # 20 trials from each of the 2 reference states, one sample read by all
-        # three validators, all on one table
-        sampler = pathsim._trajectory
-        tables = []
+        # three validators, all on one pair of jump and guide tables
+        sampler = pathsim._trajectories
+        calls = []
 
-        def recorded(table, *args):
-            tables.append(table)
-            return sampler(table, *args)
+        def recorded(tables, guide, starts, *args):
+            calls.append((tables, guide, len(starts)))
+            return sampler(tables, guide, starts, *args)
 
-        monkeypatch.setattr(pathsim, "_trajectory", recorded)
+        monkeypatch.setattr(pathsim, "_trajectories", recorded)
         run_report(["validate", "--spec", bd3_spec, "--grid", "0.5", "--trials", "20",
                     "--seed", "5"], tmp_path)
-        assert len(tables) == 40
-        assert all(t is tables[0] for t in tables)
+        assert sum(paths for _, _, paths in calls) == 40
+        assert all(t is calls[0][0] and g is calls[0][1] for t, g, _ in calls)
 
     def test_one_pool(self, bd3_spec, pools, tmp_path):
         args = ["validate", "--spec", bd3_spec, "--theta", "2", "--grid", "0.5",
@@ -512,7 +531,7 @@ class TestValidate:
         def forbidden(*args, **kwargs):
             raise AssertionError("validate simulated with a bad flag")
 
-        monkeypatch.setattr(pathsim, "_trajectory", forbidden)
+        monkeypatch.setattr(pathsim, "_trajectories", forbidden)
         assert main(["validate", "--spec", bd3_spec, f"{flag}={value}"]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert flag.lstrip("-") in err["message"]
@@ -523,7 +542,7 @@ class TestValidate:
         def forbidden(*args, **kwargs):
             raise AssertionError("validate simulated from a bad start")
 
-        monkeypatch.setattr(pathsim, "_trajectory", forbidden)
+        monkeypatch.setattr(pathsim, "_trajectories", forbidden)
         assert main(["validate", "--spec", bd3_spec, "--start", start]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == error and repr(start) in err["message"]

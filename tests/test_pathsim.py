@@ -474,28 +474,45 @@ class TestJumpTables:
             assert path.events[0] == (mean_holding[i], chain.states[rows[i][0][-1]])
 
 
+def _rare_jump_chain():
+    """Three targets of jump probability below 1 / G: each shares a cell with its
+    neighbour's cumulative probability, and c's first one lies in the last cell."""
+    return ms.build_chain(["a", "b", "c", "d"], [
+        ("a", "b", 1.0), ("a", "c", 1e-5), ("a", "d", 2.0), ("b", "a", 1.0),
+        ("b", "c", 1.0), ("c", "a", 1.0), ("c", "d", 1e-4), ("d", "a", 1.0),
+        ("d", "b", 1e-6), ("d", "c", 3.0)])
+
+
 class TestBlockSeams:
-    """The block sampler against the per-jump reference fed the same draws."""
+    """The lockstep kernel against the per-jump reference fed the same draws."""
 
     DRAWS = 60_000
 
     @staticmethod
-    def _draws(seed):
+    def _draws(seed, scale=1.0):
         rng = np.random.default_rng(seed)
-        return (rng.standard_exponential(TestBlockSeams.DRAWS),
+        return (scale * rng.standard_exponential(TestBlockSeams.DRAWS),
                 rng.random(TestBlockSeams.DRAWS))
 
-    def _sample(self, chain, start, horizon, draws):
-        rng = FixedDraws(*draws)
-        times, states = pathsim._trajectory(pathsim._chain_tables(chain), start,
-                                            horizon, rng)
-        assert (times.tolist(), states.tolist()) == \
-            reference_trajectory(chain, start, horizon, *draws)
-        return times, rng.sizes
+    def _sample(self, chain, starts, horizon, draws):
+        """Each path of one group against the reference; its times and block sizes."""
+        rngs = [FixedDraws(*d) for d in draws]
+        blocks = [([], []) for _ in starts]
+        for k, times, states, _ in pathsim._trajectories(
+                pathsim._chain_tables(chain), pathsim._guide_table(chain), starts, horizon, rngs):
+            blocks[k][0].append(times)
+            blocks[k][1].append(states)
+        out = []
+        for start, d, rng, (times, states) in zip(starts, draws, rngs, blocks):
+            times, states = np.concatenate(times), np.concatenate(states)
+            assert (times.tolist(), states.tolist()) == \
+                reference_trajectory(chain, start, horizon, *d)
+            out.append((times, rng.sizes))
+        return out
 
     def test_long_path_crosses_full_blocks(self):
         chain = random_chain(np.random.default_rng(81), 9)
-        times, sizes = self._sample(chain, 0, 20_000.0, self._draws(82))
+        [(times, sizes)] = self._sample(chain, [0], 20_000.0, [self._draws(82)])
         assert len(sizes) >= 3 and max(sizes) == pathsim._BLOCK
         assert sum(sizes[:-1]) < len(times) < sum(sizes)
 
@@ -503,18 +520,77 @@ class TestBlockSeams:
         chain = random_chain(np.random.default_rng(83), 9)
         blocks = 0
         for k in range(40):
-            _, sizes = self._sample(chain, k % chain.n, 2.0 + k, self._draws(k))
+            [(_, sizes)] = self._sample(chain, [k % chain.n], 2.0 + k, [self._draws(k)])
             blocks += len(sizes)
         assert blocks > 40
 
     def test_horizon_on_a_jump_time_keeps_that_jump(self):
         chain = random_chain(np.random.default_rng(81), 9)
         draws = self._draws(85)
-        times, _ = self._sample(chain, 0, 20_000.0, draws)
+        [(times, _)] = self._sample(chain, [0], 20_000.0, [draws])
         k = pathsim._BLOCK + 17
-        cut, sizes = self._sample(chain, 0, float(times[k]), draws)
+        [(cut, sizes)] = self._sample(chain, [0], float(times[k]), [draws])
         assert len(sizes) >= 2
         assert cut.tolist() == times[:k + 1].tolist()
+
+    def test_group_paths_end_in_different_rounds(self):
+        # one path crosses full blocks; the others hold 1000 times longer and end in
+        # their first block, while the group runs on
+        chain = random_chain(np.random.default_rng(81), 9)
+        draws = [self._draws(82)] + [self._draws(86 + k, scale=1000.0) for k in range(4)]
+        out = self._sample(chain, [0, 3, 0, 5, 8], 30_000.0, draws)
+        sizes = [s for _, s in out]
+        assert len(out[0][0]) > 3 * pathsim._BLOCK and sizes[0][:3] == [pathsim._BLOCK] * 3
+        assert all(len(s) == 1 for s in sizes[1:])
+        assert all(0 < len(times) < s[0] for times, s in out[1:])
+
+    def test_fallback_cells(self):
+        # targets of jump probability below 1 / G share a cell with their neighbour,
+        # and every fifth uniform equals one of the state's cumulative probabilities:
+        # each such jump lands on a fallback cell
+        chain = _rare_jump_chain()
+        rows = pathsim._chain_tables(chain)[0]
+        guide = pathsim._guide_table(chain)
+        cells = guide.shape[1]
+        pick = np.random.default_rng(87)
+        starts, draws, fallbacks = [0, 1, 2, 3], [], 0
+        for start in starts:
+            holds, uniforms = self._draws(88 + start)
+            state = start
+            for k, u in enumerate(uniforms[:3000]):
+                targets, cumprob = rows[state]
+                if k % 5 == 0:
+                    u = uniforms[k] = cumprob[int(pick.integers(len(cumprob) - 1))]
+                fallbacks += int(guide[state, int(u * cells)] == pathsim._FALLBACK)
+                state = targets[int(np.searchsorted(cumprob, u, side="left"))]
+            draws.append((holds, uniforms))
+        assert cells == pathsim._GUIDE and (guide == pathsim._FALLBACK).any()
+        assert fallbacks >= 4 * 3000 // 5
+        out = self._sample(chain, starts, 2000.0, draws)
+        assert all(len(times) > 3000 for times, _ in out)
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("chain, every", [
+        (ms.build_from_string("zero_range:L=3,N=30,alpha=3,p=0.5").chain, 7),
+        (_rare_jump_chain(), 1),
+    ])
+    def test_cells_agree_with_bisection(self, chain, every):
+        rows = pathsim._chain_tables(chain)[0]
+        guide = pathsim._guide_table(chain)
+        cells = guide.shape[1]
+        assert guide.shape == (chain.n, pathsim._GUIDE)
+        for i in range(0, chain.n, every):
+            targets, cumprob = rows[i]
+            for c in range(cells):
+                lo = np.searchsorted(cumprob, [c / cells, (c + 1) / cells], side="left")
+                want = pathsim._FALLBACK if lo[0] != lo[1] else targets[lo[0]] * cells
+                assert guide[i, c] == want
+
+    def test_cells_shrink_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(pathsim, "_GUIDE_CELLS", 4000)
+        chain = random_chain(np.random.default_rng(89), 9)
+        assert pathsim._guide_table(chain).shape == (9, 256)
 
 
 class TestTrialRecorder:
@@ -551,6 +627,50 @@ def _cut(path, t):
     return ms.Path(path.initial, tuple(e for e in path.events if e[0] <= t), t)
 
 
+class TestGroups:
+    """Lockstep groups of any split give the sample that paths drawn one by one give."""
+
+    def test_split_groups_agree(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        chain = random_chain(rng, 9)
+        part = random_partition(rng, chain, 2)
+        label_map = part.label_map()
+        starts = [sorted(v)[0] for v in part.valleys]
+        horizon, seed, trials = 6000.0, 13, 3
+        # the first path's two full blocks end on jump times: each is recorded in
+        # the round after the one that drew it
+        start0 = chain.index[starts[0]]
+        rng0 = np.random.default_rng((seed + 1000, 0))
+        rounds = pathsim._trajectories(pathsim._chain_tables(chain), pathsim._guide_table(chain),
+                                       [start0], horizon, [rng0])
+        first_two = list(itertools.islice(rounds, 2))
+        assert not any(ended for _, _, _, ended in first_two)
+        seams = [float(times[-1]) for _, times, _, _ in first_two]
+        times = sorted({0.0, horizon, *np.linspace(1.0, horizon, 17), *seams})
+        whole = ms.sample_valleys(chain, part, times, trials, seed, starts)
+        monkeypatch.setattr(pathsim, "_GROUP", 4)
+        split = ms.sample_valleys(chain, part, times, trials, seed, starts)
+        pooled = ms.sample_valleys(chain, part, times, trials, seed, starts, jobs=2)
+        owner, grid = pathsim._layout(chain, part)[0], np.array(times)
+        alone = [pathsim._record_group((pathsim._chain_tables(chain),
+                                        pathsim._guide_table(chain), owner, grid,
+                                        [(chain.index[start], (seed + 1000 * i, k))]))[0]
+                 for i, start in enumerate(starts, start=1) for k in range(trials)]
+        for sample in (split, pooled):
+            assert sample.times == whole.times and sample.starts == whole.starts
+            assert np.array_equal(sample.at, whole.at)
+            assert np.array_equal(sample.occupation, whole.occupation)
+        assert [r[0].tolist() for r in alone] == whole.at.reshape(-1, len(times)).tolist()
+        assert [r[1].tolist() for r in alone] == \
+            whole.occupation.reshape(-1, len(times)).tolist()
+        assert whole.at.shape == (2, trials, len(times))
+        path = ms.simulate(chain, starts[0], horizon, seed=(seed + 1000, 0))
+        for t in [*seams, times[-1]]:
+            col = times.index(t)
+            assert whole.at[0, 0, col] == label_map[path.state_at(t)]
+            assert whole.occupation[0, 0, col] == ms.occupation_time(_cut(path, t), part.delta)
+
+
 class TestWorkerPool:
     """Each sample opens at most one pool, bounded by trials and CPUs."""
 
@@ -578,7 +698,7 @@ def no_sampling(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sampled a trajectory with a bad input")
 
-    monkeypatch.setattr(pathsim, "_trajectory", forbidden)
+    monkeypatch.setattr(pathsim, "_trajectories", forbidden)
 
 
 def _two_valleys_no_delta():
