@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.linalg
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import config, numerics
 from .errors import (
@@ -270,8 +271,13 @@ def _chain_from_csr(states, csr) -> Chain:
 def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
     """Unique stationary probability.
 
-    Without a partition, ``_grounded_law`` of the chain's rates: one solve
-    with the chain killed at its stickiest state.
+    Without a partition, ``_balanced_law`` of the chain's rates: a
+    reversible chain's pi as a product of rate ratios along a spanning tree,
+    with no factorization and entrywise accurate however deep its wells.  If
+    the chain is not reversible within ``stationary_residual``, that kernel
+    declines and ``_grounded_law`` takes pi from one solve with the chain
+    killed at its stickiest state, which can lose the small entries of deep
+    wells.
 
     With a partition of at least two valleys, from the trace chain on the
     valley union and the valley-flux solve that ``coarse_rates`` reads too
@@ -281,7 +287,9 @@ def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
     max rate, or ``SolverFailure`` is raised.
     """
     if partition is None:
-        return ProbVector(_grounded_law(chain.rates, chain.states, "stationary"))
+        w = _balanced_law(chain.rates, chain.states, "stationary")
+        return ProbVector(_grounded_law(chain.rates, chain.states, "stationary")
+                          if w is None else w)
     from .reduction import _trace_law  # reduction builds on this module
     pi = ProbVector(_trace_law(chain, partition))
     residual = stationarity_residual(chain, pi)
@@ -320,6 +328,67 @@ def _grounded_law(rates, labels, where: str) -> np.ndarray:
             f"{where}: stationary solve gave pi({labels[bad[0]]!r}) / pi({labels[r]!r}) = "
             f"{float(w[bad[0]])!r}; an irreducible chain has pi > 0")
     w /= w.sum()
+    return _require_balance(w, rates, holding, where)
+
+
+def _balanced_law(rates, labels, where: str):
+    """Stationary law of the csr rate matrix ``rates`` by detailed balance
+    along a spanning tree, or None if the chain is not reversible.
+
+    A reversible chain has pi(x) R(x, y) = pi(y) R(y, x) on every edge
+    (Kolmogorov's criterion; Kelly, *Reversibility and Stochastic Networks*,
+    1979), so log pi(v) - log pi(r) sums log R(p, v) - log R(v, p) over the
+    tree edges (p, v) from r down to v.  The tree is the breadth-first tree
+    from the stickiest state r, where ``_grounded_law`` grounds, and the sums
+    are taken by pointer jumping.  The kernel declines unless every stored
+    edge has its reverse and keeps detailed balance for that pi within
+    ``stationary_residual`` in log space.  A product of ratios has no
+    subtraction, so pi is then entrywise within about n times that of the
+    exact law (O'Cinneide, *Numer. Math.* 65, 1993), whatever the chain's
+    conditioning.
+
+    The checks are ``_grounded_law``'s: an entry that is not finite and
+    positive (one below the float range) is a ``SolverFailure`` naming
+    ``where`` and the state, ``labels[i]`` for row i, as is a residual
+    |pi^T L| above ``stationary_residual`` times the max rate.
+    """
+    rates = rates if rates.has_sorted_indices else rates.sorted_indices()
+    reverse = rates.T.tocsr()
+    reverse.sort_indices()
+    if not (np.array_equal(rates.indptr, reverse.indptr)
+            and np.array_equal(rates.indices, reverse.indices)):
+        return None
+    n = rates.shape[0]
+    holding = np.asarray(rates.sum(axis=1)).ravel()
+    root = int(np.argmin(holding))
+    _, up = breadth_first_order(rates, root, return_predecessors=True)
+    rows = np.repeat(np.arange(n), np.diff(rates.indptr))
+    # log R(x, y) - log R(y, x) on each stored edge (x, y)
+    ratio = np.log(rates.data) - np.log(reverse.data)
+    down = up[rates.indices] == rows
+    log_pi = np.zeros(n)
+    log_pi[rates.indices[down]] = ratio[down]
+    # log_pi[v] sums the tree edges from v up to, not including, up[v]
+    up[root] = root
+    while (up != root).any():
+        log_pi += log_pi[up]
+        up = up[up]
+    deviation = np.abs(log_pi[rows] - log_pi[rates.indices] + ratio).max()
+    if not deviation <= config.DEFAULT.stationary_residual:
+        return None
+    w = np.exp(log_pi - log_pi.max())
+    w /= w.sum()
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if len(bad):
+        raise SolverFailure(
+            f"{where}: pi({labels[bad[0]]!r}) = {float(w[bad[0]])!r} by detailed balance; "
+            f"an irreducible chain has pi > 0")
+    return _require_balance(w, rates, holding, where)
+
+
+def _require_balance(w, rates, holding, where):
+    """``w``, if its residual |w^T R - w lambda| is at most ``stationary_residual``
+    times the max rate, else a ``SolverFailure`` naming ``where``."""
     residual = float(np.abs(w @ rates - w * holding).max())
     bound = config.DEFAULT.stationary_residual * rates.max()
     if residual > bound:
@@ -329,7 +398,7 @@ def _grounded_law(rates, labels, where: str) -> np.ndarray:
 
 
 def stationarity_residual(chain: Chain, pi: ProbVector) -> float:
-    """max |pi^T L| = max |pi^T R - pi lambda|, as ``_grounded_law`` reads it."""
+    """max |pi^T L| = max |pi^T R - pi lambda|, as ``_require_balance`` reads it."""
     w = pi.weights
     return float(np.abs(w @ chain.rates - w * chain.holding).max())
 

@@ -591,9 +591,13 @@ class _TrialRecord:
         self.entered = run_starts[len(run_ends):]
 
 
-def _record_group(payload):
-    """The records of a group of trials, (valleys, occupations) per trial, in order."""
-    tables, guide, owner, times, group = payload
+def _record_group(shared, group):
+    """The records of a group of trials, (valleys, occupations) per trial, in order.
+
+    ``shared`` is what every group of a sample reads: (tables, guide, owner, times).
+    ``group`` holds (start index, stream seed) per trial.
+    """
+    tables, guide, owner, times = shared
     starts = [start for start, _ in group]
     rngs = [np.random.default_rng(seed_pair) for _, seed_pair in group]
     records = [_TrialRecord(owner, start, times) for start in starts]
@@ -601,6 +605,20 @@ def _record_group(payload):
                                                      rngs):
         records[k].add(jump_times, states, ended)
     return [(r.at, r.occupation) for r in records]
+
+
+_worker_shared = None  # a pool worker's ``shared``, set once by ``_share_with_worker``
+
+
+def _share_with_worker(shared):
+    """Pool initializer: the tables and grid every group of the sample reads."""
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _record_pooled_group(group):
+    """``_record_group`` in a pool worker, on the tables its initializer received."""
+    return _record_group(_worker_shared, group)
 
 
 def _cpus():
@@ -628,7 +646,9 @@ def sample_valleys(chain: Chain, partition: Partition, times, trials: int, seed:
     inside a valley, and none may repeat.  Trial k of the i-th start (i = 1, 2, ...)
     draws from the stream (seed + 1000 i, k).  The paths run in order in lockstep
     groups of at most ``_GROUP``: all in this process at ``jobs <= 1``, else split
-    evenly over one pool of at most ``jobs`` workers, trials or CPUs.
+    evenly over one pool of at most ``jobs`` workers, trials or CPUs.  A pool sends
+    the jump and guide tables once per worker, by its initializer; each group's
+    payload holds only its starts and streams.
     """
     owner = _layout(chain, partition)[0]
     starts = tuple(partition.reference_states(chain, stationary(chain, partition))
@@ -648,14 +668,14 @@ def sample_valleys(chain: Chain, partition: Partition, times, trials: int, seed:
              for i, start_idx in enumerate(index, start=1) for k in range(trials)]
     workers = min(jobs, len(paths), _cpus())
     width = _GROUP if jobs <= 1 else min(_GROUP, -(-len(paths) // workers))
-    tables, guide, grid = _chain_tables(chain), _guide_table(chain), np.array(times)
-    payloads = [(tables, guide, owner, grid, paths[first:first + width])
-                for first in range(0, len(paths), width)]
+    shared = (_chain_tables(chain), _guide_table(chain), owner, np.array(times))
+    payloads = [paths[first:first + width] for first in range(0, len(paths), width)]
     if jobs <= 1:
-        groups = [_record_group(p) for p in payloads]
+        groups = [_record_group(shared, group) for group in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_record_group, payloads))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_with_worker,
+                                 initargs=(shared,)) as pool:
+            groups = list(pool.map(_record_pooled_group, payloads))
     records = [r for group in groups for r in group]
     shape = (len(starts), trials, len(times))
     return ValleySample(tuple(times), starts, valleys, trials,

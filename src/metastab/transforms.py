@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import config, numerics
 from .chain import (
@@ -302,15 +301,36 @@ def _lex_min_cycle(succ, start, length):
     return None
 
 
+def _shortest_cycle(succ, start):
+    """Length of the shortest directed cycle through ``start`` whose other
+    vertices are all larger than ``start``, or ``math.inf``: one breadth-first
+    search over the vertices above ``start``."""
+    frontier, seen, length = [start], {start}, 1
+    while frontier:
+        reached = []
+        for v in frontier:
+            for u in succ[v]:
+                if u == start:
+                    return length
+                if u > start and u not in seen:
+                    seen.add(u)
+                    reached.append(u)
+        frontier, length = reached, length + 1
+    return math.inf
+
+
 def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
     """Split the generator into cycle generators stationary for pi.
 
     Two-cycles are eliminated first, then three-cycles, and so on; each step
     extracts the minimal conductance along the lexicographically smallest
     cycle of the current minimal length, which zeroes at least one edge.
-    Extraction only removes edges, so a start with no cycle of the current
-    length never gets one: each length is one pass over the starts, and the
-    lengths end at the largest strongly connected set of the remaining edges.
+    Extraction only removes edges, so a start's shortest cycle among the
+    vertices above it only grows: it is found by one breadth-first search
+    when a search at the current length fails, and the start is skipped
+    until that length.  Each length is one pass over the starts it does not
+    skip, and the next length is the smallest such bound, so the lengths end
+    when no start has a cycle left.
     Nothing is pruned before the first extraction: a rate far below the max
     rate is still a rate, and its cycle explains it.  Reversible chains
     decompose into 2-cycles only.
@@ -326,13 +346,12 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
     rate_cutoff = 32 * np.finfo(float).eps * chain.max_rate
     residual = 0.0
     cycles = []
-    for length in range(2, n + 1):
-        src, dst = np.array(list(cond), dtype=int).reshape(-1, 2).T
-        graph = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-        _, scc = connected_components(graph, connection="strong")
-        if np.bincount(scc).max() < length:
-            break
+    shortest = [2] * n  # per start, a lower bound on its shortest cycle
+    length = 2
+    while length <= n:
         for start in range(n):
+            if shortest[start] > length:
+                continue
             while (cyc := _lex_min_cycle(succ, start, length)) is not None:
                 edges = list(zip(cyc, cyc[1:] + cyc[:1]))
                 weight = min(cond[e] for e in edges)
@@ -343,6 +362,8 @@ def cycle_decompose(chain: Chain, pi: ProbVector) -> CycleDecomposition:
                     if cond[i, j] <= rate_cutoff * w[i]:
                         residual = max(residual, cond.pop((i, j)) / w[i])
                         succ[i].remove(j)
+            shortest[start] = _shortest_cycle(succ, start)
+        length = max(length + 1, min(shortest))
     for (i, j), c in cond.items():
         residual = max(residual, c / w[i])
     return CycleDecomposition(chain.states, tuple(cycles), residual)

@@ -2,6 +2,7 @@
 
 import bisect
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +299,19 @@ def tamper_solves(monkeypatch, tamper):
     monkeypatch.setattr(numerics, "factor", tampered)
 
 
+def count_factors(monkeypatch):
+    """Patch ``numerics.factor`` to record the size of every matrix factored
+    afterwards; returns that list, in call order."""
+    factor, sizes = numerics.factor, []
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return factor(a)
+
+    monkeypatch.setattr(numerics, "factor", counted)
+    return sizes
+
+
 def scale_first(x, factor):
     """``x`` with its first entry scaled by ``factor``, in place: a ``tamper_solves`` fault."""
     x[0] *= factor
@@ -305,12 +319,16 @@ def scale_first(x, factor):
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records each pool's size, maps in this process."""
+    """Stands in for ProcessPoolExecutor: records each pool's size and the pickled
+    bytes it would send, runs its initializer once and maps in this process."""
 
-    sizes = None
+    sizes = sends = None
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            self.sends.append(("initializer", len(pickle.dumps(initargs))))
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -319,7 +337,9 @@ class _InProcessPool:
         return False
 
     def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+        items = list(iterable)
+        self.sends.extend(("task", len(pickle.dumps(item))) for item in items)
+        return map(fn, items)
 
 
 @pytest.fixture
@@ -327,9 +347,18 @@ def pools(monkeypatch):
     """The worker counts of the pools the sampler opens, on 3 faked CPUs; no process starts."""
     sizes = []
     monkeypatch.setattr(_InProcessPool, "sizes", sizes)
+    monkeypatch.setattr(_InProcessPool, "sends", [])
     monkeypatch.setattr(pathsim, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(pathsim, "_cpus", lambda: 3)
+    monkeypatch.setattr(pathsim, "_worker_shared", None)
     return sizes
+
+
+@pytest.fixture
+def pool_sends(pools):
+    """(kind, pickled bytes) of what the faked pools would send, in order: one
+    "initializer" entry per pool and one "task" entry per mapped item."""
+    return _InProcessPool.sends
 
 
 def reference_point_capacities(chain, pi, idx, ref, where):

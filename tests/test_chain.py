@@ -27,7 +27,8 @@ from metastab.errors import (
     TooLarge,
 )
 
-from conftest import random_chain, random_reversible_chain, scale_first, tamper_solves
+from conftest import (count_factors, random_chain, random_reversible_chain, scale_first,
+                      tamper_solves)
 
 
 class TestBuildChain:
@@ -114,6 +115,9 @@ class TestStationary:
         ("potential_rw:N=2,points=41", 1e-9),
         ("potential_rw:N=8,points=41", 1e-9),
         ("potential_rw:N=8,points=81", 1e-9),
+        # reversible deep wells: detailed balance along a tree, no factorization
+        *((f"potential_rw:N={N},points={points}", 1e-12)
+          for points in (41, 81) for N in (16, 32, 64)),
     ])
     def test_matches_closed_form_entrywise(self, model, bound):
         spec = ms.build_from_string(model)
@@ -153,10 +157,57 @@ class TestStationary:
 
 
 def _steep_chain():
-    """Birth-death chain on 0..9 with pi(i) proportional to 100^-i."""
+    """Birth-death chain on 0..9 with pi(i) about 100^-i, plus a one-way edge
+    9 -> 0, so that it is not reversible and its pi comes off the LU route."""
     labels = [str(i) for i in range(10)]
     return ms.build_chain(labels, [t for i in range(9) for t in (
-        (labels[i], labels[i + 1], 1.0), (labels[i + 1], labels[i], 100.0))])
+        (labels[i], labels[i + 1], 1.0), (labels[i + 1], labels[i], 100.0))]
+        + [(labels[9], labels[0], 1.0)])
+
+
+class TestBalancedLaw:
+    """stationary(chain) of a reversible chain: detailed balance along a tree."""
+
+    def test_no_factorization(self, monkeypatch):
+        spec = ms.build_from_string("glued_cubes:d=3,N=12,ell=3")
+        sizes = count_factors(monkeypatch)
+        pi = ms.stationary(spec.chain).weights
+        assert sizes == []
+        exact = spec.pi_formula.weights
+        assert np.max(np.abs(pi - exact) / exact) <= 1e-15
+
+    def test_random_reversible_chains(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        sizes = count_factors(monkeypatch)
+        for _ in range(20):
+            chain = random_reversible_chain(rng, int(rng.integers(3, 51)))
+            pi = ms.stationary(chain).weights
+            assert sizes == []
+            grounded = _grounded_law(chain.rates, chain.states, "stationary")
+            assert np.max(np.abs(pi - grounded) / grounded) <= 1e-12
+            sizes.clear()
+
+    def test_one_unbalanced_rate_takes_the_lu_route(self, monkeypatch):
+        # detailed balance off by 1e-9 on one edge: the gate refuses the tree
+        chain = random_reversible_chain(np.random.default_rng(3), 12)
+        rates = chain.rates.copy()
+        rates.data[0] *= 1.0 + 1e-9
+        tilted = _chain_from_csr(chain.states, rates)
+        sizes = count_factors(monkeypatch)
+        pi = ms.stationary(tilted).weights
+        assert sizes == [tilted.n - 1]
+        assert pi.tolist() == _grounded_law(tilted.rates, tilted.states, "x").tolist()
+
+    def test_non_reversible_chains_keep_the_lu_law(self, c3):
+        models = ["zero_range:L=4,N=28,alpha=3,p=0.7", "zero_range:L=3,N=5,alpha=3,p=0.7"]
+        for chain in [ms.build_from_string(model).chain for model in models] + [c3]:
+            assert ms.stationary(chain).weights.tolist() == \
+                _grounded_law(chain.rates, chain.states, "x").tolist()
+
+    def test_underflow_names_the_state(self):
+        chain = ms.build_from_string("potential_rw:N=120,points=41").chain
+        with pytest.raises(SolverFailure, match=r"^stationary: pi\('\(-2\)'\) = 0\.0 "):
+            ms.stationary(chain)
 
 
 class TestStationaryOnValleys:

@@ -11,7 +11,6 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from metastab import cli, config, pathsim, reduction
 from metastab.chain import Partition, stationary
@@ -22,7 +21,8 @@ from metastab.potential import capacity
 from metastab.reduction import coarse_rates
 from metastab.specio import load_chain_spec
 
-from conftest import double_well_log_conductances, log_series_capacity, tamper_solves
+from conftest import (count_factors, double_well_log_conductances, log_series_capacity,
+                      tamper_solves)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "metastab" / "schema"
@@ -149,14 +149,7 @@ class TestAnalyze:
         model = "glued_cubes:d=2,N=8,ell=2"
         delta = len(build_from_string(model).partition.delta)
         calls = _count_calls(monkeypatch, reduction, "_harmonic_measure")
-        factor = spla.splu
-        sizes = []
-
-        def counted(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counted)
+        sizes = count_factors(monkeypatch)
         report, _ = run_report(["analyze", "--model", model] + extra, tmp_path)
         assert len(calls) == 1
         assert sizes.count(delta) == 1
@@ -178,14 +171,7 @@ class TestAnalyze:
         # on the valleys, coarse_rates and check_conditions reuse its factor
         model = "zero_range:L=3,N=30,alpha=3,p=0.5"
         union = len(build_from_string(model).partition.union())
-        factor = spla.splu
-        sizes = []
-
-        def counted(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counted)
+        sizes = count_factors(monkeypatch)
         for args in (["analyze"], ["validate", "--trials", "2", "--grid", "0.5"]):
             sizes.clear()
             run_report(args + ["--model", model], tmp_path)

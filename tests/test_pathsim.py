@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -364,8 +365,8 @@ class TestEstimateT2:
         assert est.per_valley[0].valley == 2
 
     def test_default_starts_in_deep_wells(self):
-        # the reference states come off the partition route's pi; the
-        # partition-free route gives a negative pi at the outer wall here
+        # the reference states come off the partition route's pi, which stays
+        # right in these deep wells (the chain killed at one state does not)
         spec = ms.build_from_string("potential_rw:N=64,points=81")
         sample = ms.sample_valleys(spec.chain, spec.partition, [1.0], 2, 0)
         assert sample.starts == ("(-1)", "(1)")
@@ -652,9 +653,8 @@ class TestGroups:
         split = ms.sample_valleys(chain, part, times, trials, seed, starts)
         pooled = ms.sample_valleys(chain, part, times, trials, seed, starts, jobs=2)
         owner, grid = pathsim._layout(chain, part)[0], np.array(times)
-        alone = [pathsim._record_group((pathsim._chain_tables(chain),
-                                        pathsim._guide_table(chain), owner, grid,
-                                        [(chain.index[start], (seed + 1000 * i, k))]))[0]
+        shared = (pathsim._chain_tables(chain), pathsim._guide_table(chain), owner, grid)
+        alone = [pathsim._record_group(shared, [(chain.index[start], (seed + 1000 * i, k))])[0]
                  for i, start in enumerate(starts, start=1) for k in range(trials)]
         for sample in (split, pooled):
             assert sample.times == whole.times and sample.starts == whole.starts
@@ -683,6 +683,19 @@ class TestWorkerPool:
         assert pools == [workers]
         assert rep == ms.fdd_compare(ms.sample_valleys(bd3, bd3_partition, [1.0], trials, 7,
                                                        ["1"]), model, [0.5], "1")
+
+    def test_tables_sent_once_per_pool(self, pool_sends):
+        # 3 starts x 100 trials on 2 workers: 5 groups, 4 of 64 paths and one of 44
+        spec = ms.build_from_string("zero_range:L=3,N=30,alpha=3,p=0.5")
+        chain = spec.chain
+        pooled = ms.sample_valleys(chain, spec.partition, [0.5], 100, 3, jobs=2)
+        tables = len(pickle.dumps((pathsim._chain_tables(chain), pathsim._guide_table(chain))))
+        assert [kind for kind, _ in pool_sends] == ["initializer"] + 5 * ["task"]
+        assert pool_sends[0][1] > tables
+        assert max(size for _, size in pool_sends[1:]) < 1000
+        alone = ms.sample_valleys(chain, spec.partition, [0.5], 100, 3)
+        assert np.array_equal(pooled.at, alone.at)
+        assert np.array_equal(pooled.occupation, alone.occupation)
 
     def test_one_pool_for_all_starts(self, pools):
         spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import metastab as ms
+from metastab import transforms
+from metastab.chain import _grounded_law
 from metastab.errors import (
     BadPartition,
     BadSubset,
@@ -334,6 +336,24 @@ class TestCycleDecomposition:
         ring[0] = [1, n // 2]
         assert _lex_min_cycle(ring, 0, n // 2 + 1) == [0] + list(range(n // 2, n))
 
+    def test_long_ring_searches_each_start_once(self, monkeypatch):
+        # only start 0 has a cycle among the states above it, of length n:
+        # every other start fails once, at length 2, and is skipped after
+        n = 200
+        labels = [f"s{i:03d}" for i in range(n)]
+        chain = ms.build_chain(labels, [(labels[i], labels[(i + 1) % n], 1.0)
+                                        for i in range(n)])
+        searches = []
+
+        def counted(succ, start, length):
+            searches.append((start, length))
+            return _lex_min_cycle(succ, start, length)
+
+        monkeypatch.setattr(transforms, "_lex_min_cycle", counted)
+        dec = ms.cycle_decompose(chain, ms.stationary(chain))
+        assert [labels for labels, _ in dec.cycles] == [tuple(labels)]
+        assert searches == [(start, 2) for start in range(n)] + [(0, n), (0, n)]
+
     def test_reversible_all_two_cycles(self):
         rng = np.random.default_rng(38)
         for _ in range(5):
@@ -379,7 +399,9 @@ class TestCycleDecomposition:
             ms.cycle_decompose(c3, bad)
 
     # SHA-256 and byte count of the cycles, the residual and the reconstruction
-    # error of the draws from seeds 0..9 (the JSON lines of ``_draws_text``)
+    # error of the draws from seeds 0..9 (the JSON lines of ``_draws_text``),
+    # each decomposed against the LU route's pi (``_grounded_law``), to which
+    # ``stationary`` rounds a non-reversible draw's pi bit for bit
     PINNED = {
         ("random_chain", 6): ("9f4c318ba72e750430ca98ed29c9faf4"
                               "e2ac7e4531613a3a51efdbfff9406cff", 9_044),
@@ -406,7 +428,8 @@ class TestCycleDecomposition:
         lines = []
         for seed in range(10):
             chain = make(np.random.default_rng(seed), n)
-            dec = ms.cycle_decompose(chain, ms.stationary(chain))
+            pi = ms.ProbVector(_grounded_law(chain.rates, chain.states, "stationary"))
+            dec = ms.cycle_decompose(chain, pi)
             error = abs(dec.reconstructed_rates(chain) - chain.rates).max()
             lines.append(json.dumps({
                 "cycles": [[list(labels), [float(r) for r in rates]]
