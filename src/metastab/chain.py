@@ -269,35 +269,30 @@ def _chain_from_csr(states, csr) -> Chain:
 
 
 def stationary(chain: Chain, partition: Partition | None = None) -> ProbVector:
-    """Unique stationary probability.
+    """Unique stationary probability; the chain picks the route.
 
-    Without a partition, ``_balanced_law`` of the chain's rates: a
+    A given partition, of at least two valleys, is validated first
+    (``reduction._layout``).  Then ``_balanced_law`` of the chain's rates: a
     reversible chain's pi as a product of rate ratios along a spanning tree,
-    with no factorization and entrywise accurate however deep its wells.  If
-    the chain is not reversible within ``stationary_residual``, that kernel
-    declines and ``_grounded_law`` takes pi from one solve with the chain
-    killed at its stickiest state, which can lose the small entries of deep
-    wells.
+    with no factorization and entrywise accurate however deep its wells.
 
-    With a partition of at least two valleys, from the trace chain on the
-    valley union and the valley-flux solve that ``coarse_rates`` reads too
-    (``reduction._trace_law``).  No system there spans two wells, so
-    this route stays right in deep wells, where the one through r does not.
-    Its residual |pi^T L| must be at most ``stationary_residual`` times the
-    max rate, or ``SolverFailure`` is raised.
+    If the chain is not reversible within ``stationary_residual``, that
+    kernel declines.  With a partition, pi then comes off the trace chain on
+    the valley union and the valley-flux solve that ``coarse_rates`` reads
+    too (``reduction._trace_law``); no system there spans two wells.  Without
+    one, ``_grounded_law`` takes pi from one solve with the chain killed at
+    its stickiest state, which can lose the small entries of deep wells.
+    Every route raises ``SolverFailure`` if its residual |pi^T L| exceeds
+    ``stationary_residual`` times the max rate.
     """
-    if partition is None:
-        w = _balanced_law(chain.rates, chain.states, "stationary")
-        return ProbVector(_grounded_law(chain.rates, chain.states, "stationary")
-                          if w is None else w)
-    from .reduction import _trace_law  # reduction builds on this module
-    pi = ProbVector(_trace_law(chain, partition))
-    residual = stationarity_residual(chain, pi)
-    bound = config.DEFAULT.stationary_residual * chain.max_rate
-    if residual > bound:
-        raise SolverFailure(
-            f"stationary: stationary residual {residual:.3e} exceeds tolerance {bound:.3e}")
-    return pi
+    if partition is not None:
+        from .reduction import _layout, _trace_law  # reduction builds on this module
+        _layout(chain, partition)
+    w = _balanced_law(chain.rates, chain.states, "stationary")
+    if w is None:
+        w = (_grounded_law(chain.rates, chain.states, "stationary") if partition is None
+             else _trace_law(chain, partition))
+    return ProbVector(w)
 
 
 def _grounded_law(rates, labels, where: str) -> np.ndarray:

@@ -18,6 +18,7 @@ from .chain import (
     Partition,
     ProbVector,
     _grounded_law,
+    _require_balance,
     _two_form,
     generator_gap,
     is_reversible,
@@ -249,7 +250,8 @@ def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
     factor of Delta the chain keeps.  All factors pivot on K's diagonal:
     partial pivoting on K would lose the deep wells' small entries.  A valley
     above ``spectral_guard`` raises ``TooLarge`` first; an entry that is not
-    finite and positive raises ``SolverFailure`` naming the state.
+    finite and positive, or a residual |pi^T L| above ``stationary_residual``
+    times the max rate, raises ``SolverFailure``.
     """
     owner, f, E = _layout(chain, partition)
     traces = _valley_traces(chain, partition, "stationary")
@@ -270,7 +272,7 @@ def _trace_law(chain: Chain, partition: Partition) -> np.ndarray:
     if len(bad):
         raise SolverFailure(f"stationary: pi({chain.states[bad[0]]!r}) = {float(w[bad[0]])!r} "
                             f"off the trace chain; an irreducible chain has pi > 0")
-    return w
+    return _require_balance(w, chain.rates, chain.holding, "stationary")
 
 
 def _valley_trace(rates, e) -> np.ndarray:
@@ -356,9 +358,10 @@ def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, wher
     One dense step on the rate block of ``idx``, with the checks of the
     public route ``spectral_gap(reflected_chain(...), stationary(...))``: if
     ``reversible``, pi restricted to ``idx`` keeps detailed balance within
-    ``input_stationary``; the reflected law (``chain._grounded_law``)
-    must balance within ``stationary_residual`` times the max rate; its gap comes
-    from ``generator_gap``.  A failure raises naming ``where``.
+    ``input_stationary``, and so, normalized, is the reflected law; else that
+    law (``chain._grounded_law``) must balance within ``stationary_residual``
+    times the max rate.  Its gap comes from ``generator_gap``.  A failure
+    raises naming ``where``.
     """
     rates = chain.rates[idx][:, idx].toarray()
     if numerics.strong_connectivity_witness(rates) is not None:
@@ -369,7 +372,8 @@ def _valley_relaxation(chain: Chain, pi: ProbVector, idx, reversible: bool, wher
             raise ToleranceViolation(
                 f"{where}: conditioned measure lost detailed balance under reflection")
     L = rates - np.diag(rates.sum(axis=1))
-    w = _grounded_law(rates, [chain.states[i] for i in idx], where)
+    w = (pi.weights[idx] / pi.mass(idx) if reversible
+         else _grounded_law(rates, [chain.states[i] for i in idx], where))
     try:
         return generator_gap(L, w).relaxation_time
     except SolverFailure as exc:
@@ -389,8 +393,8 @@ def check_conditions(chain: Chain, pi: ProbVector, partition: Partition,
     raises ``TooLarge`` before anything is solved.  The chain killed at ref
     spends as long at x as its trace on the valley union F does, so
     Cap(x, ref) = pi(x) / G(x, x) is read off the dense trace V_j of
-    ``_valley_traces``, as the chain keeps it from ``stationary(chain,
-    partition)`` or builds it now, by ``_point_capacities``.  Theta, the
+    ``_valley_traces`` by ``_point_capacities``; they are built here unless
+    ``stationary`` took pi off them, for a chain the tree declines.  Theta, the
     valley masses and capacities and pi(delta) are read off ``model``, the
     ``coarse_rates`` result for the same chain, pi and partition; a model
     whose valley count or masses differ from the partition's raises

@@ -13,8 +13,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import metastab as ms
-from metastab import config, numerics
-from metastab.chain import _chain_from_csr, _grounded_law
+from metastab import config, numerics, reduction
+from metastab.chain import _chain_from_csr, _grounded_law, label_key
 from metastab.cli import main
 from metastab.errors import (
     BadPartition,
@@ -210,14 +210,22 @@ class TestBalancedLaw:
             ms.stationary(chain)
 
 
+# a zero-range rung with drift p != 1/2: the tree declines it, so its pi with
+# a partition comes off the trace chain on the valleys
+NON_REVERSIBLE = "zero_range:L=3,N=10,alpha=3,p=0.7"
+
+
 class TestStationaryOnValleys:
-    """stationary(chain, partition): pi off the trace chain on the valleys."""
+    """stationary(chain, partition): the tree law of a reversible chain, and
+    pi off the trace chain on the valleys for one the tree declines."""
 
     @pytest.mark.parametrize("model, bound", [
+        ("potential_rw:N=8,points=41", 1e-12),
         ("potential_rw:N=16,points=41", 1e-12),
         ("potential_rw:N=32,points=41", 1e-12),
         ("potential_rw:N=64,points=41", 1e-12),
-        ("potential_rw:N=16,points=81", 1e-9),
+        ("potential_rw:N=8,points=81", 1e-12),
+        ("potential_rw:N=16,points=81", 1e-12),
         ("potential_rw:N=32,points=81", 1e-12),
         ("potential_rw:N=64,points=81", 1e-12),
         ("zero_range:L=4,N=28,alpha=3,p=0.7", 1e-13),
@@ -229,6 +237,48 @@ class TestStationaryOnValleys:
         pi = ms.stationary(spec.chain, spec.partition).weights
         exact = spec.pi_formula.weights
         assert np.max(np.abs(pi - exact) / exact) <= bound
+
+    @pytest.mark.parametrize("model, bound", [
+        ("potential_rw:N=16,points=41", 1e-12),
+        ("potential_rw:N=32,points=41", 1e-12),
+        ("potential_rw:N=64,points=41", 1e-12),
+        # the dense valley trace (_valley_trace) leaves 4.8e-10 here
+        ("potential_rw:N=16,points=81", 1e-9),
+        ("potential_rw:N=32,points=81", 1e-12),
+        ("potential_rw:N=64,points=81", 1e-12),
+        ("zero_range:L=4,N=28,alpha=3,p=0.7", 1e-13),
+        ("glued_cubes:d=3,N=12,ell=3", 1e-13),
+        ("zero_range:L=3,N=120,alpha=3,p=0.5", 1e-13),
+    ])
+    def test_deep_well_ladder_on_the_trace_route(self, model, bound):
+        spec = ms.build_from_string(model)
+        pi = reduction._trace_law(spec.chain, spec.partition)
+        exact = spec.pi_formula.weights
+        assert np.max(np.abs(pi - exact) / exact) <= bound
+
+    def test_reversible_chains_take_one_law(self):
+        # every reversible model rung the tests build, with its own partition
+        models = [
+            "glued_cubes:d=2,N=4,ell=1", "glued_cubes:d=2,N=6,ell=1",
+            "glued_cubes:d=2,N=8,ell=2", "glued_cubes:d=2,N=16,ell=4",
+            "glued_cubes:d=2,N=32,ell=8", "glued_cubes:d=3,N=12,ell=3",
+            "zero_range:L=3,N=6,alpha=2,p=0.5,ell=2", "zero_range:L=3,N=10,alpha=3,p=0.5",
+            "zero_range:L=3,N=30,alpha=3,p=0.5", "zero_range:L=3,N=120,alpha=3,p=0.5",
+            "potential_rw:potential=double_well,points=21,N=8",
+            *(f"potential_rw:N={N},points={points}"
+              for points in (41, 81) for N in (2, 8, 16, 32, 64)),
+        ]
+        for model in models:
+            spec = ms.build_from_string(model)
+            chain, part = spec.chain, spec.partition
+            assert ms.stationary(chain, part).weights.tolist() == \
+                ms.stationary(chain).weights.tolist(), model
+            with pytest.raises(BadPartition, match="need at least 2 valleys"):
+                ms.stationary(chain, ms.Partition(part.valleys[:1],
+                                                  part.delta | part.others(1)))
+            dropped = min(part.delta, key=label_key)
+            with pytest.raises(BadPartition, match="partition misses states"):
+                ms.stationary(chain, ms.Partition(part.valleys, part.delta - {dropped}))
 
     def test_small_chains(self, b2, bd3, bd3_partition):
         # no states off the valleys, then one
@@ -243,12 +293,19 @@ class TestStationaryOnValleys:
 
     def test_unbalanced_delta_solve_is_a_residual_failure(self, monkeypatch):
         # pi on Delta, one column of length |Delta|, is off by 1e-6 in one entry
-        spec = ms.build_from_string("zero_range:L=3,N=30,alpha=3,p=0.5")
+        spec = ms.build_from_string(NON_REVERSIBLE)
         size = len(spec.partition.delta)
         tamper_solves(monkeypatch, lambda b, x: scale_first(x, 1.0 + 1e-6)
                       if b.ndim == 1 and len(b) == size else x)
         with pytest.raises(SolverFailure, match=r"^stationary: stationary residual"):
             ms.stationary(spec.chain, spec.partition)
+
+    def test_reversible_chain_solves_nothing_on_delta(self, monkeypatch):
+        spec = ms.build_from_string("zero_range:L=3,N=30,alpha=3,p=0.5")
+        sizes = count_factors(monkeypatch)
+        pi = ms.stationary(spec.chain, spec.partition)
+        assert sizes == []
+        assert pi.weights.tolist() == ms.stationary(spec.chain).weights.tolist()
 
     def test_underflow_names_the_state(self):
         spec = ms.build_from_string("potential_rw:N=120,points=41")
@@ -274,7 +331,7 @@ class TestStationaryOnValleys:
     def test_kept_valley_traces_hold_only_the_valleys(self):
         # T_F on the valley union is built for the valley traces and dropped;
         # the valley coupling keeps one column per valley
-        spec = ms.build_from_string("glued_cubes:d=2,N=8,ell=2")
+        spec = ms.build_from_string(NON_REVERSIBLE)
         chain, part = spec.chain, spec.partition
         ms.stationary(chain, part)
         store = chain.__dict__["_store"]
@@ -282,12 +339,31 @@ class TestStationaryOnValleys:
             [(len(v), len(v)) for v in part.valleys]
         assert store["_valley_exits"][1].shape == (len(part.union()), part.n)
 
+    def test_reversible_chain_keeps_only_the_layout(self):
+        # the tree law builds no trace; check_conditions builds the valley traces
+        spec = ms.build_from_string("glued_cubes:d=2,N=8,ell=2")
+        chain, part = spec.chain, spec.partition
+        pi = ms.stationary(chain, part)
+        assert chain.__dict__["_store"].keys() == {"_layout"}
+        ms.check_conditions(chain, pi, part, ms.coarse_rates(chain, pi, part))
+        assert [t.shape for t in chain.__dict__["_store"]["_valley_traces"][1]] == \
+            [(len(v), len(v)) for v in part.valleys]
+
     def test_pickle_drops_the_kept_trace_chain(self):
-        spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
+        spec = ms.build_from_string(NON_REVERSIBLE)
         chain = spec.chain
         pi = ms.stationary(chain, spec.partition)
         assert {"_killed_factor", "_layout", "_valley_exits", "_valley_traces"} <= \
             chain.__dict__["_store"].keys()
+        copy = pickle.loads(pickle.dumps(chain))
+        assert "_store" not in copy.__dict__
+        assert ms.stationary(copy, spec.partition).weights.tolist() == pi.weights.tolist()
+
+    def test_pickle_drops_the_kept_layout(self):
+        spec = ms.build_from_string("glued_cubes:d=2,N=4,ell=1")
+        chain = spec.chain
+        pi = ms.stationary(chain, spec.partition)
+        assert chain.__dict__["_store"].keys() == {"_layout"}
         copy = pickle.loads(pickle.dumps(chain))
         assert "_store" not in copy.__dict__
         assert ms.stationary(copy, spec.partition).weights.tolist() == pi.weights.tolist()

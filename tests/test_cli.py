@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from metastab import cli, config, pathsim, reduction
+from metastab import cli, config, pathsim, potential, reduction
 from metastab.chain import Partition, stationary
 from metastab.cli import main
 from metastab.models import build_from_string
@@ -56,6 +56,10 @@ def _path_spec(labels):
     }
 
 
+# a zero-range rung with drift p != 1/2: the tree declines it, so its pi
+# comes off the trace chain on the valleys
+NON_REVERSIBLE = "zero_range:L=3,N=10,alpha=3,p=0.7"
+
 # a path a - 1 - m - c - 2, its labels strings and JSON numbers
 MIXED = _path_spec(["a", 1, "m", "c", 2])
 
@@ -96,6 +100,20 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _under_small_guard(monkeypatch, capsys, command, model):
+    """(exit code, error or None, |valley 1|) of ``command`` on ``model`` with
+    ``spectral_guard`` one below |valley 1| and T_F forbidden."""
+    size = len(build_from_string(model).partition.valley(1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the trace chain was built")
+
+    monkeypatch.setattr(reduction, "_trace_rates", forbidden)
+    monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=size - 1))
+    code = main([command, "--model", model])
+    return code, json.loads(capsys.readouterr().out).get("error"), size
 
 
 def run_report(args, tmp_path, name="report.json"):
@@ -188,18 +206,20 @@ class TestAnalyze:
         assert len(valley_traces) == sum(len(v) > 1 for v in valleys) == 4
 
     def test_spectral_guard_exits_3_before_the_trace_chain(self, monkeypatch, capsys):
-        model = "glued_cubes:d=2,N=8,ell=2"
-        size = len(build_from_string(model).partition.valley(1))
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the trace chain was built")
-
-        monkeypatch.setattr(reduction, "_trace_rates", forbidden)
-        monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=size - 1))
-        assert main(["analyze", "--model", model]) == 3
-        err = json.loads(capsys.readouterr().out)["error"]
+        code, err, size = _under_small_guard(monkeypatch, capsys, "analyze", NON_REVERSIBLE)
+        assert code == 3
         assert err["type"] == "TooLarge"
         assert err["message"].startswith("stationary: valley 1: ")
+        assert err["message"].endswith(f"{size} states exceed the guard {size - 1}")
+
+    def test_spectral_guard_on_the_tree_route_names_check_conditions(self, monkeypatch,
+                                                                      capsys):
+        # the tree law needs no valley trace; check_conditions meets the guard
+        code, err, size = _under_small_guard(monkeypatch, capsys, "analyze",
+                                             "glued_cubes:d=2,N=8,ell=2")
+        assert code == 3
+        assert err["type"] == "TooLarge"
+        assert err["message"].startswith("check_conditions: valley 1: ")
         assert err["message"].endswith(f"{size} states exceed the guard {size - 1}")
 
     @pytest.mark.parametrize("model", [
@@ -213,11 +233,7 @@ class TestAnalyze:
         assert report["stationary"]["min"] == pytest.approx(pi.min(), rel=1e-12)
 
     @pytest.mark.parametrize("points, N", [
-        (41, 8), (41, 16), (41, 32), (41, 64), (81, 8),
-        # the dense valley trace (_valley_trace) leaves 6.8e-10 on theta here
-        pytest.param(81, 16, marks=pytest.mark.xfail(
-            strict=True, reason="theta is 6.8e-10 off the series oracle")),
-        (81, 32), (81, 64),
+        (41, 8), (41, 16), (41, 32), (41, 64), (81, 8), (81, 16), (81, 32), (81, 64),
     ])
     def test_deep_wells_against_the_series_oracle(self, tmp_path, points, N):
         # a 1-D walk is a birth-death chain: each capacity is a series conductance
@@ -250,7 +266,8 @@ class TestAnalyze:
         assert err["message"].startswith("stationary: pi('")
         assert "an irreducible chain has pi > 0" in err["message"]
 
-    def test_disconnected_valley_trace_is_a_named_solver_failure(self, capsys, monkeypatch):
+    @staticmethod
+    def _cut_first_valley_trace(monkeypatch, model):
         # valley 1's trace loses every rate out of one state
         trace = reduction._valley_trace
         calls = []
@@ -263,28 +280,75 @@ class TestAnalyze:
             return out
 
         monkeypatch.setattr(reduction, "_valley_trace", cut)
-        assert main(["analyze", "--model", "glued_cubes:d=2,N=6,ell=1"]) == 4
+        return main(["analyze", "--model", model])
+
+    def test_disconnected_valley_trace_is_a_named_solver_failure(self, capsys, monkeypatch):
+        assert self._cut_first_valley_trace(monkeypatch, NON_REVERSIBLE) == 4
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "SolverFailure"
         assert re.fullmatch(r"stationary: valley 1: its trace chain is not irreducible: "
+                            r"'.+' is unreachable from '.+'", err["message"])
+
+    def test_disconnected_valley_trace_on_the_tree_route(self, capsys, monkeypatch):
+        assert self._cut_first_valley_trace(monkeypatch, "glued_cubes:d=2,N=6,ell=1") == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "SolverFailure"
+        assert re.fullmatch(r"check_conditions: valley 1: its trace chain is not irreducible: "
                             r"'.+' is unreachable from '.+'", err["message"])
 
     @pytest.mark.parametrize("command", ["analyze", "cycles"])
     def test_trace_chain_errors_name_their_stage(self, capsys, monkeypatch, command):
         # every solve with many right-hand sides is off by 1e-6
         tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6) if b.ndim == 2 else x)
-        assert main([command, "--model", "glued_cubes:d=2,N=8,ell=2"]) == 4
+        assert main([command, "--model", NON_REVERSIBLE]) == 4
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "SolverFailure"
         assert err["message"].startswith("stationary: harmonic measure off the boundary")
 
-    def test_valley_flux_solve_errors_name_stationary(self, capsys, monkeypatch):
-        # only the valleys' harmonic-measure solve, one column per valley, is off
-        tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6) if b.shape[1:] == (4,) else x)
-        assert main(["analyze", "--model", "glued_cubes:d=2,N=8,ell=2"]) == 4
+    def test_trace_chain_errors_on_the_tree_route(self, capsys, monkeypatch, tmp_path):
+        # the tree law solves nothing: analyze meets the tamper in coarse_rates,
+        # and cycles makes no solve at all
+        tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6) if b.ndim == 2 else x)
+        model = "glued_cubes:d=2,N=8,ell=2"
+        assert main(["analyze", "--model", model]) == 4
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "SolverFailure"
-        assert err["message"].startswith("stationary: harmonic measure off the boundary")
+        assert err["message"].startswith("coarse_rates: harmonic measure off the boundary")
+        run_report(["cycles", "--model", model], tmp_path)
+
+    @staticmethod
+    def _valley_flux_error(capsys, monkeypatch, model):
+        # only the valleys' harmonic-measure solve, one column per valley, is off
+        valleys = build_from_string(model).partition.n
+        tamper_solves(monkeypatch, lambda b, x: x * (1.0 + 1e-6)
+                      if b.shape[1:] == (valleys,) else x)
+        assert main(["analyze", "--model", model]) == 4
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "SolverFailure"
+        return err["message"]
+
+    def test_valley_flux_solve_errors_name_stationary(self, capsys, monkeypatch):
+        assert self._valley_flux_error(capsys, monkeypatch, NON_REVERSIBLE).startswith(
+            "stationary: harmonic measure off the boundary")
+
+    def test_valley_flux_solve_errors_on_the_tree_route_name_coarse_rates(
+            self, capsys, monkeypatch):
+        message = self._valley_flux_error(capsys, monkeypatch, "glued_cubes:d=2,N=8,ell=2")
+        assert message.startswith("coarse_rates: harmonic measure off the boundary")
+
+    def test_the_chain_picks_the_route(self, monkeypatch, tmp_path):
+        # a reversible chain takes the tree law with or without a partition,
+        # so validate and cycles build neither T_F nor a valley trace
+        traces = [_count_calls(monkeypatch, module, "_trace_rates")
+                  for module in (potential, reduction)]
+        traces.append(_count_calls(monkeypatch, reduction, "_valley_trace"))
+        laws = _count_calls(monkeypatch, reduction, "_trace_law")
+        run_report(["validate", "--model", "zero_range:L=3,N=30,alpha=3,p=0.5",
+                    "--trials", "2"], tmp_path)
+        run_report(["cycles", "--model", "glued_cubes:d=2,N=32,ell=8"], tmp_path)
+        assert traces == [[], [], []] and laws == []
+        run_report(["analyze", "--model", "zero_range:L=4,N=20,alpha=3,p=0.7"], tmp_path)
+        assert len(laws) == 1
 
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -571,14 +635,16 @@ class TestCycles:
                    for a, b, rate in chain.edges()) <= 1e-12
 
     def test_spectral_guard_exits_3(self, monkeypatch, capsys):
-        # a model's partition routes the decomposition through the valley traces
-        model = "glued_cubes:d=2,N=8,ell=2"
-        size = len(build_from_string(model).partition.valley(1))
-        monkeypatch.setattr(config, "DEFAULT", replace(config.DEFAULT, spectral_guard=size - 1))
-        assert main(["cycles", "--model", model]) == 3
-        err = json.loads(capsys.readouterr().out)["error"]
+        # a non-reversible model's partition routes pi through the valley traces
+        code, err, _ = _under_small_guard(monkeypatch, capsys, "cycles", NON_REVERSIBLE)
+        assert code == 3
         assert err["type"] == "TooLarge"
         assert err["message"].startswith("stationary: valley 1: ")
+
+    def test_reversible_model_needs_no_valley_trace(self, monkeypatch, capsys):
+        code, err, _ = _under_small_guard(monkeypatch, capsys, "cycles",
+                                          "glued_cubes:d=2,N=8,ell=2")
+        assert (code, err) == (0, None)
 
     def test_unexplained_rates_exit_4(self, c3_spec, capsys, monkeypatch):
         decompose = cli.cycle_decompose

@@ -500,6 +500,20 @@ def test_relaxation_matches_reflected_chain_route(case):
         assert report.theta * ratio == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("model", ["glued_cubes:d=2,N=8,ell=2", "potential_rw:N=8,points=41",
+                                   "zero_range:L=3,N=30,alpha=3,p=0.5"])
+def test_reversible_valley_reads_its_reflected_law_off_pi(model):
+    """A reversible chain's pi conditioned to a valley is the reflected law:
+    its relaxation time is that of the reflected law's own solve."""
+    spec = ms.build_from_string(model)
+    chain, pi = spec.chain, ms.stationary(spec.chain)
+    for j, valley in enumerate(spec.partition.valleys, start=1):
+        idx = chain.indices_of(valley)
+        read, solved = (reduction._valley_relaxation(chain, pi, idx, reversible, f"valley {j}")
+                        for reversible in (True, False))
+        assert read == pytest.approx(solved, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("factor, phrase", [
     (-1.0, r"stationary solve gave pi\(.*\) / pi\(.*\) = -"),
     (1.0 + 1e-6, "stationary residual"),
