@@ -19,6 +19,11 @@ from metastab.potential import hitting_probability
 from metastab.transforms import COLLAPSED_LABEL
 
 
+# a zero-range rung with drift p != 1/2: the tree gate declines it, so its pi
+# with a partition comes off the trace chain on the valleys
+NON_REVERSIBLE = "zero_range:L=3,N=10,alpha=3,p=0.7"
+
+
 @pytest.fixture
 def b2():
     """Two states, rates 1->2: 2 and 2->1: 3; pi = (3/5, 2/5)."""

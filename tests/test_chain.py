@@ -27,8 +27,8 @@ from metastab.errors import (
     TooLarge,
 )
 
-from conftest import (count_factors, random_chain, random_reversible_chain, scale_first,
-                      tamper_solves)
+from conftest import (NON_REVERSIBLE, count_factors, random_chain, random_reversible_chain,
+                      scale_first, tamper_solves)
 
 
 class TestBuildChain:
@@ -208,11 +208,6 @@ class TestBalancedLaw:
         chain = ms.build_from_string("potential_rw:N=120,points=41").chain
         with pytest.raises(SolverFailure, match=r"^stationary: pi\('\(-2\)'\) = 0\.0 "):
             ms.stationary(chain)
-
-
-# a zero-range rung with drift p != 1/2: the tree declines it, so its pi with
-# a partition comes off the trace chain on the valleys
-NON_REVERSIBLE = "zero_range:L=3,N=10,alpha=3,p=0.7"
 
 
 class TestStationaryOnValleys:

@@ -21,8 +21,8 @@ from metastab.potential import capacity
 from metastab.reduction import coarse_rates
 from metastab.specio import load_chain_spec
 
-from conftest import (count_factors, double_well_log_conductances, log_series_capacity,
-                      tamper_solves)
+from conftest import (NON_REVERSIBLE, count_factors, double_well_log_conductances,
+                      log_series_capacity, tamper_solves)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "metastab" / "schema"
@@ -55,10 +55,6 @@ def _path_spec(labels):
         "partition": {"valleys": [labels[:2], labels[3:]], "delta": [labels[2]]},
     }
 
-
-# a zero-range rung with drift p != 1/2: the tree declines it, so its pi
-# comes off the trace chain on the valleys
-NON_REVERSIBLE = "zero_range:L=3,N=10,alpha=3,p=0.7"
 
 # a path a - 1 - m - c - 2, its labels strings and JSON numbers
 MIXED = _path_spec(["a", 1, "m", "c", 2])
