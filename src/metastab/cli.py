@@ -11,6 +11,7 @@ JSON schema (schema/report-v1.schema.json).
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -160,33 +161,27 @@ def _write_trajectory(path, fs_path):
             writer.writerow([repr(float(t)), s])
 
 
-def cmd_simulate(args) -> int:
-    chain, partition, _ = _load_input(args)
-    if args.start is None:
-        raise InputError("--start is required for simulate")
-    start = _start_state(chain, args.start)
-    if args.horizon is None or not (math.isfinite(args.horizon) and args.horizon > 0):
-        raise InputError(f"--horizon must be finite and positive, got {args.horizon!r}")
-    if args.trials < 1:
-        raise InputError("--trials must be at least 1")
-    if args.surgery != "none":
-        partition = _require_partition(partition)
-    out_dir = FsPath(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _simulate_into(args, chain, start, partition, out_dir, written):
+    """Write ``simulate``'s trajectories and summary into ``out_dir``; each file is
+    listed in ``written`` before it is opened."""
     occupation = {}
     jump_counts = {}
     files = []
     total_time = 0.0
     seeds = [(args.seed, trial) for trial in range(args.trials)]
     for trial, raw in enumerate(simulate_paths(chain, start, args.horizon, seeds)):
-        if args.surgery == "none":
-            out_path = raw
-        elif args.surgery == "trace":
-            traced = trace_path(raw, partition.union())
-            out_path = project(traced, partition, "psi")
-        else:
-            out_path = last_passage_path(project(raw, partition, "phi"))
+        try:
+            if args.surgery == "none":
+                out_path = raw
+            elif args.surgery == "trace":
+                traced = trace_path(raw, partition.union())
+                out_path = project(traced, partition, "psi")
+            else:
+                out_path = last_passage_path(project(raw, partition, "phi"))
+        except InputError as exc:
+            raise type(exc)(f"trial {trial}: {exc}") from exc
         name = f"trajectory_{trial:04d}.csv"
+        written.append(out_dir / name)
         _write_trajectory(out_path, out_dir / name)
         files.append(name)
         for a, b, s in out_path.sojourns():
@@ -213,9 +208,37 @@ def cmd_simulate(args) -> int:
         "occupation_fraction": {k: v / total_time for k, v in sorted(occupation.items())},
         "jump_counts": dict(sorted(jump_counts.items())),
     }
+    written.append(out_dir / "summary.json")
     (out_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1, allow_nan=False) + "\n",
         encoding="utf-8")
+
+
+def cmd_simulate(args) -> int:
+    chain, partition, _ = _load_input(args)
+    if args.start is None:
+        raise InputError("--start is required for simulate")
+    start = _start_state(chain, args.start)
+    if args.horizon is None or not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise InputError(f"--horizon must be finite and positive, got {args.horizon!r}")
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
+    if args.surgery != "none":
+        partition = _require_partition(partition)
+    out_dir = FsPath(args.out or ".")
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    try:
+        _simulate_into(args, chain, start, partition, out_dir, written)
+    except BaseException:
+        # a failed run leaves no file of its own behind
+        for fs_path in written:
+            fs_path.unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     return 0
 
 

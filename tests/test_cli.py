@@ -466,6 +466,17 @@ class TestSimulate:
                      "--surgery", "last_passage", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_failed_surgery_leaves_no_files(self, bd3_spec, tmp_path, capsys):
+        # trial 5 never leaves the separating set before the horizon
+        out = tmp_path / "new" / "sim"
+        code = main(["simulate", "--spec", bd3_spec, "--start", "2", "--horizon", "0.5",
+                     "--trials", "6", "--seed", "2", "--surgery", "trace", "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == ("BadSubset",
+                                                 "trial 5: path never visits the trace set")
+        assert not (tmp_path / "new").exists()
+
     def test_unknown_start_exits_2(self, bd3_spec, tmp_path):
         code = main(["simulate", "--spec", bd3_spec, "--start", "zz",
                      "--horizon", "10", "--out", str(tmp_path / "y")])

@@ -5,7 +5,9 @@ A change that moves floats on purpose regenerates the files with
 prints the JSON path and relative drift of every float that moved; the
 change lists that drift in CHANGES.md.  A report too large to commit (over
 about 100 KB) is stored as ``<stem>.sha256``, its SHA-256 hex digest and its
-byte count; for those the script prints the old and the new digest.
+byte count; for those the script prints the old and the new digest.  Each
+``simulate`` case writes a directory of trajectory CSVs and a summary, and is
+stored as one digest over the bytes of its files taken in name order.
 
 Reports are byte-identical only for a fixed BLAS thread count: threaded
 LAPACK factorizations round differently.  So both the tests and the script
@@ -42,6 +44,12 @@ SPECS = {
         "states": ["1", "2", "3"],
         "rates": [["1", "2", 1.0], ["2", "3", 1.0], ["3", "1", 1.0]],
     },
+    # number and string labels, one holding the CSV delimiter and one its quote
+    "mixed": {
+        "states": ["a", 1, "b,c", 'd"e', 2],
+        "rates": [["a", 1, 1.0], [1, "a", 2.0], [1, "b,c", 1.5], ["b,c", 1, 1.0],
+                  ["b,c", 'd"e', 0.5], ['d"e', "b,c", 1.0], ['d"e', 2, 2.0], [2, 'd"e', 1.0]],
+    },
 }
 
 # report file -> (spec name or None, CLI arguments before --spec/--out)
@@ -69,11 +77,25 @@ CASES = {
     "glued_d2_N32_ell8_cycles.json": (None, ["cycles", "--model", "glued_cubes:d=2,N=32,ell=8"]),
     "zr_L3_N60_p07_cycles.json": (None, ["cycles", "--model",
                                          "zero_range:L=3,N=60,alpha=3,p=0.7"]),
+    # simulate writes a directory: its trajectory CSVs and summary.json
+    "bd3_simulate_none": ("bd3", ["simulate", "--start", "1", "--horizon", "300",
+                                  "--trials", "3", "--seed", "7"]),
+    "bd3_simulate_trace": ("bd3", ["simulate", "--start", "1", "--horizon", "300",
+                                   "--trials", "3", "--seed", "7", "--surgery", "trace"]),
+    "bd3_simulate_last_passage": ("bd3", ["simulate", "--start", "1", "--horizon", "300",
+                                          "--trials", "3", "--seed", "7",
+                                          "--surgery", "last_passage"]),
+    "mixed_simulate": ("mixed", ["simulate", "--start", "1", "--horizon", "200",
+                                 "--trials", "2", "--seed", "4"]),
+    "glued_d2_N8_simulate": (None, ["simulate", "--model", "glued_cubes:d=2,N=8,ell=2",
+                                    "--start", "0:3,3", "--horizon", "500", "--trials", "2",
+                                    "--seed", "3"]),
 }
 
 # reports stored by digest, not byte for byte
 DIGESTED = {"zr_L4_N16_p07_cycles.json", "glued_d2_N32_ell8_cycles.json",
-            "zr_L3_N60_p07_cycles.json"}
+            "zr_L3_N60_p07_cycles.json",
+            *(name for name, (_, args) in CASES.items() if args[0] == "simulate")}
 
 
 def golden_path(name):
@@ -87,8 +109,16 @@ def stored(name, report):
     return f"{hashlib.sha256(report).hexdigest()} {len(report)}\n".encode()
 
 
+def output_bytes(path):
+    """The bytes a case wrote: its report, or for a directory (``simulate --out``)
+    the bytes of its files in name order."""
+    if path.is_dir():
+        return b"".join(f.read_bytes() for f in sorted(path.iterdir()))
+    return path.read_bytes()
+
+
 def render(name, workdir):
-    """Run the CLI for one case in ``workdir``, writing the report to ``workdir / name``."""
+    """Run the CLI for one case in ``workdir``, writing its output to ``workdir / name``."""
     spec, args = CASES[name]
     args = list(args)
     if spec is not None:
@@ -119,7 +149,7 @@ def rendered(tmp_path_factory):
 def test_report_matches_golden(name, rendered):
     workdir, printed = rendered
     assert (workdir / name).exists(), f"{name} was not rendered:\n{printed}"
-    assert stored(name, (workdir / name).read_bytes()) == golden_path(name).read_bytes()
+    assert stored(name, output_bytes(workdir / name)) == golden_path(name).read_bytes()
 
 
 def float_drift(old, new, path=""):
@@ -150,7 +180,7 @@ if __name__ == "__main__":
         print(render_all(tmp), end="", file=sys.stderr)
         for case in sorted(CASES):
             target = golden_path(case)
-            fresh = stored(case, (Path(tmp) / case).read_bytes())
+            fresh = stored(case, output_bytes(Path(tmp) / case))
             old = target.read_bytes() if target.exists() else None
             if old == fresh:
                 continue
