@@ -90,6 +90,11 @@ CASES = {
     "glued_d2_N8_simulate": (None, ["simulate", "--model", "glued_cubes:d=2,N=8,ell=2",
                                     "--start", "0:3,3", "--horizon", "500", "--trials", "2",
                                     "--seed", "3"]),
+    # the surgeries on valleys of many states: about 85 valley changes per trial
+    **{f"glued_d2_N8_simulate_{surgery}": (
+        None, ["simulate", "--model", "glued_cubes:d=2,N=8,ell=2", "--start", "0:3,3",
+               "--horizon", "20000", "--trials", "2", "--seed", "3", "--surgery", surgery])
+       for surgery in ("trace", "last_passage")},
 }
 
 # reports stored by digest, not byte for byte
