@@ -223,6 +223,12 @@ def build_chain(states: Sequence, rate_triples) -> Chain:
     if len(set(states)) != len(states):
         dup = next(s for i, s in enumerate(states) if s in states[:i])
         raise BadSpec(f"duplicate state label {dup!r}")
+    # reports, CSV rows and --start name a state by its label's str
+    printed = {}
+    for s in states:
+        if str(s) in printed:
+            raise BadSpec(f"state labels {printed[str(s)]!r} and {s!r} both print as {str(s)!r}")
+        printed[str(s)] = s
     index = {s: i for i, s in enumerate(states)}
     seen = set()
     rows, cols, vals = [], [], []

@@ -11,6 +11,7 @@ JSON schema (schema/report-v1.schema.json).
 """
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
@@ -18,7 +19,10 @@ import hashlib
 import json
 import math
 import sys
+import types
 from pathlib import Path as FsPath
+
+import numpy as np
 
 from . import __version__, config
 from .chain import stationarity_residual, stationary
@@ -78,12 +82,10 @@ def _load_input(args):
 
 def _start_state(chain, text):
     """The state whose label reads ``text`` (``--start``), a number label too."""
-    matches = [s for s in chain.states if str(s) == text]
-    if not matches:
-        raise BadSpec(f"unknown start state {text!r}")
-    if len(matches) > 1:
-        raise BadSpec(f"start state {text!r} matches the labels {matches[0]!r} and {matches[1]!r}")
-    return matches[0]
+    for s in chain.states:
+        if str(s) == text:
+            return s
+    raise BadSpec(f"unknown start state {text!r}")
 
 
 def _require_partition(partition):
@@ -152,22 +154,28 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _write_trajectory(path, fs_path):
+def _csv_cells(labels):
+    """Each label's CSV cell, in an object array to gather from: ``csv.writer``'s
+    ``writerow`` returns what it passes to ``write``, here ``,<cell>\\r\\n``."""
+    writer = csv.writer(types.SimpleNamespace(write=lambda line: line))
+    return np.array([writer.writerow(("", s))[1:-2] for s in labels], dtype=object)
+
+
+def _write_trajectory(path, cells, fs_path):
+    """One ``time,state`` row per sojourn, in the bytes ``csv.writer`` writes;
+    ``cells`` holds the cell of each of the path's labels."""
+    rows = zip(map(repr, path.times.tolist()), cells[path.states].tolist())
     with open(fs_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "state"])
-        writer.writerow([repr(0.0), path.initial])
-        for t, s in path.events:
-            writer.writerow([repr(float(t)), s])
+        fh.write("\r\n".join(["time,state", *map(",".join, rows), ""]))
 
 
 def _simulate_into(args, chain, start, partition, out_dir, written):
     """Write ``simulate``'s trajectories and summary into ``out_dir``; each file is
-    listed in ``written`` before it is opened."""
-    occupation = {}
-    jump_counts = {}
-    files = []
-    total_time = 0.0
+    listed in ``written`` before it is opened.  Sums run in path order."""
+    labels = chain.states if args.surgery == "none" else tuple(range(partition.n + 1))
+    cells, names = _csv_cells(labels), [str(s) for s in labels]
+    occupation, seen = np.zeros(len(labels)), np.zeros(len(labels), dtype=bool)
+    jump_counts, files, total_time = collections.Counter(), [], np.zeros(1)
     seeds = [(args.seed, trial) for trial in range(args.trials)]
     for trial, raw in enumerate(simulate_paths(chain, start, args.horizon, seeds)):
         try:
@@ -182,16 +190,15 @@ def _simulate_into(args, chain, start, partition, out_dir, written):
             raise type(exc)(f"trial {trial}: {exc}") from exc
         name = f"trajectory_{trial:04d}.csv"
         written.append(out_dir / name)
-        _write_trajectory(out_path, out_dir / name)
+        _write_trajectory(out_path, cells, out_dir / name)
         files.append(name)
-        for a, b, s in out_path.sojourns():
-            occupation[str(s)] = occupation.get(str(s), 0.0) + (b - a)
-            total_time += b - a
-        prev = out_path.initial
-        for _, s in out_path.events:
-            key = f"{prev}->{s}"
-            jump_counts[key] = jump_counts.get(key, 0) + 1
-            prev = s
+        states, durations = out_path.states, np.diff(out_path.times, append=out_path.horizon)
+        np.add.at(occupation, states, durations)
+        seen[states] = True
+        total_time = np.cumsum(np.concatenate((total_time[-1:], durations)))
+        pairs, counts = np.unique(states[:-1] * len(labels) + states[1:], return_counts=True)
+        jump_counts.update(dict(zip(pairs.tolist(), counts.tolist())))
+    occupied = np.flatnonzero(seen).tolist()
     summary = {
         "meta": {
             "tool": "metastab",
@@ -205,8 +212,10 @@ def _simulate_into(args, chain, start, partition, out_dir, written):
         "surgery": args.surgery,
         "start": args.start,
         "files": files,
-        "occupation_fraction": {k: v / total_time for k, v in sorted(occupation.items())},
-        "jump_counts": dict(sorted(jump_counts.items())),
+        "occupation_fraction": {names[i]: v / float(total_time[-1]) for i, v in
+                                zip(occupied, occupation[occupied].tolist())},
+        "jump_counts": {f"{names[code // len(labels)]}->{names[code % len(labels)]}": count
+                        for code, count in jump_counts.items()},
     }
     written.append(out_dir / "summary.json")
     (out_dir / "summary.json").write_text(

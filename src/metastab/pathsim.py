@@ -1,9 +1,9 @@
 """Trajectory simulation, path surgeries, and Monte-Carlo validators.
 
-Paths are right-continuous step functions given by an initial state, the
-ordered jump times with their post-jump states, and a horizon.  Coarse paths
-use the integer alphabet {0, 1, ..., n}: valley j maps to j, the separating
-set maps to 0.
+Paths are right-continuous step functions held as the sampler's arrays: the
+start time of each sojourn and its state, an index into a label tuple, up to
+a horizon.  Coarse paths use the integer alphabet {0, 1, ..., n}: valley j
+maps to j, the separating set maps to 0.
 
 Every path is sampled by one kernel (``_trajectories``) that moves a group of
 paths in lockstep.  Each path draws from its own stream in blocks of at most
@@ -46,54 +46,72 @@ from .reduction import ReducedModel, _layout, reduced_transition
 DELTA_SYMBOL = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
-    """Right-continuous piecewise-constant trajectory on [0, horizon]."""
+    """Right-continuous piecewise-constant trajectory on [0, horizon].
 
-    initial: object
-    events: tuple                # ((time, state), ...) strictly increasing times
+    Sojourn k is in the state ``labels[states[k]]`` from ``times[k]`` on, with
+    ``times[0] = 0``: the arrays the sampler draws, 16 bytes a jump.  Consecutive
+    states differ and the times increase strictly up to the horizon, where a jump
+    may fall.  Labels are distinct; paths with equal sojourns are equal, whatever
+    their label tuples.
+    """
+
+    labels: tuple
+    states: np.ndarray           # index into labels, one per sojourn
+    times: np.ndarray            # start time of each sojourn
     horizon: float
 
     def __post_init__(self):
+        states = np.asarray(self.states, dtype=np.intp)
+        times = np.asarray(self.times, dtype=float)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "times", times)
         if not self.horizon > 0:
             raise BadSpec("path horizon must be positive")
-        prev_t, prev_s = 0.0, self.initial
-        for t, s in self.events:
-            if not prev_t < t <= self.horizon:
-                raise BadSpec(f"jump time {t} out of order or beyond the horizon")
-            if s == prev_s:
-                raise BadSpec(f"consecutive states equal at time {t}")
-            prev_t, prev_s = t, s
+        if not (len(states) == len(times) > 0 and times[0] == 0.0
+                and 0 <= states.min() and states.max() < len(self.labels)):
+            raise BadSpec("a path needs one label index per start time, the first at time 0")
+        bad = ~((times[:-1] < times[1:]) & (times[1:] <= self.horizon))
+        if bad.any():
+            raise BadSpec(f"jump time {times[1 + bad.argmax()]} out of order or beyond the horizon")
+        repeat = states[:-1] == states[1:]
+        if repeat.any():
+            raise BadSpec(f"consecutive states equal at time {times[1 + repeat.argmax()]}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Path):
+            return NotImplemented
+        return list(self.sojourns()) == list(other.sojourns())
+
+    @property
+    def initial(self):
+        return self.labels[self.states[0]]
 
     def states_visited(self):
-        return {self.initial, *(s for _, s in self.events)}
+        return {self.labels[i] for i in np.unique(self.states).tolist()}
 
     def state_at(self, t):
         """Value at time t (right-continuous; t beyond the horizon holds the last state)."""
         if t < 0:
             raise BadSpec("time must be nonnegative")
-        k = bisect.bisect_right(self.events, t, key=lambda e: e[0])
-        return self.initial if k == 0 else self.events[k - 1][1]
+        return self.labels[self.states[np.searchsorted(self.times, t, side="right") - 1]]
 
     def sojourns(self):
-        """Yield (start, end, state) with end exclusive; covers [0, horizon]."""
-        t, s = 0.0, self.initial
-        for t2, s2 in self.events:
-            yield t, t2, s
-            t, s = t2, s2
-        yield t, self.horizon, s
+        """(start, end, state) per sojourn, end exclusive; covers [0, horizon]."""
+        return zip(self.times.tolist(), [*self.times[1:].tolist(), self.horizon],
+                   map(self.labels.__getitem__, self.states.tolist()))
 
 
-def _build_path(initial, events, horizon):
-    """Assemble a Path, merging consecutive equal states and zero-length dust."""
-    cleaned = []
-    cur = initial
-    for t, s in events:
-        if s == cur or not 0.0 < t <= horizon:
-            continue
-        cleaned.append((t, s))
-        cur = s
-    return Path(initial, tuple(cleaned), horizon)
+def _per_label(path, value):
+    """``value(label)`` per sojourn of ``path``: one call per label, one gather."""
+    return np.array([value(label) for label in path.labels])[path.states]
+
+
+def _merged(labels, states, times, horizon):
+    """The Path of these sojourns, each run of one state merged into its first."""
+    keep = np.diff(states, prepend=-1) != 0
+    return Path(labels, states[keep], times[keep], horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +288,7 @@ def simulate_paths(chain: Chain, start, horizon, seeds):
 
     Every path is the one ``simulate`` draws from its seed.  Up to ``_GROUP`` paths
     are drawn together, and a group's jump times and states are held until its last
-    path ends; each Path is built as it is yielded.
+    path ends; each Path is built, and its blocks dropped, as it is yielded.
     """
     _require_positive("horizon", horizon)
     tables, guide, labels = _chain_tables(chain), _guide_table(chain), chain.states
@@ -279,15 +297,13 @@ def simulate_paths(chain: Chain, start, horizon, seeds):
         rngs = [np.random.default_rng(seed) for seed in seeds[first:first + _GROUP]]
         starts = [int(rng.choice(chain.n, p=start.weights)) if isinstance(start, ProbVector)
                   else _start_index(chain, start) for rng in rngs]
-        blocks = [([], []) for _ in starts]
+        blocks = [([np.zeros(1)], [np.array([k])]) for k in starts]
         for k, times, states, _ in _trajectories(tables, guide, starts, horizon, rngs):
             blocks[k][0].append(times)
             blocks[k][1].append(states)
-        for start_idx, (times, states) in zip(starts, blocks):
-            yield Path(labels[start_idx],
-                       tuple(zip(np.concatenate(times).tolist(),
-                                 [labels[s] for s in np.concatenate(states).tolist()])),
-                       horizon)
+        for k, (times, states) in enumerate(blocks):
+            blocks[k] = None
+            yield Path(labels, np.concatenate(states), np.concatenate(times), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -295,25 +311,24 @@ def simulate_paths(chain: Chain, start, horizon, seeds):
 
 
 def occupation_time(path: Path, F) -> float:
-    """Total time spent in F up to the horizon.
+    """Total time spent in F up to the horizon: time_change(path, F).total.
 
-    The total of time_change(path, F): accumulated left to right over
-    maximal F-runs, one subtraction per run, so a full-state F gives the
-    horizon exactly and the total equals the horizon of trace_path(path, F)
-    bit for bit.
+    A full-state F gives the horizon exactly, and the total equals the horizon
+    of trace_path(path, F) bit for bit.
     """
     return time_change(path, F).total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeChange:
     """The monotone map S_F: time lived in F -> original time.
 
-    Piecewise linear and right-continuous; ``runs`` holds one
-    (inner_start, original_start, length) triple per maximal F-run.
+    Piecewise linear and right-continuous; maximal F-run k starts at time
+    ``inner[k]`` lived in F and at original time ``origin[k]``.
     """
 
-    runs: tuple
+    inner: np.ndarray
+    origin: np.ndarray
     total: float           # time lived in F over the whole path
     horizon: float
 
@@ -322,32 +337,28 @@ class TimeChange:
             raise BadSpec("time must be nonnegative")
         if u >= self.total:
             return self.horizon
-        inner, orig, _ = self.runs[bisect.bisect_right(self.runs, u, key=lambda r: r[0]) - 1]
-        return orig + (u - inner)
+        k = np.searchsorted(self.inner, u, side="right") - 1
+        return float(self.origin[k] + (u - self.inner[k]))
 
 
 def _f_runs(path: Path, F):
-    """Maximal runs of sojourns inside F: list of (orig_start, segments)."""
+    """The sojourns in F, the maximal F-run of each, and the path's TimeChange:
+    one subtraction per run for its length, the lengths summed left to right."""
     F = set(F)
-    runs, inside = [], False
-    for a, b, s in path.sojourns():
-        if s in F and not inside:
-            runs.append([a, []])
-        inside = s in F
-        if inside:
-            runs[-1][1].append((a, b, s))
-    return runs
+    inside = _per_label(path, F.__contains__)
+    edges = np.diff(inside.astype(np.int8), prepend=0, append=0)
+    ends = np.append(path.times[1:], path.horizon)
+    origin = path.times[edges[:-1] == 1]
+    lengths = ends[edges[1:] == -1] - origin
+    total = np.cumsum(np.concatenate(([0.0], lengths)))
+    sojourns = np.flatnonzero(inside)
+    runs = np.cumsum(edges[:-1] == 1)[sojourns] - 1
+    return sojourns, runs, TimeChange(total[:-1], origin, float(total[-1]), path.horizon)
 
 
 def time_change(path: Path, F) -> TimeChange:
     """Right-continuous inverse of the additive functional t -> time in F."""
-    runs = []
-    inner = 0.0
-    for orig_start, segments in _f_runs(path, F):
-        length = segments[-1][1] - orig_start
-        runs.append((inner, orig_start, length))
-        inner += length
-    return TimeChange(tuple(runs), inner, path.horizon)
+    return _f_runs(path, F)[2]
 
 
 def trace_path(path: Path, F) -> Path:
@@ -357,39 +368,21 @@ def trace_path(path: Path, F) -> Path:
     arithmetic); jumps between F-states across an excursion are kept,
     returns to the same state are merged away.
     """
-    runs = _f_runs(path, F)
-    if not runs:
+    sojourns, runs, change = _f_runs(path, F)
+    if not len(sojourns):
         raise BadSubset("path never visits the trace set")
-    events = []
-    clock = 0.0
-    current = None
-    for run_start, segments in runs:
-        for a, _, s in segments:
-            if current is None:
-                current = s
-                initial = s
-            elif s != current:
-                events.append((clock + (a - run_start), s))
-                current = s
-        clock += segments[-1][1] - run_start
-    return Path(initial, tuple(events), clock)
+    times = change.inner[runs] + (path.times[sojourns] - change.origin[runs])
+    return _merged(path.labels, path.states[sojourns], times, change.total)
 
 
 def last_passage_path(coarse: Path) -> Path:
     """Rewrite every excursion into 0 with the last valley value."""
     if coarse.initial == DELTA_SYMBOL:
         raise StartsInDelta("coarse path starts in the separating set")
-    events = []
-    last = coarse.initial
-    for t, s in coarse.events:
-        if s == DELTA_SYMBOL:
-            continue
-        if s != last:
-            events.append((t, s))
-            last = s
     # delta sojourns inherit the preceding valley, so a jump back to the same
     # valley disappears; the jump time into a new valley is the entry time
-    return _build_path(coarse.initial, events, coarse.horizon)
+    kept = ~_per_label(coarse, lambda s: s == DELTA_SYMBOL)
+    return _merged(coarse.labels, coarse.states[kept], coarse.times[kept], coarse.horizon)
 
 
 def project(path: Path, partition: Partition, mode: str) -> Path:
@@ -401,19 +394,15 @@ def project(path: Path, partition: Partition, mode: str) -> Path:
     label_map = partition.label_map()
     if mode not in ("phi", "psi"):
         raise BadPartition(f"unknown projection mode {mode!r}")
-
-    def proj(s):
-        try:
-            k = label_map[s]
-        except KeyError:
+    valleys = _per_label(path, lambda s: label_map.get(s, -1))
+    bad = (valleys < 0) | ((valleys == DELTA_SYMBOL) & (mode == "psi"))
+    if bad.any():
+        k = bad.argmax()
+        s = path.labels[path.states[k]]
+        if valleys[k] < 0:
             raise BadPartition(f"state {s!r} is not covered by the partition")
-        if k == DELTA_SYMBOL and mode == "psi":
-            raise TouchesDelta(f"state {s!r} lies in the separating set")
-        return k
-
-    initial = proj(path.initial)
-    events = [(t, proj(s)) for t, s in path.events]
-    return _build_path(initial, events, path.horizon)
+        raise TouchesDelta(f"state {s!r} lies in the separating set")
+    return _merged(tuple(range(partition.n + 1)), valleys, path.times, path.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +411,8 @@ def project(path: Path, partition: Partition, mode: str) -> Path:
 
 def _segments_upto(path: Path, m: float):
     """Jump times and values on [0, m); the path extends by its last value."""
-    times, values = [], [path.initial]
-    for t, s in path.events:
-        if t >= m:
-            break
-        times.append(t)
-        values.append(s)
-    return times, values
+    k = int(np.searchsorted(path.times, m, side="left"))
+    return path.times[1:k].tolist(), list(map(path.labels.__getitem__, path.states[:k].tolist()))
 
 
 def _evaluate_candidate(anchors, a_seg, b_seg, m):

@@ -11,10 +11,11 @@ import scipy.integrate
 import scipy.linalg
 import scipy.special
 
-from metastab import (Partition, build_chain, collapse_chain, config, numerics, pathsim,
+from metastab import (Partition, Path, build_chain, collapse_chain, config, numerics, pathsim,
                       simulate)
 from metastab.chain import apply_generator, dirichlet_form
-from metastab.errors import NotStationary, SolverFailure, ToleranceViolation
+from metastab.errors import (BadPartition, BadSubset, NotStationary, SolverFailure,
+                             StartsInDelta, TouchesDelta, ToleranceViolation)
 from metastab.potential import hitting_probability
 from metastab.transforms import COLLAPSED_LABEL
 
@@ -243,6 +244,120 @@ def surgery_paths(tag, count=200):
             drawn += 1
             if drawn >= count:
                 return
+
+
+def path_from_events(initial, events, horizon):
+    """The Path that starts in ``initial`` and jumps at each (time, label) of ``events``."""
+    labels = tuple(dict.fromkeys([initial, *(s for _, s in events)]))
+    index = {s: i for i, s in enumerate(labels)}
+    return Path(labels, [index[initial], *(index[s] for _, s in events)],
+                [0.0, *(t for t, _ in events)], horizon)
+
+
+def events_of(path):
+    """The (time, label) of each jump of ``path``, in order."""
+    return tuple(zip(path.times[1:].tolist(),
+                     [path.labels[s] for s in path.states[1:].tolist()]))
+
+
+# The path surgeries one event at a time, on (initial, events, horizon) triples:
+# the reference that the array surgeries of ``pathsim`` match bit for bit.
+
+
+def _reference_sojourns(initial, events, horizon):
+    t, s = 0.0, initial
+    for t2, s2 in events:
+        yield t, t2, s
+        t, s = t2, s2
+    yield t, horizon, s
+
+
+def _reference_runs(path, F):
+    """Maximal runs of sojourns inside F: list of (orig_start, segments)."""
+    F = set(F)
+    runs, inside = [], False
+    for a, b, s in _reference_sojourns(*path):
+        if s in F and not inside:
+            runs.append([a, []])
+        inside = s in F
+        if inside:
+            runs[-1][1].append((a, b, s))
+    return runs
+
+
+def _reference_cleaned(initial, events, horizon):
+    """Consecutive equal states merged and jumps off (0, horizon] dropped."""
+    cleaned, cur = [], initial
+    for t, s in events:
+        if s == cur or not 0.0 < t <= horizon:
+            continue
+        cleaned.append((t, s))
+        cur = s
+    return initial, tuple(cleaned), horizon
+
+
+def reference_time_change(path, F):
+    """((inner_start, original_start) per maximal F-run, time lived in F)."""
+    runs, inner = [], 0.0
+    for orig_start, segments in _reference_runs(path, F):
+        runs.append((inner, orig_start))
+        inner += segments[-1][1] - orig_start
+    return runs, inner
+
+
+def reference_trace_path(path, F):
+    runs = _reference_runs(path, F)
+    if not runs:
+        raise BadSubset("path never visits the trace set")
+    events, clock, current = [], 0.0, None
+    for run_start, segments in runs:
+        for a, _, s in segments:
+            if current is None:
+                current = initial = s
+            elif s != current:
+                events.append((clock + (a - run_start), s))
+                current = s
+        clock += segments[-1][1] - run_start
+    return initial, tuple(events), clock
+
+
+def reference_last_passage_path(coarse):
+    initial, events, horizon = coarse
+    if initial == pathsim.DELTA_SYMBOL:
+        raise StartsInDelta("coarse path starts in the separating set")
+    kept, last = [], initial
+    for t, s in events:
+        if s != pathsim.DELTA_SYMBOL and s != last:
+            kept.append((t, s))
+            last = s
+    return _reference_cleaned(initial, kept, horizon)
+
+
+def reference_project(path, partition, mode):
+    label_map = partition.label_map()
+
+    def proj(s):
+        try:
+            k = label_map[s]
+        except KeyError:
+            raise BadPartition(f"state {s!r} is not covered by the partition")
+        if k == pathsim.DELTA_SYMBOL and mode == "psi":
+            raise TouchesDelta(f"state {s!r} lies in the separating set")
+        return k
+
+    initial, events, horizon = path
+    return _reference_cleaned(proj(initial), [(t, proj(s)) for t, s in events], horizon)
+
+
+def reference_segments_upto(path, m):
+    initial, events, _ = path
+    times, values = [], [initial]
+    for t, s in events:
+        if t >= m:
+            break
+        times.append(t)
+        values.append(s)
+    return times, values
 
 
 def exact_candidate_objective(anchors, a_seg, b_seg, m):

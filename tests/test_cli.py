@@ -444,9 +444,23 @@ class TestSimulate:
         chain, _ = load_chain_spec(bd3_spec)
         for trial in range(3):
             one = tmp_path / "one.csv"
-            cli._write_trajectory(pathsim.simulate(chain, "1", 300.0, (7, trial)), one)
+            cli._write_trajectory(pathsim.simulate(chain, "1", 300.0, (7, trial)),
+                                  cli._csv_cells(chain.states), one)
             assert (d / f"trajectory_{trial:04d}.csv").read_bytes() == one.read_bytes()
         assert widths == [3, 1, 1, 1]
+
+    def test_labels_that_print_alike_exit_2(self, tmp_path, capsys):
+        # 1 and "1" would share CSV rows and summary keys, their jumps read as 1->1
+        spec = tmp_path / "twins.json"
+        spec.write_text(json.dumps({"states": [1, "1", 2], "rates": [
+            [1, "1", 1.0], ["1", 1, 1.0], ["1", 2, 1.0], [2, "1", 1.0]]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(spec), "--start", "2", "--horizon", "50",
+                     "--trials", "1", "--seed", "1", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == (
+            "BadSpec", "state labels 1 and '1' both print as '1'")
+        assert not out.exists()
 
     def test_trace_surgery_valley_alphabet(self, bd3_spec, tmp_path):
         d = tmp_path / "sim"
@@ -708,7 +722,7 @@ class TestMixedLabels:
                                "--out", str(tmp_path / "out")]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["message"]) == (
-            "BadSpec", "start state '1' matches the labels 1 and '1'")
+            "BadSpec", "state labels 1 and '1' both print as '1'")
 
     def test_partition_that_misses_both_kinds(self, mixed_spec, tmp_path, capsys):
         partition = tmp_path / "partition.json"

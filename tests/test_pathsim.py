@@ -10,15 +10,22 @@ import pytest
 
 import metastab as ms
 from metastab import pathsim
-from metastab.errors import BadPartition, BadSpec, StartsInDelta, TouchesDelta
+from metastab.errors import BadPartition, BadSpec, BadSubset, InputError, StartsInDelta, TouchesDelta
 
 from conftest import (
     FixedDraws,
+    events_of,
     exact_candidate_objective,
     expm_law,
     occupation_integral,
+    path_from_events,
     random_chain,
     random_partition,
+    reference_last_passage_path,
+    reference_project,
+    reference_segments_upto,
+    reference_time_change,
+    reference_trace_path,
     reference_trajectory,
     reference_zero_range,
     surgery_paths,
@@ -66,9 +73,9 @@ class TestSimulate:
         spec = ms.zero_range(3, 8, 3.0, 0.5)
         reference = reference_zero_range(3, 8, 3.0, 0.5)
         path = ms.simulate(spec.chain, spec.chain.states[0], 50.0, seed=4)
-        assert path.events
+        assert events_of(path)
         prev = path.initial
-        for _, s in path.events:
+        for _, s in events_of(path):
             assert reference.rate(prev, s) > 0
             prev = s
 
@@ -83,13 +90,13 @@ class TestOccupationTime:
         assert ms.occupation_time(path, set()) == 0.0
 
     def test_hand_path_bookkeeping(self):
-        path = ms.Path("a", ((1.0, "b"), (2.5, "a"), (6.0, "b")), 8.0)
+        path = path_from_events("a", ((1.0, "b"), (2.5, "a"), (6.0, "b")), 8.0)
         assert ms.occupation_time(path, {"b"}) == (2.5 - 1.0) + (8.0 - 6.0)
         assert ms.occupation_time(path, {"a"}) == 1.0 + (6.0 - 2.5)
 
     def test_complement_identity_dyadic(self):
         # dyadic jump times make the run arithmetic exact
-        path = ms.Path("a", ((0.25, "b"), (0.5, "a"), (1.75, "c"), (2.5, "a")), 4.0)
+        path = path_from_events("a", ((0.25, "b"), (0.5, "a"), (1.75, "c"), (2.5, "a")), 4.0)
         t_a = ms.occupation_time(path, {"a"})
         t_rest = ms.occupation_time(path, {"b", "c"})
         assert t_a + t_rest == 4.0
@@ -97,14 +104,14 @@ class TestOccupationTime:
 
 class TestTimeChange:
     def test_identity_when_inside(self, b2):
-        path = ms.Path("1", ((1.5, "2"), (3.0, "1")), 5.0)
+        path = path_from_events("1", ((1.5, "2"), (3.0, "1")), 5.0)
         sf = ms.time_change(path, {"1", "2"})
         for u in (0.0, 1.0, 2.7, 4.9):
             assert sf(u) == u
         assert sf.total == 5.0
 
     def test_figure_style_skips_excursions(self):
-        path = ms.Path("a", ((2.0, "x"), (3.0, "a"), (5.0, "y"), (6.0, "b")), 8.0)
+        path = path_from_events("a", ((2.0, "x"), (3.0, "a"), (5.0, "y"), (6.0, "b")), 8.0)
         sf = ms.time_change(path, {"a", "b"})
         assert sf.total == (2.0 - 0.0) + (5.0 - 3.0) + (8.0 - 6.0)
         assert sf(0.5) == 0.5
@@ -120,8 +127,8 @@ class TestTimeChange:
         for u in rng.uniform(0, sf.total * 0.999, size=40):
             t = sf(u)
             # T_F(S_F(u)) == u: occupation up to t equals u
-            clipped = ms.Path(path.initial, tuple((x, s) for x, s in path.events
-                                                  if x < t), max(t, 1e-12)) \
+            clipped = path_from_events(path.initial, tuple((x, s) for x, s in events_of(path)
+                                                           if x < t), max(t, 1e-12)) \
                 if t > 0 else None
             occ = ms.occupation_time(clipped, {"1"}) if clipped else 0.0
             assert occ == pytest.approx(u, abs=1e-9)
@@ -129,15 +136,15 @@ class TestTimeChange:
 
 class TestTracePath:
     def test_inside_set_unchanged(self, b2):
-        path = ms.Path("1", ((1.0, "2"), (2.0, "1")), 4.0)
+        path = path_from_events("1", ((1.0, "2"), (2.0, "1")), 4.0)
         traced = ms.trace_path(path, {"1", "2"})
         assert traced == path
 
     def test_figure_style_concatenation(self):
-        path = ms.Path("a", ((2.0, "x"), (3.0, "a"), (5.0, "y"), (6.0, "b")), 8.0)
+        path = path_from_events("a", ((2.0, "x"), (3.0, "a"), (5.0, "y"), (6.0, "b")), 8.0)
         traced = ms.trace_path(path, {"a", "b"})
         assert traced.initial == "a"
-        assert traced.events == ((4.0, "b"),)
+        assert events_of(traced) == ((4.0, "b"),)
         assert traced.horizon == 6.0
 
     def test_roundtrip_with_occupation(self, b2):
@@ -159,31 +166,31 @@ class TestTracePath:
             direct = ms.trace_path(path, f2)
             nested = ms.trace_path(ms.trace_path(path, f1), f2)
             assert direct.initial == nested.initial
-            assert [s for _, s in direct.events] == [s for _, s in nested.events]
+            assert [s for _, s in events_of(direct)] == [s for _, s in events_of(nested)]
             assert direct.horizon == pytest.approx(nested.horizon, abs=1e-12)
-            for (t1, _), (t2, _) in zip(direct.events, nested.events):
+            for (t1, _), (t2, _) in zip(events_of(direct), events_of(nested)):
                 assert t1 == pytest.approx(t2, abs=1e-12)
 
 
 class TestLastPassage:
     def test_no_delta_unchanged(self):
-        path = ms.Path(1, ((1.0, 2), (2.0, 1)), 4.0)
+        path = path_from_events(1, ((1.0, 2), (2.0, 1)), 4.0)
         assert ms.last_passage_path(path) == path
 
     def test_definitional_rewrite(self):
-        path = ms.Path(1, ((1.0, 0), (2.0, 2)), 4.0)
+        path = path_from_events(1, ((1.0, 0), (2.0, 2)), 4.0)
         out = ms.last_passage_path(path)
         assert out.initial == 1
-        assert out.events == ((2.0, 2),)
+        assert events_of(out) == ((2.0, 2),)
 
     def test_return_to_same_valley_disappears(self):
-        path = ms.Path(1, ((1.0, 0), (2.0, 1), (3.0, 0)), 4.0)
+        path = path_from_events(1, ((1.0, 0), (2.0, 1), (3.0, 0)), 4.0)
         out = ms.last_passage_path(path)
-        assert out.events == ()
+        assert events_of(out) == ()
 
     def test_rejects_delta_start(self):
         with pytest.raises(StartsInDelta):
-            ms.last_passage_path(ms.Path(0, ((1.0, 1),), 2.0))
+            ms.last_passage_path(path_from_events(0, ((1.0, 1),), 2.0))
 
     def test_agrees_with_trace_off_delta(self, bd3, bd3_partition):
         for seed in range(5):
@@ -199,12 +206,12 @@ class TestLastPassage:
 class TestProject:
     def test_single_valley_constant(self, bd3):
         part = ms.Partition((frozenset({"1", "2"}), frozenset({"3"})))
-        path = ms.Path("1", ((1.0, "2"), (2.0, "1")), 4.0)
+        path = path_from_events("1", ((1.0, "2"), (2.0, "1")), 4.0)
         coarse = ms.project(path, part, "phi")
-        assert coarse.initial == 1 and coarse.events == ()
+        assert coarse.initial == 1 and events_of(coarse) == ()
 
     def test_psi_rejects_delta(self, bd3, bd3_partition):
-        path = ms.Path("1", ((1.0, "2"),), 2.0)
+        path = path_from_events("1", ((1.0, "2"),), 2.0)
         with pytest.raises(TouchesDelta):
             ms.project(path, bd3_partition, "psi")
 
@@ -236,27 +243,28 @@ class TestSkorohodDistance:
 
     def test_single_jump_shift(self):
         eps = 1.0 / 128.0
-        p1 = ms.Path(1, ((0.5, 0),), 10.0)
-        p2 = ms.Path(1, ((0.5 + eps, 0),), 10.0)
+        p1 = path_from_events(1, ((0.5, 0),), 10.0)
+        p2 = path_from_events(1, ((0.5 + eps, 0),), 10.0)
         d = ms.skorohod_distance(p1, p2)
         assert d <= eps * (1 - 2.0 ** -8) + 1e-15
         assert d > 0
 
     def test_distinct_constants(self):
-        p1 = ms.Path(1, (), 10.0)
-        p2 = ms.Path(2, (), 10.0)
+        p1 = path_from_events(1, (), 10.0)
+        p2 = path_from_events(2, (), 10.0)
         assert ms.skorohod_distance(p1, p2) == \
             pytest.approx(255 / 256, abs=1e-12)
 
     def test_valley_numbering_does_not_matter(self):
         # shifted jumps between three valleys; the labels used to weigh the shift
-        p1 = ms.Path(1, ((0.25, 3), (0.75, 2), (2.5, 1)), 10.0)
-        p2 = ms.Path(1, ((0.375, 3), (0.5, 2), (2.75, 3)), 10.0)
+        p1 = path_from_events(1, ((0.25, 3), (0.75, 2), (2.5, 1)), 10.0)
+        p2 = path_from_events(1, ((0.375, 3), (0.5, 2), (2.75, 3)), 10.0)
         renumber = {1: 2, 2: 3, 3: 1}
 
         def renumbered(path):
-            return ms.Path(renumber[path.initial],
-                           tuple((t, renumber[s]) for t, s in path.events), path.horizon)
+            return path_from_events(renumber[path.initial],
+                                    tuple((t, renumber[s]) for t, s in events_of(path)),
+                                    path.horizon)
 
         assert ms.skorohod_distance(renumbered(p1), renumbered(p2)) == \
             ms.skorohod_distance(p1, p2)
@@ -472,7 +480,7 @@ class TestJumpTables:
         monkeypatch.setattr(pathsim.np.random, "default_rng", _NearOneRng)
         for i, start in enumerate(chain.states):
             path = ms.simulate(chain, start, 1.5 * mean_holding[i], seed=0)
-            assert path.events[0] == (mean_holding[i], chain.states[rows[i][0][-1]])
+            assert events_of(path)[0] == (mean_holding[i], chain.states[rows[i][0][-1]])
 
 
 def _rare_jump_chain():
@@ -610,7 +618,7 @@ class TestTrialRecorder:
                       for k in range(5)] for i, start in enumerate(starts, start=1)]
             # jump times themselves probe the right-continuous convention
             times = sorted({0.0, horizon, *rng.uniform(0.0, horizon, 6),
-                            *(t for row in paths for p in row for t, _ in p.events[:2])})
+                            *(t for row in paths for p in row for t, _ in events_of(p)[:2])})
             sample = ms.sample_valleys(chain, part, times, 5, case, starts)
             assert sample.times == tuple(times)
             for m, row in enumerate(paths):
@@ -625,7 +633,7 @@ class TestTrialRecorder:
 
 def _cut(path, t):
     """``path`` on [0, t]."""
-    return ms.Path(path.initial, tuple(e for e in path.events if e[0] <= t), t)
+    return path_from_events(path.initial, tuple(e for e in events_of(path) if e[0] <= t), t)
 
 
 class TestGroups:
@@ -823,14 +831,94 @@ class TestValidatorInputChecks:
             ms.fdd_compare(sample, model, [0.5, 1.5], "1")
 
 
+ALPHABETS = {"int": list(range(7)), "str": [f"s{i}" for i in range(7)],
+             "mixed": [0, "a", 2, "b,c", 4, 'd"e', 6]}
+
+
+def _random_path(rng, alphabet):
+    """A path on a shuffled label tuple: dyadic or uniform jump times, and a third
+    of the paths jump exactly at the horizon."""
+    labels = tuple(alphabet[i] for i in rng.permutation(len(alphabet)))
+    horizon = float(rng.choice([1.0, 8.0, 12.5]))
+    draws = rng.uniform(0.0, horizon, int(rng.integers(0, 30)))
+    if rng.random() < 0.5:
+        draws = np.round(draws * 8.0) / 8.0
+    times = np.unique(draws[draws > 0.0])
+    if rng.random() < 1 / 3:
+        times = np.append(times[times < horizon], horizon)
+    states = [int(rng.integers(len(labels)))]
+    for _ in times:
+        states.append((states[-1] + int(rng.integers(1, len(labels)))) % len(labels))
+    return ms.Path(labels, states, [0.0, *times], horizon)
+
+
+def _partition_of(rng, alphabet):
+    """Two or three valleys and Delta over the alphabet; a twentieth of the
+    partitions leave one label out."""
+    order = [alphabet[i] for i in rng.permutation(len(alphabet))]
+    if rng.random() < 0.05:
+        order.pop()
+    cuts = sorted(rng.choice(np.arange(1, len(order)), int(rng.integers(2, 4)), replace=False))
+    parts = [frozenset(order[a:b]) for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    return ms.Partition(tuple(parts[1:]), parts[0])
+
+
+def _outcome(make):
+    """(initial, jumps, horizon) of the path ``make`` returns, or its error's type and message."""
+    try:
+        path = make()
+    except InputError as exc:
+        return type(exc), str(exc)
+    return path.initial, events_of(path), path.horizon
+
+
+class TestSurgeriesAgainstReference:
+    """The array surgeries against the per-event reference in conftest, bit for bit."""
+
+    def test_random_paths(self):
+        rng = np.random.default_rng(2024)
+        outcomes = []
+        for alphabet, _ in itertools.product(ALPHABETS.values(), range(100)):
+            path = _random_path(rng, alphabet)
+            events = (path.initial, events_of(path), path.horizon)
+            F = [s for s in alphabet if rng.random() < 0.4]
+            change = ms.time_change(path, F)
+            runs, total = reference_time_change(events, F)
+            assert (list(zip(change.inner.tolist(), change.origin.tolist())), change.total) == \
+                (runs, total)
+            assert ms.occupation_time(path, F) == total
+            outcomes.append(_outcome(lambda: ms.trace_path(path, F)))
+            assert outcomes[-1] == _outcome(
+                lambda: path_from_events(*reference_trace_path(events, F)))
+            part = _partition_of(rng, alphabet)
+            for mode in ("phi", "psi"):
+                outcomes.append(_outcome(lambda: ms.project(path, part, mode)))
+                assert outcomes[-1] == _outcome(
+                    lambda: path_from_events(*reference_project(events, part, mode)))
+            if isinstance(outcomes[-2][0], type):
+                continue
+            coarse = ms.project(path, part, "phi")
+            expected = reference_project(events, part, "phi")
+            outcomes.append(_outcome(lambda: ms.last_passage_path(coarse)))
+            assert outcomes[-1] == _outcome(
+                lambda: path_from_events(*reference_last_passage_path(expected)))
+            for m in map(float, range(1, 9)):
+                assert pathsim._segments_upto(coarse, m) == reference_segments_upto(expected, m)
+        # every error is reached: a trace set never entered (BadSubset), one entered
+        # only at the horizon (BadSpec: an empty trace), a label left out of the
+        # partition, Delta under psi, and a coarse path that starts in Delta
+        assert {o[0] if isinstance(o[0], type) else "path" for o in outcomes} == \
+            {"path", BadSubset, BadSpec, BadPartition, TouchesDelta, StartsInDelta}
+
+
 class TestPathValidation:
     def test_rejects_bad_times(self):
-        with pytest.raises(BadSpec):
-            ms.Path("a", ((2.0, "b"), (1.0, "a")), 3.0)
-        with pytest.raises(BadSpec):
-            ms.Path("a", ((1.0, "a"),), 3.0)
-        with pytest.raises(BadSpec):
-            ms.Path("a", ((5.0, "b"),), 3.0)
+        with pytest.raises(BadSpec, match="^jump time 1.0 out of order"):
+            path_from_events("a", ((2.0, "b"), (1.0, "a")), 3.0)
+        with pytest.raises(BadSpec, match="^consecutive states equal at time 1.0$"):
+            path_from_events("a", ((1.0, "a"),), 3.0)
+        with pytest.raises(BadSpec, match="^jump time 5.0 out of order or beyond the horizon$"):
+            path_from_events("a", ((5.0, "b"),), 3.0)
 
 
 class TestDirectionChecks:

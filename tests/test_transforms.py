@@ -22,6 +22,7 @@ from metastab.transforms import COLLAPSED_LABEL, _lex_min_cycle, lift_from_colla
 
 from conftest import (
     birth_death,
+    events_of,
     random_chain,
     random_disjoint_sets,
     random_partition,
@@ -79,8 +80,8 @@ class TestTraceChain:
         raw = ms.simulate(bd3, "1", 8000.0, seed=12)
         tp = ms.trace_path(raw, {"1", "3"})
         time_at_1 = ms.occupation_time(tp, {"1"})
-        jumps_13 = sum(1 for k, (t, s) in enumerate(tp.events)
-                       if s == "3" and (tp.events[k - 1][1] if k else tp.initial) == "1")
+        jumps_13 = sum(1 for k, (t, s) in enumerate(events_of(tp))
+                       if s == "3" and (events_of(tp)[k - 1][1] if k else tp.initial) == "1")
         rate = jumps_13 / time_at_1
         stderr = np.sqrt(jumps_13) / time_at_1
         assert abs(rate - traced.rate("1", "3")) <= 3 * stderr
