@@ -172,6 +172,7 @@ def _write_trajectory(path, cells, fs_path):
 def _simulate_into(args, chain, start, partition, out_dir, written):
     """Write ``simulate``'s trajectories and summary into ``out_dir``; each file is
     listed in ``written`` before it is opened.  Sums run in path order."""
+    # every path of the run is on these labels; after a surgery, project's coarse alphabet
     labels = chain.states if args.surgery == "none" else tuple(range(partition.n + 1))
     cells, names = _csv_cells(labels), [str(s) for s in labels]
     occupation, seen = np.zeros(len(labels)), np.zeros(len(labels), dtype=bool)

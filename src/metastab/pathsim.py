@@ -80,9 +80,7 @@ class Path:
             raise BadSpec(f"consecutive states equal at time {times[1 + repeat.argmax()]}")
 
     def __eq__(self, other):
-        if not isinstance(other, Path):
-            return NotImplemented
-        return list(self.sojourns()) == list(other.sojourns())
+        return isinstance(other, Path) and list(self.sojourns()) == list(other.sojourns())
 
     @property
     def initial(self):

@@ -10,7 +10,8 @@ import pytest
 
 import metastab as ms
 from metastab import pathsim
-from metastab.errors import BadPartition, BadSpec, BadSubset, InputError, StartsInDelta, TouchesDelta
+from metastab.errors import (BadPartition, BadSpec, BadSubset, InputError, StartsInDelta,
+                             TouchesDelta)
 
 from conftest import (
     FixedDraws,
